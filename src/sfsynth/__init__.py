@@ -58,7 +58,6 @@ from .renderers import (
     PMOperator,
     mr_circular_driving,
     mr_linear_driving,
-    mr_linear_filters,
     pm_driving,
     pm_operator,
     synthesize,

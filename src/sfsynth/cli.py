@@ -106,9 +106,6 @@ def _cmd_inspect(args) -> int:
         for i, sp in enumerate(params.layers):
             print(f"  layer {i}: {sp.kind} {sp.in_ch}->{sp.out_ch} "
                   f"k({sp.kh}x{sp.kw}) s({sp.sh}x{sp.sw}) {sp.act}")
-    elif magic == fileio.MAGIC_DRIVING:
-        d = fileio.load_driving(path, provenance="mr")
-        print(f"driving signals: L={d.l_active}, K={d.k}")
     else:
         raise ValueError(f"{path}: unrecognised file magic {magic!r}")
     return 0

@@ -59,10 +59,11 @@ class TrainingDivergedError(RuntimeError):
 
 
 def pack_driving(d: np.ndarray) -> np.ndarray:
-    """Stack Re over Im along the loudspeaker axis: (L, K) -> (2L, K)."""
+    """Stack Re over Im along the loudspeaker axis: (L, K) -> (2L, K), or
+    (L, K, B) -> (2L, K, B) with a trailing batch axis."""
     d = np.asarray(d, dtype=np.complex128)
-    if d.ndim != 2:
-        raise ValueError("driving matrix must be (L, K)")
+    if d.ndim not in (2, 3):
+        raise ValueError("driving array must be (L, K) or (L, K, B)")
     if not (np.all(np.isfinite(d.real)) and np.all(np.isfinite(d.imag))):
         raise ValueError("driving matrix must be finite")
     return np.concatenate([d.real, d.imag], axis=0)
@@ -71,23 +72,25 @@ def pack_driving(d: np.ndarray) -> np.ndarray:
 def unpack_driving(t: np.ndarray) -> np.ndarray:
     """Inverse of pack_driving: rows l and L+l recombine as re + j im."""
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] % 2 != 0:
-        raise ValueError("packed tensor must have an even row count")
+    if t.ndim not in (2, 3) or t.shape[0] % 2 != 0:
+        raise ValueError("packed tensor must be (2L, K) or (2L, K, B)")
     half = t.shape[0] // 2
     return t[:half] + 1j * t[half:]
 
 
 def predict_control_pressure(d_cnn: np.ndarray, g_stack: np.ndarray) -> np.ndarray:
-    """Per-frequency propagation p(:, k) = G_k @ d(:, k).
+    """Per-frequency propagation p(:, k) = G_k @ d(:, k), batched over an
+    optional trailing axis: (L, K[, B]) -> (I, K[, B]).
 
     g_stack has shape (K, I, L); this fixed linear layer is the bridge
     the loss gradients flow through.
     """
     d = np.asarray(d_cnn, dtype=np.complex128)
     g = np.asarray(g_stack, dtype=np.complex128)
-    if g.ndim != 3 or d.ndim != 2 or g.shape[0] != d.shape[1] or g.shape[2] != d.shape[0]:
-        raise ValueError("shapes do not chain: need (K, I, L) x (L, K)")
-    return np.einsum("kil,lk->ik", g, d)
+    if g.ndim != 3 or d.ndim not in (2, 3) or g.shape[0] != d.shape[1] \
+            or g.shape[2] != d.shape[0]:
+        raise ValueError("shapes do not chain: need (K, I, L) x (L, K[, B])")
+    return np.einsum("kil,lk...->ik...", g, d)
 
 
 def _wrap_phase(delta: np.ndarray) -> np.ndarray:
@@ -140,17 +143,14 @@ def _batch_loss_and_grads(params: ModelParams, records, idxs,
                           want_grads: bool):
     x = _stack_batch(records, idxs)
     y, cache = forward(params, x)
-    half = params.rows // 2
-    d = y[0, :half, :, :] + 1j * y[0, half:, :, :]          # (L, K, B)
-    p = np.einsum("kil,lkb->ikb", g_stack, d)
+    p = predict_control_pressure(unpack_driving(y[0]), g_stack)   # (I, K, B)
     p_gt = np.stack([records[i].pressures for i in idxs], axis=-1)
     total = loss(p, p_gt, w)
-    if not want_grads:
+    if not want_grads or not np.isfinite(total):
         return total, None
     gp = loss_gradient(p, p_gt, w)
     gd = np.einsum("kil,ikb->lkb", g_stack.conj(), gp)
-    gt = np.concatenate([gd.real, gd.imag], axis=0)          # (2L, K, B)
-    grads = backward(params, gt[None, ...], cache)
+    grads = backward(params, pack_driving(gd)[None, ...], cache)
     return total, grads
 
 

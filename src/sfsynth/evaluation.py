@@ -96,14 +96,6 @@ class SweepContext:
                 raise ValueError(f"driving array for {name!r} has wrong shape")
 
 
-def _metric_value(metric: str, p_hat: np.ndarray, p: np.ndarray) -> float:
-    if metric == "nre":
-        return nre(p_hat, p)
-    if metric == "ssim":
-        return ssim_global(normalize_magnitude(p_hat), normalize_magnitude(p))
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def metric_samples(ctx: SweepContext, methods) -> dict:
     """metric_samples[method][s, k] for every source and frequency.
 

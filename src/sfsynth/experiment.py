@@ -3,6 +3,7 @@ field rendering, with a content-hashed artifact manifest."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,17 +12,17 @@ import numpy as np
 
 from . import fileio
 from .acoustics import Source, green_matrix
-from .compensator import pack_driving, train_compensator, unpack_driving
+from .compensator import compensate, train_compensator, unpack_driving
 from .config import ExperimentConfig
-from .datasets import Dataset, build_dataset
+from .datasets import Dataset, build_dataset, mr_driving_matrix
 from .evaluation import (
     NRE_FLOOR_DB,
     SweepContext,
     metric_samples,
     sweep,
 )
-from .network import ModelParams, cnn_forward, forward
-from .renderers import pm_operator
+from .network import ModelParams, forward
+from .renderers import DrivingSignals, pm_driving, pm_operator, synthesize
 
 
 class StageError(RuntimeError):
@@ -43,15 +44,26 @@ class ArtifactManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ArtifactManifest":
+        """Parse a manifest; ValueError when the text is not one."""
         d = json.loads(text)
+        if not isinstance(d, dict) or not isinstance(d.get("config_hash"), str) \
+                or not isinstance(d.get("files"), list):
+            raise ValueError("manifest must hold a config_hash and a files list")
+        for f in d["files"]:
+            if not isinstance(f, dict) or not all(
+                    isinstance(f.get(key), str) for key in ("path", "role", "sha256")):
+                raise ValueError("manifest file entries need path, role and sha256")
         return cls(config_hash=d["config_hash"], files=d["files"])
 
-    def verify(self, out_dir: Path) -> bool:
-        for f in self.files:
-            p = out_dir / f["path"]
-            if f.get("stale") or not p.exists() or fileio.sha256_file(p) != f["sha256"]:
-                return False
-        return True
+    def fresh(self, out_dir, role: str) -> bool:
+        """True when the role has entries and every one exists, is not
+        stale and still hashes to its recorded sha256."""
+        out_dir = Path(out_dir)
+        entries = [f for f in self.files if f["role"] == role]
+        return bool(entries) and all(
+            not f.get("stale") and (out_dir / f["path"]).is_file()
+            and fileio.sha256_file(out_dir / f["path"]) == f["sha256"]
+            for f in entries)
 
     def paths_for(self, role: str) -> list:
         return [f["path"] for f in self.files if f["role"] == role]
@@ -64,20 +76,6 @@ def _record(manifest: ArtifactManifest, out_dir: Path, rel: str, role: str) -> N
                            "stale": False})
 
 
-def _stage_fresh(prev: ArtifactManifest | None, out_dir: Path, role: str) -> bool:
-    """True when every artifact of the role exists with matching hash."""
-    if prev is None:
-        return False
-    entries = [f for f in prev.files if f["role"] == role]
-    if not entries:
-        return False
-    for f in entries:
-        p = out_dir / f["path"]
-        if f.get("stale") or not p.exists() or fileio.sha256_file(p) != f["sha256"]:
-            return False
-    return True
-
-
 def _write_manifest(manifest: ArtifactManifest, out_dir: Path) -> None:
     (out_dir / "manifest.json").write_text(manifest.to_json())
 
@@ -88,29 +86,27 @@ def _mark_stale(manifest: ArtifactManifest, role: str) -> None:
             f["stale"] = True
 
 
-def _test_driving(cfg: ExperimentConfig, dataset: Dataset, array,
-                  cp, params: ModelParams | None) -> dict:
-    """Per-method (S, L_active, K) driving arrays for the test sources."""
-    freq = dataset.freq_grid
+def _test_driving(methods, dataset: Dataset, operators,
+                  params: ModelParams | None) -> dict:
+    """Per-method (S, L_active, K) driving arrays for the test sources;
+    operators() returns the per-frequency PM operators."""
     recs = dataset.test
-    s = len(recs)
     out = {}
-    if "mr" in cfg.methods:
+    if "mr" in methods:
         out["mr"] = np.stack([unpack_driving(r.tensor) for r in recs])
-    if "pm" in cfg.methods:
-        d = np.empty((s, array.active_count, freq.k), dtype=np.complex128)
-        for ki, omega in enumerate(freq.angular):
-            op = pm_operator(array, cp, omega, cfg.lam, freq.c)
+    if "pm" in methods:
+        d = np.empty((len(recs), dataset.l_active, dataset.freq_grid.k),
+                     dtype=np.complex128)
+        for ki, op in enumerate(operators()):
             for si, rec in enumerate(recs):
-                d[si, :, ki] = op.c_cp @ rec.pressures[:, ki]
+                d[si, :, ki] = pm_driving(op, rec.pressures[:, ki])
         out["pm"] = d
-    if "cnn" in cfg.methods:
+    if "cnn" in methods:
         if params is None:
             raise ValueError("cnn requested but no trained model is available")
         x = np.stack([r.tensor for r in recs], axis=-1)[None, ...]
         y, _ = forward(params, x)
-        half = params.rows // 2
-        out["cnn"] = np.transpose(y[0, :half] + 1j * y[0, half:], (2, 0, 1))
+        out["cnn"] = np.transpose(unpack_driving(y[0]), (2, 0, 1))
     return out
 
 
@@ -144,31 +140,28 @@ def render_field(cfg: ExperimentConfig, out_dir, method: str,
     array = cfg.array()
     cp = cfg.control_points()
     grid = cfg.listening_grid()
-    src = Source(position=pos)
+
+    if method == "cnn" and params is None:
+        ckpt = out_dir / "checkpoint.sfsm"
+        if not ckpt.exists():
+            raise FileNotFoundError(
+                f"no checkpoint at {ckpt}; train the model first "
+                f"(sfsynth train) or pass --method mr/pm")
+        params = fileio.load_checkpoint(ckpt)
 
     p_true = green_matrix(grid.points, pos[None, :], omega, freq.c)[:, 0]
-    if method == "mr":
-        from .datasets import mr_driving_matrix
-        d = mr_driving_matrix(array, src, freq, cp, cfg.lam,
-                              cfg.mr_listening_radius())[:, ki]
-    elif method == "pm":
-        op = pm_operator(array, cp, omega, cfg.lam, freq.c)
+    if method == "pm":
         p_cp = green_matrix(cp.points, pos[None, :], omega, freq.c)[:, 0]
-        d = op.c_cp @ p_cp
+        d = pm_driving(pm_operator(array, cp, omega, cfg.lam, freq.c), p_cp)
     else:
-        if params is None:
-            ckpt = out_dir / "checkpoint.sfsm"
-            if not ckpt.exists():
-                raise FileNotFoundError(
-                    f"no checkpoint at {ckpt}; train the model first "
-                    f"(sfsynth train) or pass --method mr/pm")
-            params = fileio.load_checkpoint(ckpt)
-        from .datasets import mr_driving_matrix
-        d_mr = mr_driving_matrix(array, src, freq, cp, cfg.lam,
-                                 cfg.mr_listening_radius())
-        d = unpack_driving(cnn_forward(pack_driving(d_mr), params))[:, ki]
-    g_grid = green_matrix(grid.points, array.active_positions, omega, freq.c)
-    p_hat = g_grid @ d
+        signals = DrivingSignals(
+            values=mr_driving_matrix(array, Source(position=pos), freq, cp,
+                                     cfg.lam, cfg.mr_listening_radius()),
+            provenance="mr")
+        if method == "cnn":
+            signals = compensate(signals, params)
+        d = signals.values[:, ki]
+    p_hat = synthesize(array, d, grid, omega, freq.c)
 
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
@@ -208,15 +201,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
 
-    prev = None
+    # a previous manifest that is malformed or from another config counts
+    # as absent: every stage recomputes
+    prev = ArtifactManifest(config_hash=chash, files=[])
     man_path = out_dir / "manifest.json"
     if man_path.exists():
         try:
             candidate = ArtifactManifest.from_json(man_path.read_text())
             if candidate.config_hash == chash:
                 prev = candidate
-        except (json.JSONDecodeError, KeyError):
-            prev = None
+        except ValueError:
+            pass
     manifest = ArtifactManifest(config_hash=chash, files=[])
 
     (out_dir / "config.json").write_text(cfg.to_json())
@@ -228,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         cp = cfg.control_points()
         freq = cfg.freq_grid()
         ds_rel = "dataset.sfsx"
-        if _stage_fresh(prev, out_dir, "dataset"):
+        if prev.fresh(out_dir, "dataset"):
             dataset, _ = fileio.load_dataset(out_dir / ds_rel)
         else:
             split = cfg.source_split()
@@ -242,17 +237,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         _write_manifest(manifest, out_dir)
         raise StageError("dataset", exc) from exc
 
+    # per-frequency G_cp and PM operators, built on first use and shared
+    # by the train and sweep stages
+    operators = functools.cache(lambda: [
+        pm_operator(array, cp, omega, cfg.lam, freq.c)
+        for omega in freq.angular])
+
     # -- stage: train ----------------------------------------------------------
     params = None
     try:
         if "cnn" in cfg.methods and {"train", "sweep", "render"} & set(stages):
             ck_rel = "checkpoint.sfsm"
-            if _stage_fresh(prev, out_dir, "checkpoint"):
+            if prev.fresh(out_dir, "checkpoint"):
                 params = fileio.load_checkpoint(out_dir / ck_rel)
             else:
-                g_stack = np.stack([
-                    green_matrix(cp.points, array.active_positions, omega, freq.c)
-                    for omega in freq.angular])
+                g_stack = np.stack([op.g_cp for op in operators()])
                 result = train_compensator(dataset.train, dataset.val,
                                            cfg.train_config(), g_stack,
                                            cfg.loss_weights())
@@ -273,12 +272,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                 axes.append("radius_m")
             expected = [f"metrics_{m}_{ax.split('_')[0]}.csv"
                         for ax in axes for m in ("nre", "ssim")]
-            if _stage_fresh(prev, out_dir, "metrics") and \
+            if prev.fresh(out_dir, "metrics") and \
                     set(prev.paths_for("metrics")) == set(expected):
                 for rel in expected:
                     _record(manifest, out_dir, rel, "metrics")
             else:
-                driving = _test_driving(cfg, dataset, array, cp, params)
+                driving = _test_driving(cfg.methods, dataset, operators,
+                                        params)
                 ctx = SweepContext(array=array, points=cfg.listening_grid(),
                                    freq_grid=freq,
                                    sources=[r.source for r in dataset.test],
@@ -303,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     # -- stage: render ---------------------------------------------------------
     if "render" in stages:
         try:
-            if _stage_fresh(prev, out_dir, "field"):
+            if prev.fresh(out_dir, "field"):
                 for rel in prev.paths_for("field"):
                     _record(manifest, out_dir, rel, "field")
             else:

@@ -1,14 +1,18 @@
-"""Binary artifact formats (driving signals, model checkpoints, datasets)
-and the CSV / graymap exporters.
+"""Binary artifact formats (model checkpoints, datasets) and the CSV /
+graymap exporters.
 
 All binary layouts are little-endian.  Floats are written as IEEE 754
 float64; complex matrices go row-major with interleaved (re, im).
+Both loaders read through one bounded reader, so every malformed file
+raises ArtifactFormatError with the path and the byte offset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -17,15 +21,61 @@ import numpy as np
 from .acoustics import FrequencyGrid, Source
 from .datasets import Dataset, DatasetRecord
 from .network import LayerSpec, ModelParams
-from .renderers import DrivingSignals
 
-MAGIC_DRIVING = b"SFSD"
 MAGIC_MODEL = b"SFSM"
 MAGIC_DATASET = b"SFSX"
 FORMAT_VERSION = 1
 
 _KINDS = ("conv", "tconv")
 _ACTS = ("prelu", "linear")
+_DATASET_DIMS = ("l_active", "k", "i_cp", "n_train", "n_val", "n_test")
+
+
+class ArtifactFormatError(ValueError):
+    """A binary artifact that is not a valid file of its format."""
+
+    def __init__(self, path, offset: int, what: str):
+        super().__init__(f"{path}: {what} at byte {offset}")
+        self.path = path
+        self.offset = offset
+
+
+class _Reader:
+    """Bounded little-endian reads from an open artifact.  Checks the
+    magic and version on entry; every failure raises ArtifactFormatError
+    at the offset where reading stopped."""
+
+    def __init__(self, fh, path, magic: bytes, kind: str):
+        self.fh, self.path, self.offset = fh, path, 0
+        self.size = os.fstat(fh.fileno()).st_size
+        if self.take(4, "magic") != magic:
+            self.fail(f"not a {kind} file", 0)
+        (version,) = self.unpack("<I", "version")
+        if version != FORMAT_VERSION:
+            self.fail(f"unsupported version {version}", 4)
+
+    def fail(self, what: str, offset: int | None = None):
+        raise ArtifactFormatError(self.path,
+                                  self.offset if offset is None else offset, what)
+
+    def take(self, n: int, what: str) -> bytes:
+        data = self.fh.read(n)
+        if len(data) != n:
+            self.fail(f"short read of {what} ({len(data)} of {n} bytes)")
+        self.offset += n
+        return data
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        raw = self.take(8 * math.prod(shape), what)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+    def expect_size(self, total: int) -> None:
+        if total != self.size:
+            self.fail(f"file size {self.size} differs from the {total} bytes "
+                      f"its header implies")
 
 
 def sha256_file(path) -> str:
@@ -45,27 +95,6 @@ def _interleave(z: np.ndarray) -> np.ndarray:
 
 def _deinterleave(raw: np.ndarray) -> np.ndarray:
     return raw[..., 0] + 1j * raw[..., 1]
-
-
-# -- driving signals ---------------------------------------------------------
-
-def save_driving(path, d: DrivingSignals) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_DRIVING)
-        fh.write(struct.pack("<III", FORMAT_VERSION, d.l_active, d.k))
-        fh.write(_interleave(d.values).tobytes())
-
-
-def load_driving(path, provenance: str) -> DrivingSignals:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC_DRIVING:
-            raise ValueError(f"{path}: not a driving-signal file")
-        version, l, k = struct.unpack("<III", fh.read(12))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        raw = np.frombuffer(fh.read(16 * l * k), dtype="<f8").reshape(l, k, 2)
-    return DrivingSignals(values=_deinterleave(raw), provenance=provenance)
 
 
 # -- model checkpoints -------------------------------------------------------
@@ -111,34 +140,31 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC_MODEL:
-            raise ValueError(f"{path}: not a model checkpoint")
-        version, l_active, k = struct.unpack("<III", fh.read(12))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        skip_src, skip_dst = struct.unpack("<ii", fh.read(8))
-        (n_layers,) = struct.unpack("<I", fh.read(4))
+        r = _Reader(fh, path, MAGIC_MODEL, "model checkpoint")
+        l_active, k, skip_src, skip_dst, n_layers = r.unpack("<IIiiI", "header")
+        if not (-1 <= skip_src < n_layers and -1 <= skip_dst < n_layers):
+            r.fail(f"skip layers ({skip_src}, {skip_dst}) out of range", 16)
         specs = []
-        for _ in range(n_layers):
-            vals = struct.unpack("<BBIIIIIIIIII", fh.read(42))
+        for i in range(n_layers):
+            at = r.offset
+            vals = r.unpack("<BBIIIIIIIIII", f"layer {i}")
+            if vals[0] >= len(_KINDS) or vals[1] >= len(_ACTS):
+                r.fail(f"layer {i}: kind byte {vals[0]} or activation byte "
+                       f"{vals[1]} out of range", at)
             specs.append(LayerSpec(
                 kind=_KINDS[vals[0]], act=_ACTS[vals[1]], in_ch=vals[2],
                 out_ch=vals[3], kh=vals[4], kw=vals[5], sh=vals[6],
                 sw=vals[7], ph=vals[8], pw=vals[9], oph=vals[10],
                 opw=vals[11]))
+        r.expect_size(r.offset + sum(
+            8 * (math.prod(sp.kernel_shape())
+                 + sp.out_ch * (2 if sp.act == "prelu" else 1)) for sp in specs))
         kernels, biases, slopes = [], [], []
-        for sp in specs:
-            shape = sp.kernel_shape()
-            count = int(np.prod(shape))
-            kernels.append(np.frombuffer(fh.read(8 * count),
-                                         dtype="<f8").reshape(shape).copy())
-            biases.append(np.frombuffer(fh.read(8 * sp.out_ch),
-                                        dtype="<f8").copy())
-            if sp.act == "prelu":
-                slopes.append(np.frombuffer(fh.read(8 * sp.out_ch),
-                                            dtype="<f8").copy())
-            else:
-                slopes.append(None)
+        for i, sp in enumerate(specs):
+            kernels.append(r.floats(sp.kernel_shape(), f"layer {i} kernel"))
+            biases.append(r.floats((sp.out_ch,), f"layer {i} bias"))
+            slopes.append(r.floats((sp.out_ch,), f"layer {i} slope")
+                          if sp.act == "prelu" else None)
     return ModelParams(rows=2 * l_active, cols=k, layers=specs,
                        kernels=kernels, biases=biases, slopes=slopes,
                        skip_src=None if skip_src < 0 else skip_src,
@@ -178,29 +204,30 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
 def load_dataset(path) -> tuple:
     """Returns (Dataset, header dict)."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC_DATASET:
-            raise ValueError(f"{path}: not a dataset file")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        header = json.loads(fh.read(hlen).decode())
-        l = header["l_active"]
-        k = header["k"]
-        i_cp = header["i_cp"]
-        freq = FrequencyGrid(
-            frequencies=np.array([float(f) for f in header["frequencies"]]),
-            c=float(header["c"]))
-        counts = (header["n_train"], header["n_val"], header["n_test"])
+        r = _Reader(fh, path, MAGIC_DATASET, "dataset")
+        (hlen,) = r.unpack("<I", "header length")
+        at = r.offset
+        blob = r.take(hlen, "header")
+        try:
+            header = json.loads(blob.decode())
+            l, k, i_cp, *counts = (header[key] for key in _DATASET_DIMS)
+            freq = FrequencyGrid(
+                frequencies=np.array([float(f) for f in header["frequencies"]]),
+                c=float(header["c"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            r.fail(f"bad header ({exc!r})", at)
+        if not all(isinstance(v, int) and v >= 0 for v in [l, k, i_cp, *counts]) \
+                or freq.k != k:
+            r.fail("bad header (dimensions)", at)
+        record_size = 4 + 16 + 16 * l * k + 16 * i_cp * k
+        r.expect_size(r.offset + sum(counts) * record_size)
         groups = []
         for count in counts:
             recs = []
             for _ in range(count):
-                (sid,) = struct.unpack("<I", fh.read(4))
-                x, y = struct.unpack("<dd", fh.read(16))
-                tensor = np.frombuffer(fh.read(8 * 2 * l * k),
-                                       dtype="<f8").reshape(2 * l, k).copy()
-                raw = np.frombuffer(fh.read(16 * i_cp * k),
-                                    dtype="<f8").reshape(i_cp, k, 2)
+                sid, x, y = r.unpack("<Idd", "record header")
+                tensor = r.floats((2 * l, k), "tensor")
+                raw = r.floats((i_cp, k, 2), "pressures")
                 recs.append(DatasetRecord(
                     source_id=sid, source=Source(position=np.array([x, y])),
                     tensor=tensor, pressures=_deinterleave(raw)))
@@ -215,23 +242,6 @@ def load_dataset(path) -> tuple:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def write_points_csv(path, points: np.ndarray) -> None:
-    lines = ["x,y"]
-    for p in np.atleast_2d(points):
-        lines.append(f"{_fmt(p[0])},{_fmt(p[1])}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_driving_csv(path, d: DrivingSignals) -> None:
-    """Long-format inspection dump: one row per (loudspeaker, frequency)."""
-    lines = ["loudspeaker,freq_index,re,im"]
-    for l in range(d.l_active):
-        for k in range(d.k):
-            v = d.values[l, k]
-            lines.append(f"{l},{k},{_fmt(v.real)},{_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:

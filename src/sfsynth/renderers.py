@@ -169,15 +169,6 @@ def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
     return FilterBank(values=values, directions=pw.directions, omega=omega)
 
 
-def mr_linear_filters(array: ArrayGeometry, cp: PointSet, theta_n: float,
-                      omega: float, lam: float,
-                      c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
-    """Regularized least-squares filter for a single plane-wave direction."""
-    pw = PlaneWaveSet(directions=np.array([theta_n]), order=0,
-                      window=(theta_n, theta_n))
-    return mr_linear_filter_bank(array, cp, pw, omega, lam, c).values[:, 0]
-
-
 def linear_window(array: ArrayGeometry) -> tuple:
     """Admissible plane-wave window [atan2(-y0, x0), atan2(y0, x0)].
 

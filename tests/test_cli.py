@@ -103,3 +103,43 @@ def test_seed_override_changes_dataset(micro_cfg_file, tmp_path):
     ha = (a / "dataset.sfsx").read_bytes()
     hb = (b / "dataset.sfsx").read_bytes()
     assert ha != hb
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    import numpy as np
+    from sfsynth.acoustics import FrequencyGrid, Source
+    from sfsynth.datasets import Dataset, DatasetRecord
+    from sfsynth.fileio import save_checkpoint, save_dataset
+    from sfsynth.network import init_params
+    d = tmp_path_factory.mktemp("artifacts")
+    save_checkpoint(d / "checkpoint.sfsm", init_params(16, 15, seed=4))
+    rec = DatasetRecord(source_id=0, source=Source(position=np.array([2.0, 0.5])),
+                        tensor=np.ones((4, 3)), pressures=np.ones((5, 3)) * 1j)
+    save_dataset(d / "dataset.sfsx", Dataset(
+        train=[rec], val=[rec], test=[rec],
+        freq_grid=FrequencyGrid.uniform(46.0, 23.0, 3), l_active=2,
+        n_control=5, source_seed=0))
+    return d
+
+
+def _with_kind_byte(raw):
+    # first layer table entry starts after magic, version, L, K, skip, count
+    return raw[:28] + bytes([7]) + raw[29:]
+
+
+@pytest.mark.parametrize("name,mangle", [
+    ("checkpoint.sfsm", lambda raw: raw[:100]),
+    ("checkpoint.sfsm", _with_kind_byte),
+    ("dataset.sfsx", lambda raw: raw[:len(raw) // 2]),
+    ("dataset.sfsx", lambda raw: raw[:20]),
+], ids=["truncated-checkpoint", "kind-byte", "half-dataset", "20-byte-dataset"])
+def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
+    bad = tmp_path / name
+    bad.write_bytes(mangle((artifacts / name).read_bytes()))
+    out = run_cli("inspect", str(bad))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(bad) in lines[0]

@@ -37,7 +37,7 @@ def test_manifest_contents(micro_run):
     # field images: ground truth plus real/error maps per method
     pgms = [p for p in manifest.paths_for("field") if p.endswith(".pgm")]
     assert len(pgms) >= 3
-    assert manifest.verify(Path(out))
+    assert all(manifest.fresh(out, role) for role in roles)
 
 
 def test_manifest_hashes_match_disk(micro_run):
@@ -101,4 +101,44 @@ def test_config_change_invalidates_skip(micro_run, tmp_path):
 def test_manifest_roundtrip(micro_run):
     _, out, manifest = micro_run
     again = ArtifactManifest.from_json(manifest.to_json())
+    assert again.to_json() == manifest.to_json()
+
+
+def test_fresh_needs_entries_and_matching_hashes(micro_run):
+    _, out, manifest = micro_run
+    assert manifest.fresh(out, "dataset")
+    assert not manifest.fresh(out, "no-such-role")
+    entry = next(f for f in manifest.files if f["role"] == "dataset")
+    altered = ArtifactManifest(config_hash=manifest.config_hash,
+                               files=[dict(entry, sha256="0" * 64)])
+    assert not altered.fresh(out, entry["role"])
+    stale = ArtifactManifest(config_hash=manifest.config_hash,
+                             files=[dict(entry, stale=True)])
+    assert not stale.fresh(out, entry["role"])
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"config_hash": "x"}',
+    '{"config_hash": "x", "files": [{"path": "a", "sha256": "b"}]}',
+    '{"config_hash": "x", "files": [7]}',
+])
+def test_manifest_from_json_rejects_wrong_shape(text):
+    with pytest.raises(ValueError):
+        ArtifactManifest.from_json(text)
+
+
+@pytest.mark.parametrize("bad", ["list", "no_role"])
+def test_malformed_manifest_counts_as_absent(tmp_path, bad):
+    cfg = micro_config(methods=("mr", "pm"))
+    if bad == "list":
+        text = "[]"
+    else:
+        text = ('{"config_hash": "%s", "files": [{"path": "dataset.sfsx", '
+                '"sha256": "0"}]}' % cfg.config_hash())
+    (tmp_path / "manifest.json").write_text(text)
+    manifest = run_experiment(cfg, tmp_path)
+    assert manifest.fresh(tmp_path, "dataset")
+    assert len(manifest.paths_for("metrics")) == 4
+    again = ArtifactManifest.from_json((tmp_path / "manifest.json").read_text())
     assert again.to_json() == manifest.to_json()

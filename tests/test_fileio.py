@@ -8,39 +8,17 @@ import pytest
 from sfsynth.acoustics import FrequencyGrid, Source
 from sfsynth.datasets import Dataset, DatasetRecord
 from sfsynth.fileio import (
+    ArtifactFormatError,
     load_checkpoint,
     load_dataset,
-    load_driving,
     save_checkpoint,
     save_dataset,
-    save_driving,
     sha256_file,
     write_field_csv,
     write_metric_csv,
     write_pgm,
-    write_points_csv,
 )
 from sfsynth.network import init_params
-from sfsynth.renderers import DrivingSignals
-
-
-def test_driving_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    d = DrivingSignals(values=rng.normal(size=(8, 15))
-                       + 1j * rng.normal(size=(8, 15)), provenance="mr")
-    path = tmp_path / "d.sfsd"
-    save_driving(path, d)
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"SFSD"
-    back = load_driving(path, provenance="mr")
-    assert np.array_equal(back.values, d.values)
-
-
-def test_driving_magic_check(tmp_path):
-    p = tmp_path / "bad.sfsd"
-    p.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(ValueError):
-        load_driving(p, provenance="mr")
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -110,24 +88,53 @@ def test_dataset_write_deterministic(tmp_path):
     assert sha256_file(p1) == sha256_file(p2)
 
 
-def test_driving_csv(tmp_path):
-    from sfsynth.fileio import write_driving_csv
-    d = DrivingSignals(values=np.array([[0.5 - 0.25j, 1.0 + 0j]]),
-                       provenance="pm")
-    p = tmp_path / "d.csv"
-    write_driving_csv(p, d)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "loudspeaker,freq_index,re,im"
-    assert lines[1] == "0,0,0.5,-0.25"
-    assert lines[2] == "0,1,1.0,0.0"
+def _corrupt(src, dst, offset, data):
+    raw = bytearray(src.read_bytes())
+    raw[offset:offset + len(data)] = data
+    dst.write_bytes(bytes(raw))
+    return dst
 
 
-def test_points_csv(tmp_path):
-    p = tmp_path / "pts.csv"
-    write_points_csv(p, np.array([[0.5, -1.25], [2.0, 3.5]]))
-    lines = p.read_text().splitlines()
-    assert lines[0] == "x,y"
-    assert lines[1] == "0.5,-1.25"
+@pytest.fixture
+def saved(tmp_path):
+    ckpt = tmp_path / "m.sfsm"
+    save_checkpoint(ckpt, init_params(16, 15, seed=3))
+    ds = tmp_path / "d.sfsx"
+    save_dataset(ds, _toy_dataset())
+    return ckpt, ds
+
+
+@pytest.mark.parametrize("offset,data,offset_seen", [
+    (0, b"NOPE", 0),                     # magic
+    (4, b"\x02", 4),                     # version
+    (28, b"\x07", 28),                   # first layer's kind byte
+    (29, b"\x05", 28),                   # first layer's activation byte
+    (16, b"\x09", 16),                   # skip source layer index
+])
+def test_checkpoint_header_corruption(saved, tmp_path, offset, data,
+                                      offset_seen):
+    bad = _corrupt(saved[0], tmp_path / "bad.sfsm", offset, data)
+    with pytest.raises(ArtifactFormatError) as info:
+        load_checkpoint(bad)
+    assert info.value.offset == offset_seen
+    assert str(bad) in str(info.value)
+
+
+@pytest.mark.parametrize("which,load", [(0, load_checkpoint), (1, load_dataset)],
+                         ids=["checkpoint", "dataset"])
+def test_trailing_bytes_rejected(saved, tmp_path, which, load):
+    # every strict prefix is covered by the property tests
+    bad = tmp_path / "long"
+    bad.write_bytes(saved[which].read_bytes() + b"\0" * 8)
+    with pytest.raises(ArtifactFormatError, match="file size"):
+        load(bad)
+
+
+def test_dataset_bad_header_json(saved, tmp_path):
+    bad = _corrupt(saved[1], tmp_path / "bad.sfsx", 12, b"[")
+    with pytest.raises(ArtifactFormatError, match="bad header") as info:
+        load_dataset(bad)
+    assert info.value.offset == 12
 
 
 def test_field_csv(tmp_path):

@@ -1,0 +1,147 @@
+"""Property-based checks: packing and propagation over random shapes, and
+the binary formats' round trips and truncation handling."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from sfsynth.acoustics import FrequencyGrid, Source
+from sfsynth.compensator import pack_driving, predict_control_pressure, unpack_driving
+from sfsynth.datasets import Dataset, DatasetRecord
+from sfsynth.fileio import (
+    ArtifactFormatError,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+    save_dataset,
+)
+from sfsynth.network import compensator_layers, init_params
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+FAST = settings(max_examples=30, deadline=None)
+
+# (L, K) or (L, K, B)
+driving_shapes = st.tuples(st.integers(1, 6), st.integers(1, 6)) | \
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4))
+
+
+@st.composite
+def complex_arrays(draw, shape):
+    re = draw(arrays(np.float64, shape, elements=FINITE))
+    im = draw(arrays(np.float64, shape, elements=FINITE))
+    return re + 1j * im
+
+
+@FAST
+@given(st.data(), driving_shapes)
+def test_pack_unpack_roundtrip(data, shape):
+    d = data.draw(complex_arrays(shape))
+    t = pack_driving(d)
+    assert t.shape == (2 * shape[0],) + shape[1:]
+    assert np.array_equal(unpack_driving(t), d)
+
+
+@FAST
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5),
+       st.integers(1, 4))
+def test_batched_propagation_matches_per_sample(data, l, k, i, b):
+    g = data.draw(complex_arrays((k, i, l)))
+    d = data.draw(complex_arrays((l, k, b)))
+    p = predict_control_pressure(d, g)
+    assert p.shape == (i, k, b)
+    for j in range(b):
+        assert np.allclose(p[:, :, j], predict_control_pressure(d[:, :, j], g),
+                           rtol=1e-12, atol=1e-6)
+
+
+@st.composite
+def small_models(draw):
+    rows = 2 * draw(st.integers(8, 11))
+    cols = draw(st.integers(15, 20))
+    channels = tuple(draw(st.integers(1, 3)) for _ in range(6)) + (1,)
+    skip = draw(st.sampled_from([None, (1, 3)]))
+    return init_params(rows, cols, seed=draw(st.integers(0, 2 ** 16)),
+                       layers=compensator_layers(rows, cols, channels),
+                       skip=skip)
+
+
+@st.composite
+def small_datasets(draw):
+    l = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    i_cp = draw(st.integers(1, 4))
+    counts = [draw(st.integers(1, 2)) for _ in range(3)]
+    recs = []
+    for sid in range(sum(counts)):
+        pos = draw(arrays(np.float64, 2, elements=FINITE))
+        recs.append(DatasetRecord(
+            source_id=sid, source=Source(position=pos),
+            tensor=draw(arrays(np.float64, (2 * l, k), elements=FINITE)),
+            pressures=draw(complex_arrays((i_cp, k)))))
+    a, b = counts[0], counts[0] + counts[1]
+    return Dataset(train=recs[:a], val=recs[a:b], test=recs[b:],
+                   freq_grid=FrequencyGrid.uniform(46.0, 23.0, k),
+                   l_active=l, n_control=i_cp,
+                   source_seed=draw(st.integers(0, 100)))
+
+
+def _saved_bytes(save, obj) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact"
+        save(path, obj)
+        return path.read_bytes()
+
+
+def _load_bytes(load, raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact"
+        path.write_bytes(raw)
+        return load(path)
+
+
+@FAST
+@given(small_models())
+def test_checkpoint_roundtrip_random_shapes(params):
+    back = _load_bytes(load_checkpoint,
+                       _saved_bytes(save_checkpoint, params))
+    assert (back.rows, back.cols) == (params.rows, params.cols)
+    assert back.layers == params.layers
+    assert (back.skip_src, back.skip_dst) == (params.skip_src, params.skip_dst)
+    for a, b in zip(params.flat(), back.flat()):
+        assert np.array_equal(a, b)
+
+
+@FAST
+@given(small_datasets())
+def test_dataset_roundtrip_random_shapes(ds):
+    back, header = _load_bytes(load_dataset, _saved_bytes(save_dataset, ds))
+    assert header["source_seed"] == ds.source_seed
+    assert [len(g) for g in (back.train, back.val, back.test)] == \
+        [len(g) for g in (ds.train, ds.val, ds.test)]
+    assert np.array_equal(back.freq_grid.frequencies, ds.freq_grid.frequencies)
+    for a, b in zip(ds.all_records, back.all_records):
+        assert a.source_id == b.source_id
+        assert np.array_equal(a.source.position, b.source.position)
+        assert np.array_equal(a.tensor, b.tensor)
+        assert np.array_equal(a.pressures, b.pressures)
+
+
+@pytest.mark.parametrize("save,load,strategy", [
+    (save_checkpoint, load_checkpoint, small_models()),
+    (save_dataset, load_dataset, small_datasets()),
+], ids=["checkpoint", "dataset"])
+def test_every_strict_prefix_is_rejected(save, load, strategy):
+    @FAST
+    @given(st.data())
+    def check(data):
+        raw = _saved_bytes(save, data.draw(strategy))
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ArtifactFormatError):
+            _load_bytes(load, raw[:cut])
+
+    check()
