@@ -5,6 +5,7 @@ rule that ties them together."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,37 +167,66 @@ def truncation_order(omega: float, rho: float,
     return int(math.ceil(math.e * (omega / c) * rho / 2))
 
 
-def herglotz_coefficients(omega: float, source: Source, M: int,
-                          c: float = DEFAULT_SPEED_OF_SOUND,
-                          amplitude: complex = 1.0) -> np.ndarray:
+def source_batch(source) -> tuple:
+    """(list of sources, whether a single Source was given)."""
+    if isinstance(source, Source):
+        return [source], True
+    return list(source), False
+
+
+def source_amplitudes(sources, freq_index: int) -> np.ndarray:
+    """A(omega_k) of every source at one grid frequency, (S,) complex."""
+    return np.array([s.amplitude(freq_index) for s in sources],
+                    dtype=np.complex128)
+
+
+def herglotz_coefficients(omega: float, source: Source | Sequence[Source],
+                          M: int, c: float = DEFAULT_SPEED_OF_SOUND,
+                          amplitude: complex | Sequence[complex] = 1.0
+                          ) -> np.ndarray:
     """Circular-harmonic coefficients c_m, m = -M..M, of the plane-wave
     density of a point source:
 
         phi(theta) = sum_m c_m exp(j m (theta - theta_z)),
         c_m = A * j^(-m) * (j/4) * H_m^(2)(k rho_z).
+
+    `source` is a Source (result (2M+1,)) or a sequence of S sources
+    (result (S, 2M+1)); `amplitude` is A, one value or one per source.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
+    sources, single = source_batch(source)
     k = omega / c
-    if k * source.rho <= 0:
+    rho = np.array([s.rho for s in sources])
+    if np.any(k * rho <= 0):
         raise ValueError("source must lie away from the origin")
     ms = np.arange(-M, M + 1)
-    H = hankel2_sym_range(M, k * source.rho)
-    return amplitude * (1j) ** (-ms) * 0.25j * H
+    H = hankel2_sym_range(M, k * rho)
+    amp = np.broadcast_to(np.asarray(amplitude, dtype=np.complex128),
+                          (len(sources),))
+    cm = amp[:, None] * (1j) ** (-ms) * 0.25j * H
+    return cm[0] if single else cm
 
 
-def herglotz_point_source(theta, omega: float, source: Source, M: int,
+def herglotz_point_source(theta, omega: float,
+                          source: Source | Sequence[Source], M: int,
                           c: float = DEFAULT_SPEED_OF_SOUND,
-                          amplitude: complex = 1.0):
+                          amplitude: complex | Sequence[complex] = 1.0):
     """Plane-wave angular density of a point source, truncated at order M.
 
     Vectorized over theta; the value depends on theta only through
-    theta - theta_z.
+    theta - theta_z.  For a sequence of S sources the result gains a
+    leading source axis, and `amplitude` may give one value per source.
     """
-    cm = herglotz_coefficients(omega, source, M, c, amplitude)
+    sources, single = source_batch(source)
+    cm = herglotz_coefficients(omega, sources, M, c, amplitude)
     th = np.asarray(theta, dtype=np.float64)
-    single = th.ndim == 0
+    scalar = th.ndim == 0
     th = np.atleast_1d(th)
     ms = np.arange(-M, M + 1)
-    phi = np.exp(1j * np.outer(th - source.theta, ms)) @ cm
+    offsets = th - np.array([s.theta for s in sources])[:, None]
+    # one matrix-vector product per source
+    phi = (np.exp(1j * (offsets[..., None] * ms)) @ cm[..., None])[..., 0]
+    if scalar:
+        phi = phi[:, 0]
     return phi[0] if single else phi

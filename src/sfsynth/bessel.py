@@ -45,7 +45,8 @@ def _jy01_series(x: np.ndarray):
     term0 = np.ones_like(x)
     term1 = half.copy()
     hk = np.longdouble(0)
-    kmax = 40 + int(3.2 * float(np.max(x, initial=0.0)))
+    x_max = float(np.max(x, initial=0.0))
+    kmax = 40 + int(3.2 * x_max)
     for k in range(1, kmax + 1):
         term0 = -term0 * q / (k * k)
         term1 = -term1 * q / (k * (k + 1))
@@ -54,7 +55,7 @@ def _jy01_series(x: np.ndarray):
         j1 += term1
         s0 += term0 * hk
         s1 += term1 * (2 * hk + one / (k + 1))
-        if k > float(np.max(x)) and np.all(np.abs(term0) < 1e-26):
+        if k > x_max and np.all(np.abs(term0) < 1e-26):
             break
     ln_g = np.log(half) + np.longdouble(_EULER_GAMMA)
     two_over_pi = np.longdouble(2) / np.longdouble(np.pi)
@@ -74,6 +75,8 @@ def _jy01_asymptotic(x: np.ndarray):
         q = np.zeros_like(x)
         term = np.ones_like(x)
         sign_p, sign_q = -1.0, 1.0
+        # 30 terms for every argument, with no early exit: the terms still
+        # shrink (k < 2x), and no value depends on the other arguments
         for k in range(1, 31):
             term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
             if k % 2 == 1:
@@ -82,8 +85,6 @@ def _jy01_asymptotic(x: np.ndarray):
             else:
                 p = p + sign_p * term
                 sign_p = -sign_p
-            if np.all(np.abs(term) < 1e-18):
-                break
         chi = x - (0.5 * n + 0.25) * np.pi
         c, s = np.cos(chi), np.sin(chi)
         res.append((amp * (p * c - q * s), amp * (p * s + q * c)))
@@ -119,57 +120,80 @@ def hankel2_zero(x) -> np.ndarray:
     return j0 - 1j * y0
 
 
-def bessel_j_orders(m_max: int, x: float, acc: int = 250) -> np.ndarray:
-    """J_0(x) .. J_m_max(x) at scalar x > 0 via Miller's downward
-    recurrence with on-the-fly renormalisation."""
-    if not np.isfinite(x) or x <= 0.0:
+def _arguments(x) -> np.ndarray:
+    """x as a 1-D float64 array of positive finite arguments."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 1:
+        raise ValueError("Bessel arguments must be a scalar or a 1-D array")
+    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("Bessel argument must be positive and finite")
-    base = max(m_max, int(np.ceil(x)))
-    start = base + 1 + int(np.ceil(np.sqrt(acc * (base + 1))))
-    if start % 2 == 1:
-        start += 1
-    out = np.zeros(m_max + 1)
-    jp = 0.0
-    jc = 1e-305
-    ssum = 0.0          # J~_0 + 2 sum_k J~_2k, fed by the recurrence
+    return x
+
+
+def bessel_j_orders(m_max: int, x, acc: int = 250) -> np.ndarray:
+    """J_0(x) .. J_m_max(x) via Miller's downward recurrence with
+    on-the-fly renormalisation.
+
+    x is a scalar (result (m_max + 1,)) or a 1-D array (one row per
+    argument).  Each argument keeps its own start order and its own
+    renormalisations, so every row equals the scalar call bit for bit.
+    """
+    scalar = np.ndim(x) == 0
+    x = _arguments(x)
+    base = np.maximum(m_max, np.ceil(x).astype(np.int64))
+    start = base + 1 + np.ceil(np.sqrt(acc * (base + 1))).astype(np.int64)
+    start += start % 2
+    out = np.zeros((len(x), m_max + 1))
+    # an argument's recurrence holds (0, 0) until m reaches its start,
+    # where it is seeded with (0, 1e-305)
+    jp = np.zeros(len(x))
+    jc = np.zeros(len(x))
+    ssum = np.zeros(len(x))  # J~_0 + 2 sum_k J~_2k, fed by the recurrence
     tox = 2.0 / x
-    for m in range(start, 0, -1):
+    for m in range(int(start.max(initial=0)), 0, -1):
+        jc[start == m] = 1e-305
         jm = m * tox * jc - jp
         jp = jc
         jc = jm
         if m - 1 <= m_max:
-            out[m - 1] = jc
+            out[:, m - 1] = jc
         if (m - 1) % 2 == 0 and m - 1 > 0:
             ssum += 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            ssum *= 1e-250
-            out *= 1e-250
-    return out / (ssum + jc)
+        big = np.abs(jc) > 1e250
+        if big.any():
+            jc[big] *= 1e-250
+            jp[big] *= 1e-250
+            ssum[big] *= 1e-250
+            out[big] *= 1e-250
+    out /= (ssum + jc)[:, None]
+    return out[0] if scalar else out
 
 
-def bessel_y_orders(m_max: int, x: float) -> np.ndarray:
-    """Y_0(x) .. Y_m_max(x) at scalar x > 0; upward recurrence.
+def bessel_y_orders(m_max: int, x) -> np.ndarray:
+    """Y_0(x) .. Y_m_max(x) by upward recurrence; x is a scalar or a
+    1-D array (one row per argument).
 
     Raises OverflowError when the order so far exceeds the argument that
     Y leaves the double range (the value is astronomically large, not
     infinite, so it is reported as an error instead).
     """
-    j0, y0, j1, y1 = jy01(np.array([x]))
-    out = np.empty(m_max + 1)
-    out[0] = y0[0]
+    scalar = np.ndim(x) == 0
+    x = _arguments(x)
+    _, y0, _, y1 = jy01(x)
+    out = np.empty((len(x), m_max + 1))
+    out[:, 0] = y0
     if m_max >= 1:
-        out[1] = y1[0]
+        out[:, 1] = y1
     tox = 2.0 / x
     for m in range(1, m_max):
-        nxt = m * tox * out[m] - out[m - 1]
-        if abs(nxt) > OVERFLOW_LIMIT:
+        nxt = m * tox * out[:, m] - out[:, m - 1]
+        over = np.abs(nxt) > OVERFLOW_LIMIT
+        if over.any():
             raise OverflowError(
-                f"Y_{m + 1}({x:g}) exceeds the floating-point range "
+                f"Y_{m + 1}({x[over][0]:g}) exceeds the floating-point range "
                 f"(order too large for the argument)")
-        out[m + 1] = nxt
-    return out
+        out[:, m + 1] = nxt
+    return out[0] if scalar else out
 
 
 def bessel_jy(m: int, x: float) -> tuple:
@@ -182,8 +206,9 @@ def bessel_jy(m: int, x: float) -> tuple:
     return j, y
 
 
-def hankel2_orders(m_max: int, x: float) -> np.ndarray:
-    """H_0^(2)(x) .. H_m_max^(2)(x) at scalar x > 0."""
+def hankel2_orders(m_max: int, x) -> np.ndarray:
+    """H_0^(2)(x) .. H_m_max^(2)(x); x is a scalar or a 1-D array (one
+    row per argument)."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     j = bessel_j_orders(m_max, x)
@@ -206,10 +231,11 @@ def hankel2(m: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> complex:
     return h
 
 
-def hankel2_sym_range(m_max: int, x: float) -> np.ndarray:
-    """H_m^(2)(x) for m = -m_max .. m_max as one array (index m + m_max)."""
+def hankel2_sym_range(m_max: int, x) -> np.ndarray:
+    """H_m^(2)(x) for m = -m_max .. m_max along the last axis (index
+    m + m_max); x is a scalar or a 1-D array (one row per argument)."""
     pos = hankel2_orders(m_max, x)
     if m_max == 0:
         return pos
     signs = (-1.0) ** np.arange(m_max, 0, -1)
-    return np.concatenate([signs * pos[m_max:0:-1], pos])
+    return np.concatenate([signs * pos[..., m_max:0:-1], pos], axis=-1)

@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import FrequencyGrid, Source, green_matrix
+from .acoustics import (
+    FrequencyGrid,
+    Source,
+    green_matrix,
+    source_amplitudes,
+)
 from .compensator import pack_driving
 from .geometry import ArrayGeometry, PointSet
 from .renderers import mr_circular_driving, mr_linear_driving
@@ -148,32 +153,37 @@ def gen_sources_linear(n_train: int, n_val: int, n_test: int,
     return SourceSplit(train=train, val=val, test=test, seed=seed)
 
 
-def mr_driving_matrix(array: ArrayGeometry, source: Source,
-                      freq_grid: FrequencyGrid, cp: PointSet, lam: float,
+def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
+                      cp: PointSet, lam: float,
                       listening_radius: float) -> np.ndarray:
-    """Model-based driving signals for all grid frequencies, (L_active, K)."""
-    out = np.empty((array.active_count, freq_grid.k), dtype=np.complex128)
+    """Model-based driving signals of every source at every grid
+    frequency, (S, L_active, K); one MR call per frequency for all
+    sources."""
+    out = np.empty((len(sources), array.active_count, freq_grid.k),
+                   dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
-        amp = source.amplitude(ki)
+        amp = source_amplitudes(sources, ki)
         if array.family == "circular":
-            out[:, ki] = mr_circular_driving(
-                array, source, omega, freq_grid.c,
-                listening_radius=listening_radius, amplitude=amp)
+            d = mr_circular_driving(array, sources, omega, freq_grid.c,
+                                    listening_radius=listening_radius,
+                                    amplitude=amp)
         else:
-            out[:, ki] = mr_linear_driving(
-                array, source, cp, omega, lam, freq_grid.c,
-                listening_radius=listening_radius, amplitude=amp)
+            d = mr_linear_driving(array, sources, cp, omega, lam, freq_grid.c,
+                                  listening_radius=listening_radius,
+                                  amplitude=amp)
+        out[:, :, ki] = d.T
     return out
 
 
-def control_pressures(source: Source, cp: PointSet,
+def control_pressures(sources, cp: PointSet,
                       freq_grid: FrequencyGrid) -> np.ndarray:
-    """Ground-truth pressures A(w_k) g(r_i | r_s, w_k), shape (I, K)."""
-    out = np.empty((len(cp), freq_grid.k), dtype=np.complex128)
+    """Ground-truth pressures A(w_k) g(r_i | r_s, w_k) of every source,
+    (S, I, K); one Green's matrix per frequency for all sources."""
+    positions = np.array([s.position for s in sources]).reshape(-1, 2)
+    out = np.empty((len(sources), len(cp), freq_grid.k), dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
-        g = green_matrix(cp.points, source.position[None, :], omega,
-                         freq_grid.c)[:, 0]
-        out[:, ki] = source.amplitude(ki) * g
+        g = green_matrix(cp.points, positions, omega, freq_grid.c)
+        out[:, :, ki] = (source_amplitudes(sources, ki) * g).T
     return out
 
 
@@ -182,27 +192,32 @@ def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
                   listening_radius: float) -> Dataset:
     """Per-source packed MR tensors and control pressures for every split.
 
-    Record order follows the split lists, so rebuilding from the same
-    inputs is byte-reproducible.
+    Evaluated frequency-major for all sources at once.  Record order
+    follows the split lists, so rebuilding from the same inputs is
+    byte-reproducible.
     """
-    def make(records_src, id_base):
-        recs = []
-        for i, src in enumerate(records_src):
-            try:
-                d = mr_driving_matrix(array, src, freq_grid, cp, lam,
-                                      listening_radius)
-                p = control_pressures(src, cp, freq_grid)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"dataset build failed for source {id_base + i} at "
-                    f"{src.position.tolist()}") from exc
-            recs.append(DatasetRecord(source_id=id_base + i, source=src,
-                                      tensor=pack_driving(d), pressures=p))
-        return recs
+    def build(sources):
+        return (mr_driving_matrix(array, sources, freq_grid, cp, lam,
+                                  listening_radius),
+                control_pressures(sources, cp, freq_grid))
 
-    train = make(split.train, 0)
-    val = make(split.val, len(train))
-    test = make(split.test, len(train) + len(val))
-    return Dataset(train=train, val=val, test=test, freq_grid=freq_grid,
+    sources = split.all_sources
+    try:
+        d, p = build(sources)
+    except Exception as exc:
+        # the batch error names no source: report the first that fails alone
+        for i, src in enumerate(sources):
+            try:
+                build([src])
+            except Exception as exc_i:
+                raise RuntimeError(
+                    f"dataset build failed for source {i} at "
+                    f"{src.position.tolist()}") from exc_i
+        raise RuntimeError("dataset build failed") from exc
+    recs = [DatasetRecord(source_id=i, source=src, tensor=pack_driving(d[i]),
+                          pressures=p[i]) for i, src in enumerate(sources)]
+    n_train, n_val = len(split.train), len(split.val)
+    return Dataset(train=recs[:n_train], val=recs[n_train:n_train + n_val],
+                   test=recs[n_train + n_val:], freq_grid=freq_grid,
                    l_active=array.active_count, n_control=len(cp),
                    source_seed=split.seed)

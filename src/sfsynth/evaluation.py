@@ -7,12 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import FrequencyGrid, green_matrix
+from .acoustics import FrequencyGrid, green_matrix, source_amplitudes
 from .geometry import ArrayGeometry, PointSet
 
 NRE_FLOOR_DB = -300.0
 SSIM_H1 = 0.01
 SSIM_H2 = 0.03
+# grid-by-source entries per Green's-matrix call in metric_samples: the
+# Bessel evaluation holds about ten long-double temporaries of this size,
+# so a full-scale grid (~7850 points) takes ~130 test sources per call
+GREEN_BLOCK_ENTRIES = 1 << 20
 
 
 def nre(p_hat: np.ndarray, p: np.ndarray) -> float:
@@ -99,25 +103,31 @@ class SweepContext:
 def metric_samples(ctx: SweepContext, methods) -> dict:
     """metric_samples[method][s, k] for every source and frequency.
 
-    Evaluated frequency-major so each Green's matrix of the evaluation
-    grid is built once.
+    Evaluated frequency-major: each Green's matrix of the evaluation grid
+    is built once, and the true fields of the sources come from one
+    Green's matrix per frequency and block of sources.
     """
     s_count = len(ctx.sources)
     k_count = ctx.freq_grid.k
     out = {m: {"nre": np.empty((s_count, k_count)),
                "ssim": np.empty((s_count, k_count))} for m in methods}
     pts = ctx.points.points
+    positions = np.array([s.position for s in ctx.sources]).reshape(-1, 2)
+    block = max(1, GREEN_BLOCK_ENTRIES // len(pts))
     for ki, omega in enumerate(ctx.freq_grid.angular):
         g_grid = green_matrix(pts, ctx.array.active_positions, omega,
                               ctx.freq_grid.c)
-        for si, src in enumerate(ctx.sources):
-            p_true = src.amplitude(ki) * green_matrix(
-                pts, src.position[None, :], omega, ctx.freq_grid.c)[:, 0]
-            for m in methods:
-                p_hat = g_grid @ ctx.driving[m][si, :, ki]
-                out[m]["nre"][si, ki] = nre(p_hat, p_true)
-                out[m]["ssim"][si, ki] = ssim_global(
-                    normalize_magnitude(p_hat), normalize_magnitude(p_true))
+        amp = source_amplitudes(ctx.sources, ki)
+        for lo in range(0, s_count, block):
+            g_src = green_matrix(pts, positions[lo:lo + block], omega,
+                                 ctx.freq_grid.c)
+            for si in range(lo, min(lo + block, s_count)):
+                p_true = amp[si] * g_src[:, si - lo]
+                for m in methods:
+                    p_hat = g_grid @ ctx.driving[m][si, :, ki]
+                    out[m]["nre"][si, ki] = nre(p_hat, p_true)
+                    out[m]["ssim"][si, ki] = ssim_global(
+                        normalize_magnitude(p_hat), normalize_magnitude(p_true))
     return out
 
 

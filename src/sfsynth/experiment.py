@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .acoustics import Source, green_matrix
+from .acoustics import FrequencyGrid, Source, green_matrix
 from .compensator import compensate, train_compensator, unpack_driving
 from .config import ExperimentConfig
 from .datasets import Dataset, build_dataset, mr_driving_matrix
@@ -77,7 +77,7 @@ def _record(manifest: ArtifactManifest, out_dir: Path, rel: str, role: str) -> N
 
 
 def _write_manifest(manifest: ArtifactManifest, out_dir: Path) -> None:
-    (out_dir / "manifest.json").write_text(manifest.to_json())
+    fileio.write_text(out_dir / "manifest.json", manifest.to_json())
 
 
 def _mark_stale(manifest: ArtifactManifest, role: str) -> None:
@@ -154,13 +154,16 @@ def render_field(cfg: ExperimentConfig, out_dir, method: str,
         p_cp = green_matrix(cp.points, pos[None, :], omega, freq.c)[:, 0]
         d = pm_driving(pm_operator(array, cp, omega, cfg.lam, freq.c), p_cp)
     else:
+        # MR needs the rendered frequency alone; the CNN maps all K
+        freqs, col = (freq, ki) if method == "cnn" else (
+            FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c), 0)
         signals = DrivingSignals(
-            values=mr_driving_matrix(array, Source(position=pos), freq, cp,
-                                     cfg.lam, cfg.mr_listening_radius()),
+            values=mr_driving_matrix(array, [Source(position=pos)], freqs, cp,
+                                     cfg.lam, cfg.mr_listening_radius())[0],
             provenance="mr")
         if method == "cnn":
             signals = compensate(signals, params)
-        d = signals.values[:, ki]
+        d = signals.values[:, col]
     p_hat = synthesize(array, d, grid, omega, freq.c)
 
     fields_dir = out_dir / "fields"
@@ -214,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
             pass
     manifest = ArtifactManifest(config_hash=chash, files=[])
 
-    (out_dir / "config.json").write_text(cfg.to_json())
+    fileio.write_text(out_dir / "config.json", cfg.to_json())
     _record(manifest, out_dir, "config.json", "config")
 
     # -- stage: dataset -------------------------------------------------------

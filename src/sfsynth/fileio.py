@@ -4,7 +4,9 @@ graymap exporters.
 All binary layouts are little-endian.  Floats are written as IEEE 754
 float64; complex matrices go row-major with interleaved (re, im).
 Both loaders read through one bounded reader, so every malformed file
-raises ArtifactFormatError with the path and the byte offset.
+raises ArtifactFormatError with the path and the byte offset.  Every
+writer goes through atomic_open, so an interrupted write never leaves a
+partial file under the artifact's name.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,28 @@ class _Reader:
                       f"its header implies")
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Open a temporary file beside `path` for writing.  A clean exit
+    moves it onto `path` with os.replace; an exception removes it and
+    leaves whatever `path` held before."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.part")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    """Atomic replacement of a text file."""
+    with atomic_open(path, "w") as fh:
+        fh.write(text)
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -110,7 +135,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
     """Binary checkpoint plus a JSON sidecar mirroring the layer table."""
     path = Path(path)
     l_active, k = params.rows // 2, params.cols
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack("<III", FORMAT_VERSION, l_active, k))
         fh.write(struct.pack("<ii",
@@ -134,8 +159,8 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "param_count": params.param_count(),
         "layers": [_layer_entry(sp) for sp in params.layers],
     }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_text(path.with_suffix(path.suffix + ".json"),
+               json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -189,7 +214,7 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
     if header_extra:
         header.update(header_extra)
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC_DATASET)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
@@ -249,7 +274,7 @@ def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
     lines = ["x,y,re,im"]
     for p, v in zip(np.atleast_2d(points), values):
         lines.append(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(v.real)},{_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_metric_csv(path, series) -> None:
@@ -264,7 +289,7 @@ def write_metric_csv(path, series) -> None:
                 cells.append("")
         cells.append(str(int(series.counts[i])))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_pgm(path, values: np.ndarray, grid_shape: tuple,
@@ -280,6 +305,6 @@ def write_pgm(path, values: np.ndarray, grid_shape: tuple,
     else:
         scaled = np.zeros(len(vals), dtype=np.uint8)
     img[grid_index[:, 0], grid_index[:, 1]] = scaled
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode())
         fh.write(img.tobytes())

@@ -275,10 +275,10 @@ def _desk_record():
 
     from sfsynth.compensator import pack_driving
     from sfsynth.datasets import control_pressures, mr_driving_matrix
-    d = mr_driving_matrix(arr, src, freq, cp, cfg.lam,
-                          cfg.mr_listening_radius())
+    d = mr_driving_matrix(arr, [src], freq, cp, cfg.lam,
+                          cfg.mr_listening_radius())[0]
     rec = SimpleNamespace(tensor=pack_driving(d),
-                          pressures=control_pressures(src, cp, freq))
+                          pressures=control_pressures([src], cp, freq)[0])
     g = np.stack([green_matrix(cp.points, arr.active_positions, omega,
                                freq.c) for omega in freq.angular])
     return rec, g

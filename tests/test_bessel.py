@@ -122,6 +122,12 @@ def test_overflow_reported_not_inf():
     assert np.isfinite(bessel_y_orders(60, 1e-3)[60])
 
 
+def test_empty_argument_array():
+    assert bessel_j_orders(3, np.array([])).shape == (0, 4)
+    assert bessel_y_orders(3, np.array([])).shape == (0, 4)
+    assert hankel2_sym_range(3, np.array([])).shape == (0, 7)
+
+
 def test_order_limit():
     with pytest.raises(ValueError):
         hankel2(129, 10.0)

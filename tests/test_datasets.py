@@ -1,10 +1,15 @@
 """Source-set protocols and dataset construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sfsynth.acoustics import FrequencyGrid, Source
+from sfsynth.acoustics import FrequencyGrid, Source, green_matrix
+from sfsynth.compensator import pack_driving
+from sfsynth.config import desk_config
 from sfsynth.datasets import (
+    SourceSplit,
     build_dataset,
     control_pressures,
     gen_sources_circular,
@@ -16,7 +21,11 @@ from sfsynth.geometry import (
     make_circular_array,
     sample_control_points,
 )
-from sfsynth.renderers import synthesize
+from sfsynth.renderers import (
+    mr_circular_driving,
+    mr_linear_driving,
+    synthesize,
+)
 
 
 def test_circular_full_scale_counts():
@@ -144,7 +153,70 @@ def test_control_pressures_spectrum_applied():
     fg = FrequencyGrid.uniform(100.0, 100.0, 2)
     pos = np.array([2.0, 0.0])
     spec = np.array([2.0 + 0j, 1j])
-    plain = control_pressures(Source(position=pos), cp, fg)
-    scaled = control_pressures(Source(position=pos, spectrum=spec), cp, fg)
+    plain, scaled = control_pressures(
+        [Source(position=pos), Source(position=pos, spectrum=spec)], cp, fg)
     assert np.allclose(scaled[:, 0], 2.0 * plain[:, 0])
     assert np.allclose(scaled[:, 1], 1j * plain[:, 1])
+
+
+def _reference_records(array, sources, cp, fg, lam, radius):
+    """Source-major reference: one MR call and one Green's vector per
+    (source, frequency), as (packed tensor, pressures) per source."""
+    out = []
+    for src in sources:
+        d = np.empty((array.active_count, fg.k), dtype=np.complex128)
+        p = np.empty((len(cp), fg.k), dtype=np.complex128)
+        for ki, omega in enumerate(fg.angular):
+            amp = src.amplitude(ki)
+            if array.family == "circular":
+                d[:, ki] = mr_circular_driving(array, src, omega, fg.c,
+                                               listening_radius=radius,
+                                               amplitude=amp)
+            else:
+                d[:, ki] = mr_linear_driving(array, src, cp, omega, lam, fg.c,
+                                             listening_radius=radius,
+                                             amplitude=amp)
+            p[:, ki] = amp * green_matrix(cp.points, src.position[None, :],
+                                          omega, fg.c)[:, 0]
+        out.append((pack_driving(d), p))
+    return out
+
+
+def _assert_matches_reference(array, split, cp, fg, lam, radius):
+    ds = build_dataset(array, split, cp, fg, lam, radius)
+    ref = _reference_records(array, split.all_sources, cp, fg, lam, radius)
+    assert len(ds.all_records) == len(ref)
+    for rec, (tensor, pressures) in zip(ds.all_records, ref):
+        assert rec.tensor.tobytes() == tensor.tobytes()
+        assert rec.pressures.tobytes() == pressures.tobytes()
+
+
+def test_build_matches_per_source_loop_circular(small_dataset):
+    arr, cp, fg, split, _ = small_dataset
+    rng = np.random.default_rng(3)
+    spec = rng.normal(size=fg.k) + 1j * rng.normal(size=fg.k)
+    shaped = Source(position=np.array([-1.1, 1.9]), spectrum=spec)
+    split = SourceSplit(train=split.train + [shaped], val=split.val,
+                        test=split.test, seed=split.seed)
+    _assert_matches_reference(arr, split, cp, fg, 1e-2, 0.8)
+
+
+def test_build_matches_per_source_loop_linear():
+    cfg = replace(desk_config("linear"), n_train_linear=4, n_val_linear=2,
+                  n_test_linear=2)
+    _assert_matches_reference(cfg.array(), cfg.source_split(),
+                              cfg.control_points(), cfg.freq_grid(), cfg.lam,
+                              cfg.mr_listening_radius())
+
+
+def test_source_inside_array_names_the_source(small_dataset):
+    arr, cp, fg, split, _ = small_dataset
+    inside = Source(position=np.array([0.0, 0.9]))
+    split = SourceSplit(train=split.train, val=[inside] + split.val[1:],
+                        test=split.test, seed=split.seed)
+    sid = len(split.train)
+    with pytest.raises(RuntimeError,
+                       match=rf"^dataset build failed for source {sid} at "
+                             rf"\[0\.0, 0\.9\]$") as info:
+        build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
+    assert isinstance(info.value.__cause__, ValueError)

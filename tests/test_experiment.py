@@ -1,11 +1,15 @@
-"""Pipeline orchestration: manifests, stage skipping, field rendering."""
+"""Pipeline orchestration: manifests, stage skipping, field rendering,
+interrupted artifact writes."""
 
+import builtins
+import fnmatch
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sfsynth import experiment, fileio
 from sfsynth.config import desk_config
 from sfsynth.experiment import ArtifactManifest, render_field, run_experiment
 from sfsynth.fileio import sha256_file
@@ -142,3 +146,70 @@ def test_malformed_manifest_counts_as_absent(tmp_path, bad):
     assert len(manifest.paths_for("metrics")) == 4
     again = ArtifactManifest.from_json((tmp_path / "manifest.json").read_text())
     assert again.to_json() == manifest.to_json()
+
+
+class _TornFile:
+    """File whose first write stores half of its data and then fails, as
+    a crash in the middle of writing an artifact would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("simulated crash mid-write")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+# artifact (glob relative to the run directory), the stage function a
+# rerun must call again, and the methods that make the run write it
+INTERRUPTED = [
+    ("dataset.sfsx", "build_dataset", ("mr", "pm")),
+    ("checkpoint.sfsm", "train_compensator", ("mr", "cnn")),
+    ("metrics_ssim_frequency.csv", "metric_samples", ("mr", "pm")),
+    ("fields/gt_real_f*.pgm", "render_field", ("mr", "pm")),
+    ("manifest.json", "build_dataset", ("mr", "pm")),
+]
+
+
+@pytest.mark.parametrize("pattern,stage_fn,methods", INTERRUPTED,
+                         ids=[case[0] for case in INTERRUPTED])
+def test_interrupted_write_keeps_old_file_and_rerun_recomputes(
+        tmp_path, monkeypatch, pattern, stage_fn, methods):
+    cfg = micro_config(methods=methods)
+    run_experiment(cfg, tmp_path)
+    (target,) = tmp_path.glob(pattern)
+    # a malformed manifest counts as absent, so every stage runs again
+    (tmp_path / "manifest.json").write_text("{}")
+    before = target.read_bytes()
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        if "w" in mode and fnmatch.fnmatch(Path(path).name,
+                                           f".{target.name}.part"):
+            return _TornFile(fh)
+        return fh
+
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "open", torn_open, raising=False)
+        with pytest.raises((OSError, experiment.StageError),
+                           match="simulated crash mid-write"):
+            run_experiment(cfg, tmp_path)
+    assert target.read_bytes() == before
+    assert list(tmp_path.rglob("*.part")) == []
+
+    calls = []
+    real = getattr(experiment, stage_fn)
+    monkeypatch.setattr(experiment, stage_fn,
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    manifest = run_experiment(cfg, tmp_path)
+    assert calls
+    roles = {f["role"] for f in manifest.files}
+    assert all(manifest.fresh(tmp_path, role) for role in roles)
+    if target.name != "manifest.json":
+        assert target.read_bytes() == before

@@ -1,5 +1,6 @@
-"""Property-based checks: packing and propagation over random shapes, and
-the binary formats' round trips and truncation handling."""
+"""Property-based checks: packing and propagation over random shapes,
+batched Bessel calls against per-argument calls, and the binary formats'
+round trips and truncation handling."""
 
 import tempfile
 from pathlib import Path
@@ -11,6 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfsynth.acoustics import FrequencyGrid, Source
+from sfsynth.bessel import (
+    bessel_j_orders,
+    bessel_y_orders,
+    hankel2_sym_range,
+    jy01,
+)
 from sfsynth.compensator import pack_driving, predict_control_pressure, unpack_driving
 from sfsynth.datasets import Dataset, DatasetRecord
 from sfsynth.fileio import (
@@ -57,6 +64,24 @@ def test_batched_propagation_matches_per_sample(data, l, k, i, b):
     for j in range(b):
         assert np.allclose(p[:, :, j], predict_control_pressure(d[:, :, j], g),
                            rtol=1e-12, atol=1e-6)
+
+
+# the oracle's range: orders up to 60, arguments in [1e-3, 100]
+bessel_arguments = st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=8)
+
+
+@FAST
+@given(st.integers(0, 60), bessel_arguments)
+def test_batched_bessel_rows_equal_scalar_calls(m_max, xs):
+    x = np.array(xs)
+    rows = {f: f(m_max, x) for f in (bessel_j_orders, bessel_y_orders,
+                                     hankel2_sym_range)}
+    columns = jy01(x)
+    for i, xi in enumerate(xs):
+        for f, got in rows.items():
+            assert np.array_equal(got[i], f(m_max, xi)), (f.__name__, xi)
+        for got, want in zip(columns, jy01(np.array([xi]))):
+            assert np.array_equal(got[i:i + 1], want), xi
 
 
 @st.composite
