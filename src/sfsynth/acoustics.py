@@ -16,6 +16,10 @@ DEFAULT_SPEED_OF_SOUND = 343.0
 
 # points closer than this to a source are treated as coincident
 _SINGULARITY_EPS = 1e-12
+# entries per Bessel call in green_matrix: the call peaks at ~140 bytes
+# per entry (long-double series temporaries), so a full-scale grid to
+# every test source (~2.5e7 entries) would need ~3.5 GB in one call
+GREEN_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,13 +142,30 @@ def green2d(r, r_src, omega: float, c: float = DEFAULT_SPEED_OF_SOUND):
 
 def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
                  c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
-    """Matrix of Green's-function values, shape (n_points, n_sources)."""
+    """Matrix of Green's-function values, shape (n_points, n_sources).
+
+    The Hankel function is evaluated GREEN_CHUNK_ENTRIES entries at a
+    time, so memory stays bounded for any matrix size.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     srcs = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    d = np.linalg.norm(pts[:, None, :] - srcs[None, :, :], axis=-1)
+    # distances built in place: two (n_points, n_sources) buffers at most
+    d = pts[:, None, 0] - srcs[None, :, 0]
+    dy = pts[:, None, 1] - srcs[None, :, 1]
+    d *= d
+    dy *= dy
+    d += dy
+    del dy
+    d = np.sqrt(d, out=d).ravel()
     if np.any(d < _SINGULARITY_EPS):
         raise ValueError("a field point coincides with a source position")
-    return 0.25j * hankel2_zero((omega / c) * d.ravel()).reshape(d.shape)
+    k = omega / c
+    g = np.empty(d.size, dtype=np.complex128)
+    for lo in range(0, d.size, GREEN_CHUNK_ENTRIES):
+        chunk = slice(lo, lo + GREEN_CHUNK_ENTRIES)
+        g[chunk] = hankel2_zero(k * d[chunk])
+    g *= 0.25j
+    return g.reshape(len(pts), len(srcs))
 
 
 def plane_wave_field(r, theta: float, omega: float,
@@ -224,9 +245,11 @@ def herglotz_point_source(theta, omega: float,
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
     ms = np.arange(-M, M + 1)
-    offsets = th - np.array([s.theta for s in sources])[:, None]
-    # one matrix-vector product per source
-    phi = (np.exp(1j * (offsets[..., None] * ms)) @ cm[..., None])[..., 0]
+    # one (N, 2M+1) phase matrix and matrix-vector product per source, so
+    # memory does not grow with the number of sources
+    phi = np.empty((len(sources), th.size), dtype=np.complex128)
+    for i, src in enumerate(sources):
+        phi[i] = np.exp(1j * np.outer(th - src.theta, ms)) @ cm[i]
     if scalar:
         phi = phi[:, 0]
     return phi[0] if single else phi

@@ -204,12 +204,12 @@ def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
     sources = split.all_sources
     try:
         d, p = build(sources)
-    except Exception as exc:
-        # the batch error names no source: report the first that fails alone
+    except ValueError as exc:
+        # a geometry error names no source: report the first that fails alone
         for i, src in enumerate(sources):
             try:
                 build([src])
-            except Exception as exc_i:
+            except ValueError as exc_i:
                 raise RuntimeError(
                     f"dataset build failed for source {i} at "
                     f"{src.position.tolist()}") from exc_i

@@ -13,10 +13,6 @@ from .geometry import ArrayGeometry, PointSet
 NRE_FLOOR_DB = -300.0
 SSIM_H1 = 0.01
 SSIM_H2 = 0.03
-# grid-by-source entries per Green's-matrix call in metric_samples: the
-# Bessel evaluation holds about ten long-double temporaries of this size,
-# so a full-scale grid (~7850 points) takes ~130 test sources per call
-GREEN_BLOCK_ENTRIES = 1 << 20
 
 
 def nre(p_hat: np.ndarray, p: np.ndarray) -> float:
@@ -103,9 +99,8 @@ class SweepContext:
 def metric_samples(ctx: SweepContext, methods) -> dict:
     """metric_samples[method][s, k] for every source and frequency.
 
-    Evaluated frequency-major: each Green's matrix of the evaluation grid
-    is built once, and the true fields of the sources come from one
-    Green's matrix per frequency and block of sources.
+    Evaluated frequency-major: per frequency, one Green's matrix of the
+    evaluation grid to the loudspeakers and one to every test source.
     """
     s_count = len(ctx.sources)
     k_count = ctx.freq_grid.k
@@ -113,21 +108,18 @@ def metric_samples(ctx: SweepContext, methods) -> dict:
                "ssim": np.empty((s_count, k_count))} for m in methods}
     pts = ctx.points.points
     positions = np.array([s.position for s in ctx.sources]).reshape(-1, 2)
-    block = max(1, GREEN_BLOCK_ENTRIES // len(pts))
     for ki, omega in enumerate(ctx.freq_grid.angular):
         g_grid = green_matrix(pts, ctx.array.active_positions, omega,
                               ctx.freq_grid.c)
+        g_src = green_matrix(pts, positions, omega, ctx.freq_grid.c)
         amp = source_amplitudes(ctx.sources, ki)
-        for lo in range(0, s_count, block):
-            g_src = green_matrix(pts, positions[lo:lo + block], omega,
-                                 ctx.freq_grid.c)
-            for si in range(lo, min(lo + block, s_count)):
-                p_true = amp[si] * g_src[:, si - lo]
-                for m in methods:
-                    p_hat = g_grid @ ctx.driving[m][si, :, ki]
-                    out[m]["nre"][si, ki] = nre(p_hat, p_true)
-                    out[m]["ssim"][si, ki] = ssim_global(
-                        normalize_magnitude(p_hat), normalize_magnitude(p_true))
+        for si in range(s_count):
+            p_true = amp[si] * g_src[:, si]
+            for m in methods:
+                p_hat = g_grid @ ctx.driving[m][si, :, ki]
+                out[m]["nre"][si, ki] = nre(p_hat, p_true)
+                out[m]["ssim"][si, ki] = ssim_global(
+                    normalize_magnitude(p_hat), normalize_magnitude(p_true))
     return out
 
 

@@ -5,8 +5,8 @@ All binary layouts are little-endian.  Floats are written as IEEE 754
 float64; complex matrices go row-major with interleaved (re, im).
 Both loaders read through one bounded reader, so every malformed file
 raises ArtifactFormatError with the path and the byte offset.  Every
-writer goes through atomic_open, so an interrupted write never leaves a
-partial file under the artifact's name.
+writer goes through atomic_open, so a process that dies mid-write never
+leaves a partial file under the artifact's name.
 """
 
 from __future__ import annotations
@@ -85,7 +85,13 @@ class _Reader:
 def atomic_open(path, mode: str = "wb"):
     """Open a temporary file beside `path` for writing.  A clean exit
     moves it onto `path` with os.replace; an exception removes it and
-    leaves whatever `path` held before."""
+    leaves whatever `path` held before.
+
+    The file is not fsynced, so this covers a process crash, not an OS
+    crash or power loss: then the rename may reach the disk before the
+    data.  A file torn that way no longer matches its manifest sha256,
+    so a resumed run recomputes its stage.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.part")
     try:

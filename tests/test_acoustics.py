@@ -178,6 +178,21 @@ def test_green_matrix_matches_scalar():
             assert abs(g[i, j] - ref) <= 1e-14 * abs(ref)
 
 
+def test_green_matrix_chunks_match_one_call(monkeypatch):
+    import sfsynth.acoustics as acoustics
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.5, 0.5, (5, 2))
+    srcs = rng.uniform(1.5, 3.0, (4, 2))
+    # low frequency: series-range arguments; high: asymptotic range
+    for omega in (2 * np.pi * 200, 2 * np.pi * 1400):
+        whole = green_matrix(pts, srcs, omega, C)
+        monkeypatch.setattr(acoustics, "GREEN_CHUNK_ENTRIES", 7)
+        chunked = green_matrix(pts, srcs, omega, C)
+        monkeypatch.undo()
+        assert chunked.shape == (5, 4)
+        assert np.array_equal(chunked, whole)
+
+
 def test_source_polar():
     s = Source(position=np.array([0.0, 2.0]))
     assert s.rho == pytest.approx(2.0)

@@ -220,3 +220,19 @@ def test_source_inside_array_names_the_source(small_dataset):
                              rf"\[0\.0, 0\.9\]$") as info:
         build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_non_geometry_error_propagates_without_retry(small_dataset,
+                                                     monkeypatch):
+    import sfsynth.datasets as datasets
+    arr, cp, fg, split, _ = small_dataset
+    calls = []
+
+    def no_memory(sources, *args):
+        calls.append(len(sources))
+        raise MemoryError
+
+    monkeypatch.setattr(datasets, "control_pressures", no_memory)
+    with pytest.raises(MemoryError):
+        build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
+    assert calls == [len(split.all_sources)]

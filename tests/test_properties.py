@@ -66,7 +66,9 @@ def test_batched_propagation_matches_per_sample(data, l, k, i, b):
                            rtol=1e-12, atol=1e-6)
 
 
-# the oracle's range: orders up to 60, arguments in [1e-3, 100]
+# the oracle's range: orders up to 60, arguments in [1e-3, 100]; random
+# draws do not land within ~2e-10 of a zero of J0 or J1, where jy01's
+# batch-wide series test can move the last bits (see jy01)
 bessel_arguments = st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=8)
 
 
