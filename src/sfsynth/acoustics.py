@@ -58,21 +58,13 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Source:
-    """Point source outside the listening region.
-
-    spectrum holds A(omega_k) per grid frequency; None means unit
-    spectrum at every frequency.
-    """
+    """Unit-amplitude point source outside the listening region."""
 
     position: np.ndarray            # (2,)
-    spectrum: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.position, dtype=np.float64).reshape(2)
         object.__setattr__(self, "position", p)
-        if self.spectrum is not None:
-            s = np.asarray(self.spectrum, dtype=np.complex128)
-            object.__setattr__(self, "spectrum", s)
 
     @property
     def rho(self) -> float:
@@ -81,11 +73,6 @@ class Source:
     @property
     def theta(self) -> float:
         return float(np.arctan2(self.position[1], self.position[0]))
-
-    def amplitude(self, freq_index: int) -> complex:
-        if self.spectrum is None:
-            return 1.0 + 0.0j
-        return complex(self.spectrum[freq_index])
 
 
 @dataclass(frozen=True)
@@ -188,68 +175,37 @@ def truncation_order(omega: float, rho: float,
     return int(math.ceil(math.e * (omega / c) * rho / 2))
 
 
-def source_batch(source) -> tuple:
-    """(list of sources, whether a single Source was given)."""
-    if isinstance(source, Source):
-        return [source], True
-    return list(source), False
-
-
-def source_amplitudes(sources, freq_index: int) -> np.ndarray:
-    """A(omega_k) of every source at one grid frequency, (S,) complex."""
-    return np.array([s.amplitude(freq_index) for s in sources],
-                    dtype=np.complex128)
-
-
-def herglotz_coefficients(omega: float, source: Source | Sequence[Source],
-                          M: int, c: float = DEFAULT_SPEED_OF_SOUND,
-                          amplitude: complex | Sequence[complex] = 1.0
-                          ) -> np.ndarray:
+def herglotz_coefficients(omega: float, sources: Sequence[Source], M: int,
+                          c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
     """Circular-harmonic coefficients c_m, m = -M..M, of the plane-wave
-    density of a point source:
+    density of each unit point source, (S, 2M+1):
 
         phi(theta) = sum_m c_m exp(j m (theta - theta_z)),
-        c_m = A * j^(-m) * (j/4) * H_m^(2)(k rho_z).
-
-    `source` is a Source (result (2M+1,)) or a sequence of S sources
-    (result (S, 2M+1)); `amplitude` is A, one value or one per source.
+        c_m = j^(-m) * (j/4) * H_m^(2)(k rho_z).
     """
     if M < 0:
         raise ValueError("M must be >= 0")
-    sources, single = source_batch(source)
     k = omega / c
     rho = np.array([s.rho for s in sources])
     if np.any(k * rho <= 0):
         raise ValueError("source must lie away from the origin")
     ms = np.arange(-M, M + 1)
     H = hankel2_sym_range(M, k * rho)
-    amp = np.broadcast_to(np.asarray(amplitude, dtype=np.complex128),
-                          (len(sources),))
-    cm = amp[:, None] * (1j) ** (-ms) * 0.25j * H
-    return cm[0] if single else cm
+    return (1j) ** (-ms) * 0.25j * H
 
 
-def herglotz_point_source(theta, omega: float,
-                          source: Source | Sequence[Source], M: int,
-                          c: float = DEFAULT_SPEED_OF_SOUND,
-                          amplitude: complex | Sequence[complex] = 1.0):
-    """Plane-wave angular density of a point source, truncated at order M.
-
-    Vectorized over theta; the value depends on theta only through
-    theta - theta_z.  For a sequence of S sources the result gains a
-    leading source axis, and `amplitude` may give one value per source.
-    """
-    sources, single = source_batch(source)
-    cm = herglotz_coefficients(omega, sources, M, c, amplitude)
-    th = np.asarray(theta, dtype=np.float64)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
+def herglotz_point_source(theta, omega: float, sources: Sequence[Source],
+                          M: int, c: float = DEFAULT_SPEED_OF_SOUND
+                          ) -> np.ndarray:
+    """Plane-wave angular density of each point source at the N angles
+    theta, truncated at order M, (S, N).  The value depends on theta only
+    through theta - theta_z."""
+    cm = herglotz_coefficients(omega, sources, M, c)
+    th = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     ms = np.arange(-M, M + 1)
     # one (N, 2M+1) phase matrix and matrix-vector product per source, so
     # memory does not grow with the number of sources
     phi = np.empty((len(sources), th.size), dtype=np.complex128)
     for i, src in enumerate(sources):
         phi[i] = np.exp(1j * np.outer(th - src.theta, ms)) @ cm[i]
-    if scalar:
-        phi = phi[:, 0]
-    return phi[0] if single else phi
+    return phi

@@ -68,7 +68,8 @@ def _cmd_render(args) -> int:
     source = tuple(float(v) for v in args.source.split(","))
     if len(source) != 2:
         raise ValueError("--source expects 'x,y'")
-    written = render_field(cfg, args.out, args.method, source, args.frequency)
+    written = render_field(cfg, args.out, [args.method], source,
+                           args.frequency)
     for rel in written:
         print(rel)
     return 0

@@ -36,11 +36,32 @@ LINEAR_SRC_FAR = 2.2
 LINEAR_SRC_HALF_HEIGHT = 2.0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON values each field annotation accepts: (description, test)
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(
+        v, (list, tuple)) and all(isinstance(x, str) for x in v)),
+    "tuple[float, float]": ("two numbers", lambda v: isinstance(
+        v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     family: str = "circular"
-    methods: tuple = ("mr", "pm", "cnn")
+    methods: tuple[str, ...] = ("mr", "pm", "cnn")
     # array
     n_loudspeakers: int = 64
     array_radius: float = 1.0        # circular
@@ -82,7 +103,7 @@ class ExperimentConfig:
     # evaluation artifacts
     n_radius_bins: int = 10
     fig_frequency: float = 1007.0
-    fig_source: tuple = (0.72, 1.37)
+    fig_source: tuple[float, float] = (0.72, 1.37)
 
     # -- derived objects -----------------------------------------------------
 
@@ -186,7 +207,25 @@ class ExperimentConfig:
         return d
 
     @classmethod
+    def _check_json(cls, d) -> None:
+        """ValueError unless d is a dict of known keys whose values have
+        the JSON types of their fields; bool is neither an integer nor a
+        number.  Checks only, converts nothing."""
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"config must be a JSON object, not {type(d).__name__}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        for key, value in d.items():
+            what, fits = _JSON_TYPES[cls.__dataclass_fields__[key].type]
+            if not fits(value):
+                raise ValueError(
+                    f"config key {key!r} must be {what}, got {value!r}")
+
+    @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        cls._check_json(d)
         d = dict(d)
         version = d.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
@@ -195,10 +234,6 @@ class ExperimentConfig:
             d["methods"] = tuple(d["methods"])
         if "fig_source" in d:
             d["fig_source"] = tuple(d["fig_source"])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
         return cls(**d)
 
     def to_json(self) -> str:
@@ -249,6 +284,7 @@ def load_config(path, scale: str | None = None,
     if path is not None:
         with open(path) as fh:
             overrides = json.load(fh)
+        ExperimentConfig._check_json(overrides)
     maker = desk_config if scale == "desk" else full_config
     base = maker(family or overrides.get("family", "circular"))
     merged = base.to_dict()

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import (
-    FrequencyGrid,
-    Source,
-    green_matrix,
-    source_amplitudes,
-)
+from .acoustics import FrequencyGrid, Source, green_matrix
 from .compensator import pack_driving
 from .geometry import ArrayGeometry, PointSet
 from .renderers import mr_circular_driving, mr_linear_driving
@@ -162,28 +157,25 @@ def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
     out = np.empty((len(sources), array.active_count, freq_grid.k),
                    dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
-        amp = source_amplitudes(sources, ki)
         if array.family == "circular":
             d = mr_circular_driving(array, sources, omega, freq_grid.c,
-                                    listening_radius=listening_radius,
-                                    amplitude=amp)
+                                    listening_radius=listening_radius)
         else:
             d = mr_linear_driving(array, sources, cp, omega, lam, freq_grid.c,
-                                  listening_radius=listening_radius,
-                                  amplitude=amp)
+                                  listening_radius=listening_radius)
         out[:, :, ki] = d.T
     return out
 
 
 def control_pressures(sources, cp: PointSet,
                       freq_grid: FrequencyGrid) -> np.ndarray:
-    """Ground-truth pressures A(w_k) g(r_i | r_s, w_k) of every source,
-    (S, I, K); one Green's matrix per frequency for all sources."""
+    """Ground-truth pressures g(r_i | r_s, w_k) of every source, (S, I, K);
+    one Green's matrix per frequency for all sources."""
     positions = np.array([s.position for s in sources]).reshape(-1, 2)
     out = np.empty((len(sources), len(cp), freq_grid.k), dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
-        g = green_matrix(cp.points, positions, omega, freq_grid.c)
-        out[:, :, ki] = (source_amplitudes(sources, ki) * g).T
+        out[:, :, ki] = green_matrix(cp.points, positions, omega,
+                                     freq_grid.c).T
     return out
 
 

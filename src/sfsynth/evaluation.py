@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import FrequencyGrid, green_matrix, source_amplitudes
+from .acoustics import FrequencyGrid, green_matrix
 from .geometry import ArrayGeometry, PointSet
 
 NRE_FLOOR_DB = -300.0
@@ -112,9 +112,8 @@ def metric_samples(ctx: SweepContext, methods) -> dict:
         g_grid = green_matrix(pts, ctx.array.active_positions, omega,
                               ctx.freq_grid.c)
         g_src = green_matrix(pts, positions, omega, ctx.freq_grid.c)
-        amp = source_amplitudes(ctx.sources, ki)
         for si in range(s_count):
-            p_true = amp[si] * g_src[:, si]
+            p_true = g_src[:, si]
             for m in methods:
                 p_hat = g_grid @ ctx.driving[m][si, :, ki]
                 out[m]["nre"][si, ki] = nre(p_hat, p_true)

@@ -22,7 +22,7 @@ from .evaluation import (
     sweep,
 )
 from .network import ModelParams, forward
-from .renderers import DrivingSignals, pm_driving, pm_operator, synthesize
+from .renderers import DrivingSignals, pm_driving, pm_operator
 
 
 class StageError(RuntimeError):
@@ -120,19 +120,24 @@ def _pointwise_nre_db(p_hat: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.clip(r, NRE_FLOOR_DB, -NRE_FLOOR_DB)
 
 
-def render_field(cfg: ExperimentConfig, out_dir, method: str,
+def render_field(cfg: ExperimentConfig, out_dir, methods,
                  source_pos, frequency: float,
                  params: ModelParams | None = None) -> list:
-    """Write ground-truth and method fields (real part, and the pointwise
-    error map for the method) as CSV plus graymaps.  Returns the relative
-    paths written."""
+    """Write the ground-truth field once and, for each method, its field
+    (real part) and pointwise error map, as CSV plus graymaps.  The
+    ground truth, the grid Green's matrix and the MR signals are computed
+    once for all methods.  Returns the relative paths written."""
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a list of names, not {methods!r}")
+    methods = list(methods)
     out_dir = Path(out_dir)
     area = cfg.listening_area()
     pos = np.asarray(source_pos, dtype=np.float64).reshape(2)
     if bool(area.contains(pos[None, :], strict=False)[0]):
         raise ValueError("source position lies inside the listening area")
-    if method not in cfg.methods:
-        raise ValueError(f"method {method!r} not enabled in this config")
+    for method in methods:
+        if method not in cfg.methods:
+            raise ValueError(f"method {method!r} not enabled in this config")
     freq = cfg.freq_grid()
     ki = freq.nearest_index(frequency)
     omega = freq.angular[ki]
@@ -141,7 +146,7 @@ def render_field(cfg: ExperimentConfig, out_dir, method: str,
     cp = cfg.control_points()
     grid = cfg.listening_grid()
 
-    if method == "cnn" and params is None:
+    if "cnn" in methods and params is None:
         ckpt = out_dir / "checkpoint.sfsm"
         if not ckpt.exists():
             raise FileNotFoundError(
@@ -150,21 +155,23 @@ def render_field(cfg: ExperimentConfig, out_dir, method: str,
         params = fileio.load_checkpoint(ckpt)
 
     p_true = green_matrix(grid.points, pos[None, :], omega, freq.c)[:, 0]
-    if method == "pm":
+    driving = {}
+    if "pm" in methods:
         p_cp = green_matrix(cp.points, pos[None, :], omega, freq.c)[:, 0]
-        d = pm_driving(pm_operator(array, cp, omega, cfg.lam, freq.c), p_cp)
-    else:
-        # MR needs the rendered frequency alone; the CNN maps all K
-        freqs, col = (freq, ki) if method == "cnn" else (
+        driving["pm"] = pm_driving(
+            pm_operator(array, cp, omega, cfg.lam, freq.c), p_cp)
+    if "mr" in methods or "cnn" in methods:
+        # the CNN maps all K; MR alone needs the rendered frequency only
+        freqs, col = (freq, ki) if "cnn" in methods else (
             FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c), 0)
-        signals = DrivingSignals(
+        mr = DrivingSignals(
             values=mr_driving_matrix(array, [Source(position=pos)], freqs, cp,
                                      cfg.lam, cfg.mr_listening_radius())[0],
             provenance="mr")
-        if method == "cnn":
-            signals = compensate(signals, params)
-        d = signals.values[:, col]
-    p_hat = synthesize(array, d, grid, omega, freq.c)
+        driving["mr"] = mr.values[:, col]
+        if "cnn" in methods:
+            driving["cnn"] = compensate(mr, params).values[:, col]
+    g_grid = green_matrix(grid.points, array.active_positions, omega, freq.c)
 
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
@@ -180,9 +187,11 @@ def render_field(cfg: ExperimentConfig, out_dir, method: str,
         written.extend([csv_rel, pgm_rel])
 
     emit("gt_real", p_true)
-    emit(f"{method}_real", p_hat)
-    err = _pointwise_nre_db(p_hat, p_true).astype(np.complex128)
-    emit(f"{method}_nre", err)
+    for method in methods:
+        p_hat = g_grid @ driving[method]
+        emit(f"{method}_real", p_hat)
+        emit(f"{method}_nre",
+             _pointwise_nre_db(p_hat, p_true).astype(np.complex128))
     return written
 
 
@@ -310,11 +319,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                 for rel in prev.paths_for("field"):
                     _record(manifest, out_dir, rel, "field")
             else:
-                for method in cfg.methods:
-                    for rel in render_field(cfg, out_dir, method,
-                                            cfg.fig_source,
-                                            cfg.fig_frequency, params=params):
-                        _record(manifest, out_dir, rel, "field")
+                for rel in render_field(cfg, out_dir, cfg.methods,
+                                        cfg.fig_source, cfg.fig_frequency,
+                                        params=params):
+                    _record(manifest, out_dir, rel, "field")
         except Exception as exc:
             _mark_stale(manifest, "field")
             _write_manifest(manifest, out_dir)

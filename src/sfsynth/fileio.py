@@ -23,7 +23,13 @@ import numpy as np
 
 from .acoustics import FrequencyGrid, Source
 from .datasets import Dataset, DatasetRecord
-from .network import LayerSpec, ModelParams
+from .network import (
+    SKIP_DST,
+    SKIP_SRC,
+    LayerSpec,
+    ModelParams,
+    compensator_layers,
+)
 
 MAGIC_MODEL = b"SFSM"
 MAGIC_DATASET = b"SFSX"
@@ -169,13 +175,31 @@ def save_checkpoint(path, params: ModelParams) -> None:
                json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
+def _check_layer_table(r: _Reader, at: int, rows: int, cols: int,
+                       specs: list, skip: tuple) -> None:
+    """Fail at the table's offset `at` unless it is the compensator chain
+    for a (rows, cols) input with the table's channel counts (one output
+    channel) and the skip pair is absent or the standard one."""
+    if skip not in ((-1, -1), (SKIP_SRC, SKIP_DST)):
+        r.fail(f"skip layers {skip} are neither absent nor "
+               f"({SKIP_SRC}, {SKIP_DST})", at)
+    channels = tuple(sp.out_ch for sp in specs[:-1]) + (1,)
+    try:
+        expected = compensator_layers(rows, cols, channels)
+    except ValueError as exc:
+        r.fail(f"layer table: {exc}", at)
+    if specs != expected:
+        r.fail(f"layer table is not the compensator chain for a "
+               f"{rows}x{cols} input with channels {channels}", at)
+
+
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         r = _Reader(fh, path, MAGIC_MODEL, "model checkpoint")
         l_active, k, skip_src, skip_dst, n_layers = r.unpack("<IIiiI", "header")
         if not (-1 <= skip_src < n_layers and -1 <= skip_dst < n_layers):
             r.fail(f"skip layers ({skip_src}, {skip_dst}) out of range", 16)
-        specs = []
+        specs, table_at = [], r.offset
         for i in range(n_layers):
             at = r.offset
             vals = r.unpack("<BBIIIIIIIIII", f"layer {i}")
@@ -187,6 +211,8 @@ def load_checkpoint(path) -> ModelParams:
                 out_ch=vals[3], kh=vals[4], kw=vals[5], sh=vals[6],
                 sw=vals[7], ph=vals[8], pw=vals[9], oph=vals[10],
                 opw=vals[11]))
+        _check_layer_table(r, table_at, 2 * l_active, k, specs,
+                           (skip_src, skip_dst))
         r.expect_size(r.offset + sum(
             8 * (math.prod(sp.kernel_shape())
                  + sp.out_ch * (2 if sp.act == "prelu" else 1)) for sp in specs))

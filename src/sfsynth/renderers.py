@@ -16,7 +16,6 @@ from .acoustics import (
     green_matrix,
     herglotz_point_source,
     plane_wave_field,
-    source_batch,
     truncation_order,
 )
 from .bessel import hankel2_sym_range
@@ -125,23 +124,18 @@ def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
     return FilterBank(values=values, directions=pw.directions, omega=omega)
 
 
-def mr_circular_driving(array: ArrayGeometry,
-                        source: Source | Sequence[Source], omega: float,
-                        c: float = DEFAULT_SPEED_OF_SOUND,
-                        listening_radius: float = 1.0,
-                        amplitude: complex | Sequence[complex] = 1.0
-                        ) -> np.ndarray:
-    """Model-based driving signals for a circular array at one frequency.
+def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
+                        omega: float, c: float = DEFAULT_SPEED_OF_SOUND,
+                        listening_radius: float = 1.0) -> np.ndarray:
+    """Model-based driving signals of S sources for a circular array at
+    one frequency, (L, S).
 
     Chooses M from the listening radius, renders N = 2M+1 uniformly
-    spaced plane waves, and averages the filters against the source's
-    plane-wave density.  `source` is a Source (result (L,)) or a
-    sequence of S sources (result (L, S)); `amplitude` is one value or
-    one per source.
+    spaced plane waves, and averages the filters against each source's
+    plane-wave density.
     """
     if array.family != "circular":
         raise ValueError("mr_circular_driving needs a circular array")
-    sources, single = source_batch(source)
     if any(s.rho <= array.radius for s in sources):
         raise ValueError("source must lie outside the array radius")
     M = truncation_order(omega, listening_radius, c)
@@ -149,14 +143,14 @@ def mr_circular_driving(array: ArrayGeometry,
     k = omega / c
     ms = np.arange(-M, M + 1)
     H = hankel2_sym_range(M, k * array.radius)
-    phi = herglotz_point_source(pw.directions, omega, sources, M, c, amplitude)
+    phi = herglotz_point_source(pw.directions, omega, sources, M, c)
     # separable evaluation of (1/N) sum_n phi(theta_n) h_l(theta_n), one
     # matrix-vector product per source
     proj = np.exp(-1j * np.outer(ms, pw.directions)) @ phi[..., None]
     e_l = np.exp(1j * np.outer(array.active_angles, ms))
     scale = 4.0 / (1j * array.active_count * len(pw.directions))
     d = scale * (e_l @ (((1j) ** ms / H)[:, None] * proj))[..., 0]
-    return d[0] if single else d.T
+    return d.T
 
 
 def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
@@ -195,11 +189,9 @@ def linear_window(array: ArrayGeometry) -> tuple:
 
 def combine_plane_waves(bank: FilterBank, phi: np.ndarray,
                         window_width: float) -> np.ndarray:
-    """Windowed plane-wave superposition of per-direction filters:
+    """Windowed plane-wave superposition of per-direction filters for
+    each of S densities phi (S, N), (L, S):
     d = width/(2 pi N) sum_n phi(theta_n) h(:, theta_n).
-
-    phi is one density (N,) (result (L,)) or one per source (S, N)
-    (result (L, S)).
     """
     n = bank.values.shape[1]
     if np.shape(phi)[-1] != n:
@@ -208,24 +200,17 @@ def combine_plane_waves(bank: FilterBank, phi: np.ndarray,
     return window_width / (2 * np.pi * n) * d.T
 
 
-def mr_linear_driving(array: ArrayGeometry,
-                      source: Source | Sequence[Source], cp: PointSet,
-                      omega: float, lam: float,
+def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
+                      cp: PointSet, omega: float, lam: float,
                       c: float = DEFAULT_SPEED_OF_SOUND,
-                      listening_radius: float = 1.0,
-                      amplitude: complex | Sequence[complex] = 1.0
-                      ) -> np.ndarray:
-    """Model-based driving signals for a linear array at one frequency.
-
-    `source` is a Source (result (L,)) or a sequence of S sources
-    (result (L, S)) sharing one filter bank; `amplitude` is one value or
-    one per source.
-    """
+                      listening_radius: float = 1.0) -> np.ndarray:
+    """Model-based driving signals of S sources for a linear array at one
+    frequency, (L, S); the sources share one filter bank."""
     t_min, t_max = linear_window(array)
     M = truncation_order(omega, listening_radius, c)
     pw = PlaneWaveSet.windowed(M, t_min, t_max)
     bank = mr_linear_filter_bank(array, cp, pw, omega, lam, c)
-    phi = herglotz_point_source(pw.directions, omega, source, M, c, amplitude)
+    phi = herglotz_point_source(pw.directions, omega, sources, M, c)
     return combine_plane_waves(bank, phi, pw.width)
 
 

@@ -109,7 +109,7 @@ def test_criterion_02_plane_wave_expansion():
         n_quad = max(2048, 8 * M)
         from sfsynth.acoustics import green2d, herglotz_point_source
         th = 2 * np.pi * np.arange(n_quad) / n_quad
-        phi = herglotz_point_source(th, omega, src, M, C)
+        phi = herglotz_point_source(th, omega, [src], M, C)[0]
         pw = np.exp(1j * k * (np.cos(th) * pt[0] + np.sin(th) * pt[1]))
         p_rec = np.mean(pw * phi)
         p_ref = green2d(pt, src.position, omega, C)
@@ -134,7 +134,8 @@ def test_criterion_03_mr_circular_reproduction():
         rho = rng.uniform(1.5, 3.5)
         th = rng.uniform(0, 2 * np.pi)
         src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
-        d = mr_circular_driving(arr, src, omega, C, listening_radius=1.0)
+        d = mr_circular_driving(arr, [src], omega, C,
+                                listening_radius=1.0)[:, 0]
         p_hat = synthesize(arr, d, grid, omega, C)
         p = green_matrix(grid.points, src.position[None, :], omega, C)[:, 0]
         worst = max(worst, nre(p_hat, p))
@@ -161,7 +162,8 @@ def test_criterion_04_degradation_ordering():
             rho = rng.uniform(1.5, 3.5)
             th = rng.uniform(0, 2 * np.pi)
             src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
-            d = mr_circular_driving(arr, src, omega, C, listening_radius=1.0)
+            d = mr_circular_driving(arr, [src], omega, C,
+                                listening_radius=1.0)[:, 0]
             p_hat = synthesize(arr, d, grid, omega, C)
             p = green_matrix(grid.points, src.position[None, :], omega,
                              C)[:, 0]

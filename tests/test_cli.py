@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, diagnostics."""
 
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import sfsynth
 
 MICRO = {
     "n_radii": 4, "n_angles": 4, "val_count": 4, "n_test": 6,
@@ -12,9 +17,17 @@ MICRO = {
 }
 
 
+# the child imports the package this test process imported, whether it
+# came from PYTHONPATH, pytest's pythonpath setting or an installation
+PACKAGE_ROOT = str(Path(sfsynth.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT,
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "sfsynth.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +105,37 @@ def test_invalid_config_diagnosed(tmp_path):
     assert "error" in out.stderr.lower()
 
 
+def _one_error_line(out) -> str:
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[1, 2]", "JSON object"),
+    ('"desk"', "JSON object"),
+    ('{"n_loudspeakers": "16"}', "'n_loudspeakers'"),
+    ('{"n_remove": true}', "'n_remove'"),
+    ('{"lam": "small"}', "'lam'"),
+    ('{"n_test": 6.5}', "'n_test'"),
+    ('{"methods": "mr"}', "'methods'"),
+    ('{"methods": ["mr", 3]}', "'methods'"),
+    ('{"fig_source": [1.0]}', "'fig_source'"),
+    ('{"family": 5}', "'family'"),
+], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
+        "float-as-int", "methods-string", "methods-number", "fig-source-short",
+        "family-number"])
+def test_malformed_config_one_error_line(tmp_path, text, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = run_cli("gen-dataset", "--config", str(bad), "--scale", "desk",
+                  "--out", str(tmp_path / "x"))
+    assert named in _one_error_line(out)
+    assert not (tmp_path / "x").exists()
+
+
 def test_seed_override_changes_dataset(micro_cfg_file, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -113,7 +157,15 @@ def artifacts(tmp_path_factory):
     from sfsynth.fileio import save_checkpoint, save_dataset
     from sfsynth.network import init_params
     d = tmp_path_factory.mktemp("artifacts")
-    save_checkpoint(d / "checkpoint.sfsm", init_params(16, 15, seed=4))
+    params = init_params(16, 15, seed=4)
+    save_checkpoint(d / "checkpoint.sfsm", params)
+    # layer 0 keeps half its output channels and layer 1 still expects all:
+    # the file size fits its table, the channel chain does not
+    half = params.layers[0].out_ch // 2
+    params.layers[0] = replace(params.layers[0], out_ch=half)
+    for arrays in (params.kernels, params.biases, params.slopes):
+        arrays[0] = arrays[0][:half]
+    save_checkpoint(d / "halved.sfsm", params)
     rec = DatasetRecord(source_id=0, source=Source(position=np.array([2.0, 0.5])),
                         tensor=np.ones((4, 3)), pressures=np.ones((5, 3)) * 1j)
     save_dataset(d / "dataset.sfsx", Dataset(
@@ -133,13 +185,11 @@ def _with_kind_byte(raw):
     ("checkpoint.sfsm", _with_kind_byte),
     ("dataset.sfsx", lambda raw: raw[:len(raw) // 2]),
     ("dataset.sfsx", lambda raw: raw[:20]),
-], ids=["truncated-checkpoint", "kind-byte", "half-dataset", "20-byte-dataset"])
+    ("halved.sfsm", lambda raw: raw),
+], ids=["truncated-checkpoint", "kind-byte", "half-dataset", "20-byte-dataset",
+        "halved-channel"])
 def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
     bad = tmp_path / name
     bad.write_bytes(mangle((artifacts / name).read_bytes()))
     out = run_cli("inspect", str(bad))
-    assert out.returncode == 1
-    assert "Traceback" not in out.stderr
-    lines = out.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert str(bad) in lines[0]
+    assert str(bad) in _one_error_line(out)

@@ -11,7 +11,6 @@ from sfsynth.config import desk_config
 from sfsynth.datasets import (
     SourceSplit,
     build_dataset,
-    control_pressures,
     gen_sources_circular,
     gen_sources_linear,
 )
@@ -148,17 +147,6 @@ def test_dataset_rebuild_identical(small_dataset):
         assert np.array_equal(a.pressures, b.pressures)
 
 
-def test_control_pressures_spectrum_applied():
-    cp = sample_control_points(ListeningArea.disk((0, 0), 0.5, 0.04), 5)
-    fg = FrequencyGrid.uniform(100.0, 100.0, 2)
-    pos = np.array([2.0, 0.0])
-    spec = np.array([2.0 + 0j, 1j])
-    plain, scaled = control_pressures(
-        [Source(position=pos), Source(position=pos, spectrum=spec)], cp, fg)
-    assert np.allclose(scaled[:, 0], 2.0 * plain[:, 0])
-    assert np.allclose(scaled[:, 1], 1j * plain[:, 1])
-
-
 def _reference_records(array, sources, cp, fg, lam, radius):
     """Source-major reference: one MR call and one Green's vector per
     (source, frequency), as (packed tensor, pressures) per source."""
@@ -167,17 +155,15 @@ def _reference_records(array, sources, cp, fg, lam, radius):
         d = np.empty((array.active_count, fg.k), dtype=np.complex128)
         p = np.empty((len(cp), fg.k), dtype=np.complex128)
         for ki, omega in enumerate(fg.angular):
-            amp = src.amplitude(ki)
             if array.family == "circular":
-                d[:, ki] = mr_circular_driving(array, src, omega, fg.c,
-                                               listening_radius=radius,
-                                               amplitude=amp)
+                d[:, ki] = mr_circular_driving(array, [src], omega, fg.c,
+                                               listening_radius=radius)[:, 0]
             else:
-                d[:, ki] = mr_linear_driving(array, src, cp, omega, lam, fg.c,
-                                             listening_radius=radius,
-                                             amplitude=amp)
-            p[:, ki] = amp * green_matrix(cp.points, src.position[None, :],
-                                          omega, fg.c)[:, 0]
+                d[:, ki] = mr_linear_driving(array, [src], cp, omega, lam,
+                                             fg.c,
+                                             listening_radius=radius)[:, 0]
+            p[:, ki] = green_matrix(cp.points, src.position[None, :],
+                                    omega, fg.c)[:, 0]
         out.append((pack_driving(d), p))
     return out
 
@@ -193,11 +179,6 @@ def _assert_matches_reference(array, split, cp, fg, lam, radius):
 
 def test_build_matches_per_source_loop_circular(small_dataset):
     arr, cp, fg, split, _ = small_dataset
-    rng = np.random.default_rng(3)
-    spec = rng.normal(size=fg.k) + 1j * rng.normal(size=fg.k)
-    shaped = Source(position=np.array([-1.1, 1.9]), spectrum=spec)
-    split = SourceSplit(train=split.train + [shaped], val=split.val,
-                        test=split.test, seed=split.seed)
     _assert_matches_reference(arr, split, cp, fg, 1e-2, 0.8)
 
 

@@ -68,13 +68,47 @@ def test_no_checkpoint_without_cnn(tmp_path):
 def test_render_field_validates_source_inside(micro_run):
     cfg, out, _ = micro_run
     with pytest.raises(ValueError):
-        render_field(cfg, out, "pm", (0.1, 0.1), 200.0)
+        render_field(cfg, out, ["pm"], (0.1, 0.1), 200.0)
 
 
 def test_render_field_missing_checkpoint(tmp_path):
     cfg = micro_config()
     with pytest.raises(FileNotFoundError):
-        render_field(cfg, tmp_path, "cnn", (2.0, 0.5), 200.0)
+        render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0)
+
+
+def test_render_field_rejects_bare_method_string(micro_run, tmp_path):
+    # a string is one name, never a sequence of one-letter methods
+    cfg, _, _ = micro_run
+    with pytest.raises(ValueError, match="list of names"):
+        render_field(cfg, tmp_path, "mr", (2.0, 0.5), 200.0)
+    assert not (tmp_path / "fields").exists()
+
+
+def test_render_all_methods_in_one_pass(micro_run, tmp_path, monkeypatch):
+    # one call writes the ground truth once, and every file it writes has
+    # the bytes a single-method call writes
+    cfg, out, _ = micro_run
+    params = fileio.load_checkpoint(Path(out) / "checkpoint.sfsm")
+    single, joint = tmp_path / "single", tmp_path / "joint"
+    for method in cfg.methods:
+        render_field(cfg, single, [method], cfg.fig_source, cfg.fig_frequency,
+                     params=params)
+    names = []
+    real = fileio.write_field_csv
+    monkeypatch.setattr(fileio, "write_field_csv",
+                        lambda path, *a: names.append(Path(path).name)
+                        or real(path, *a))
+    written = render_field(cfg, joint, list(cfg.methods), cfg.fig_source,
+                           cfg.fig_frequency, params=params)
+    assert len(cfg.methods) == 3
+    assert sum(name.startswith("gt_real") for name in names) == 1
+    assert len(written) == len(set(written)) == 2 * (1 + 2 * 3)
+    files = sorted(p.name for p in (single / "fields").iterdir())
+    assert files == sorted(p.name for p in (joint / "fields").iterdir())
+    for name in files:
+        assert (joint / "fields" / name).read_bytes() == \
+            (single / "fields" / name).read_bytes(), name
 
 
 def test_render_gt_matches_direct_green(micro_run):

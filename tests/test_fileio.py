@@ -120,6 +120,19 @@ def test_checkpoint_header_corruption(saved, tmp_path, offset, data,
     assert str(bad) in str(info.value)
 
 
+@pytest.mark.parametrize("offset,data,match", [
+    (16, b"\x00", "skip layers"),             # skip pair (0, 3)
+    (34, (64).to_bytes(4, "little"), "layer table"),   # layer 0 out_ch
+    (8, (9).to_bytes(4, "little"), "layer table"),     # L for another table
+], ids=["skip-pair", "out-channels", "input-rows"])
+def test_checkpoint_layer_table_checked(saved, tmp_path, offset, data, match):
+    # the layer table starts at byte 28
+    bad = _corrupt(saved[0], tmp_path / "bad.sfsm", offset, data)
+    with pytest.raises(ArtifactFormatError, match=match) as info:
+        load_checkpoint(bad)
+    assert info.value.offset == 28
+
+
 @pytest.mark.parametrize("which,load", [(0, load_checkpoint), (1, load_dataset)],
                          ids=["checkpoint", "dataset"])
 def test_trailing_bytes_rejected(saved, tmp_path, which, load):

@@ -88,7 +88,8 @@ def test_mr_circular_full_array_reproduction(disk_grid):
         rho = rng.uniform(1.5, 3.5)
         th = rng.uniform(0, 2 * np.pi)
         src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
-        d = mr_circular_driving(arr, src, OMEGA_500, C, listening_radius=1.0)
+        d = mr_circular_driving(arr, [src], OMEGA_500, C,
+                                listening_radius=1.0)[:, 0]
         p_hat = synthesize(arr, d, disk_grid, OMEGA_500, C)
         assert nre(p_hat, _gt_field(disk_grid.points, src, OMEGA_500)) <= -15.0
 
@@ -98,8 +99,8 @@ def test_mr_circular_decimation_degrades(disk_grid):
     dec = decimate_array(arr, 32, seed=7)
     src = Source(position=np.array([2.0, 0.0]))
     p = _gt_field(disk_grid.points, src, OMEGA_500)
-    d_full = mr_circular_driving(arr, src, OMEGA_500, C)
-    d_dec = mr_circular_driving(dec, src, OMEGA_500, C)
+    d_full = mr_circular_driving(arr, [src], OMEGA_500, C)[:, 0]
+    d_dec = mr_circular_driving(dec, [src], OMEGA_500, C)[:, 0]
     nre_full = nre(synthesize(arr, d_full, disk_grid, OMEGA_500, C), p)
     nre_dec = nre(synthesize(dec, d_dec, disk_grid, OMEGA_500, C), p)
     assert nre_dec > nre_full
@@ -112,14 +113,14 @@ def test_mr_circular_matches_bruteforce_double_loop():
     src = Source(position=np.array([1.7, 0.9]))
     omega = 2 * np.pi * 300
     k = omega / C
-    d = mr_circular_driving(arr, src, omega, C, listening_radius=1.0)
+    d = mr_circular_driving(arr, [src], omega, C, listening_radius=1.0)[:, 0]
     from sfsynth.acoustics import herglotz_point_source
     M = truncation_order(omega, 1.0, C)
     N = 2 * M + 1
     acc = 0.0 + 0.0j
     for n in range(N):
         theta_n = 2 * np.pi * n / N
-        phi = herglotz_point_source(theta_n, omega, src, M, C)
+        phi = herglotz_point_source(theta_n, omega, [src], M, C)[0, 0]
         h = 0.0 + 0.0j
         for m in range(-M, M + 1):
             h += (1j) ** m * np.exp(1j * m * (0.0 - theta_n)) / hankel2(m, k * 1.0)
@@ -136,16 +137,16 @@ def test_mr_circular_filter_bank_consistent_with_driving():
     pw = PlaneWaveSet.full_circle(M)
     bank = mr_circular_filter_bank(arr, pw, omega, C)
     from sfsynth.acoustics import herglotz_point_source
-    phi = herglotz_point_source(pw.directions, omega, src, M, C)
+    phi = herglotz_point_source(pw.directions, omega, [src], M, C)[0]
     ref = (bank.values @ phi) / len(pw.directions)
-    d = mr_circular_driving(arr, src, omega, C, listening_radius=1.0)
+    d = mr_circular_driving(arr, [src], omega, C, listening_radius=1.0)[:, 0]
     assert np.allclose(d, ref, rtol=1e-10)
 
 
 def test_mr_circular_source_inside_rejected():
     arr = make_circular_array(16, 1.0)
     with pytest.raises(ValueError):
-        mr_circular_driving(arr, Source(position=np.array([0.5, 0.0])),
+        mr_circular_driving(arr, [Source(position=np.array([0.5, 0.0]))],
                             OMEGA_500, C)
 
 
@@ -218,8 +219,8 @@ def test_mr_linear_reproduction(linear_setup):
     # reference run: -14.8 dB for this source; contract level -10 dB
     arr, rect, cp, grid = linear_setup
     src = Source(position=np.array([2.0, 0.5]))
-    d = mr_linear_driving(arr, src, cp, OMEGA_500, lam=1e-2, c=C,
-                          listening_radius=rect.bounding_radius)
+    d = mr_linear_driving(arr, [src], cp, OMEGA_500, lam=1e-2, c=C,
+                          listening_radius=rect.bounding_radius)[:, 0]
     p_hat = synthesize(arr, d, grid, OMEGA_500, C)
     assert nre(p_hat, _gt_field(grid.points, src, OMEGA_500)) <= -10.0
 
@@ -239,10 +240,10 @@ def test_single_direction_weighting_collapses():
     assert pw.directions[0] == pytest.approx(mid)
     bank = mr_linear_filter_bank(arr, cp, pw, omega, 1e-2, C)
     from sfsynth.acoustics import herglotz_point_source
-    phi = herglotz_point_source(pw.directions, omega, src, 0, C)
-    d = combine_plane_waves(bank, phi, pw.width)
+    phi = herglotz_point_source(pw.directions, omega, [src], 0, C)
+    d = combine_plane_waves(bank, phi, pw.width)[:, 0]
     h = one_direction_filter(arr, cp, mid, omega, 1e-2)
-    ref = (t_max - t_min) / (2 * np.pi) * phi[0] * h
+    ref = (t_max - t_min) / (2 * np.pi) * phi[0, 0] * h
     assert np.allclose(d, ref, rtol=1e-12)
 
 
@@ -340,25 +341,13 @@ def test_pm_exact_reproduction_when_full_rank():
 
 # -- shared renderer properties -------------------------------------------------
 
-def test_driving_linearity_in_spectrum(disk_grid):
-    arr = make_circular_array(16, 1.0)
-    src = Source(position=np.array([2.0, 1.0]))
-    a, b = 0.7 - 0.2j, -0.3 + 1.1j
-    d_a = mr_circular_driving(arr, src, OMEGA_500, C, amplitude=a)
-    d_b = mr_circular_driving(arr, src, OMEGA_500, C, amplitude=b)
-    d_ab = mr_circular_driving(arr, src, OMEGA_500, C, amplitude=a + b)
-    assert np.allclose(d_ab, d_a + d_b, rtol=1e-12)
-
-
 def test_driving_scale_equivariance(disk_grid):
     arr = make_circular_array(16, 1.0)
     src = Source(position=np.array([2.0, 1.0]))
     s = 2.0 - 3.0j
-    d1 = mr_circular_driving(arr, src, OMEGA_500, C, amplitude=1.0)
-    d_s = mr_circular_driving(arr, src, OMEGA_500, C, amplitude=s)
-    assert np.allclose(d_s, s * d1, rtol=1e-12)
+    d1 = mr_circular_driving(arr, [src], OMEGA_500, C)[:, 0]
     f1 = synthesize(arr, d1, disk_grid, OMEGA_500, C)
-    fs = synthesize(arr, d_s, disk_grid, OMEGA_500, C)
+    fs = synthesize(arr, s * d1, disk_grid, OMEGA_500, C)
     assert np.allclose(fs, s * f1, rtol=1e-12)
 
 
@@ -370,8 +359,8 @@ def test_full_array_beats_decimated_at_every_frequency(disk_grid):
     for f in freqs:
         omega = 2 * np.pi * f
         p = _gt_field(disk_grid.points, src, omega)
-        d_f = mr_circular_driving(arr, src, omega, C)
-        d_d = mr_circular_driving(dec, src, omega, C)
+        d_f = mr_circular_driving(arr, [src], omega, C)[:, 0]
+        d_d = mr_circular_driving(dec, [src], omega, C)[:, 0]
         n_f = nre(synthesize(arr, d_f, disk_grid, omega, C), p)
         n_d = nre(synthesize(dec, d_d, disk_grid, omega, C), p)
         assert n_f < n_d, f"full array not better at {f} Hz"
