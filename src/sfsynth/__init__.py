@@ -51,9 +51,8 @@ from .geometry import (
     sample_control_points,
     sample_listening_grid,
 )
-from .network import LayerSpec, ModelParams, cnn_forward, compensator_layers, init_params
+from .network import LayerSpec, ModelParams, compensator_layers, init_params
 from .renderers import (
-    DrivingSignals,
     FilterBank,
     PMOperator,
     mr_circular_driving,

@@ -26,7 +26,10 @@ SERIES_CUTOFF = 16.0
 # |Y| beyond this is treated as overflow (order far above argument)
 OVERFLOW_LIMIT = 1e280
 # guard against absurd orders; renderers stay far below this
-DEFAULT_MAX_ORDER = 128
+MAX_ORDER = 128
+# Miller start margin: the downward recurrence starts about
+# sqrt(MILLER_ACC * n) orders above n = max(m_max, ceil(x))
+MILLER_ACC = 250
 
 _EULER_GAMMA = float(np.longdouble("0.577215664901532860606512090082402431"))
 
@@ -136,7 +139,7 @@ def _arguments(x) -> np.ndarray:
     return x
 
 
-def bessel_j_orders(m_max: int, x, acc: int = 250) -> np.ndarray:
+def bessel_j_orders(m_max: int, x) -> np.ndarray:
     """J_0(x) .. J_m_max(x) via Miller's downward recurrence with
     on-the-fly renormalisation.
 
@@ -148,7 +151,7 @@ def bessel_j_orders(m_max: int, x, acc: int = 250) -> np.ndarray:
     scalar = np.ndim(x) == 0
     x = _arguments(x)
     base = np.maximum(m_max, np.ceil(x).astype(np.int64))
-    start = base + 1 + np.ceil(np.sqrt(acc * (base + 1))).astype(np.int64)
+    start = base + 1 + np.ceil(np.sqrt(MILLER_ACC * (base + 1))).astype(np.int64)
     start += start % 2
     out = np.zeros((len(x), m_max + 1))
     # an argument's recurrence holds (0, 0) until m reaches its start,
@@ -224,14 +227,14 @@ def hankel2_orders(m_max: int, x) -> np.ndarray:
     return j - 1j * y
 
 
-def hankel2(m: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> complex:
-    """H_m^(2)(x) for integer order m, scalar x > 0.
+def hankel2(m: int, x: float) -> complex:
+    """H_m^(2)(x) for integer order m, |m| <= MAX_ORDER, scalar x > 0.
 
     Negative orders use H_(-m)^(2) = (-1)^m H_m^(2).
     """
     m = int(m)
-    if abs(m) > max_order:
-        raise ValueError(f"|order| {abs(m)} exceeds limit {max_order}")
+    if abs(m) > MAX_ORDER:
+        raise ValueError(f"|order| {abs(m)} exceeds limit {MAX_ORDER}")
     am = abs(m)
     h = hankel2_orders(am, float(x))[am]
     if m < 0 and am % 2 == 1:

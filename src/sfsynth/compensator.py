@@ -10,7 +10,6 @@ import numpy as np
 
 from . import network
 from .network import Adam, ModelParams, forward, backward
-from .renderers import DrivingSignals
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,6 @@ class TrainConfig:
     patience: int = 100
     batch_size: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -188,8 +184,7 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
     params = network.init_params(rows, cols, seed=s_init, layers=layers,
                                  skip=skip)
     flat = params.flat()
-    opt = Adam(flat, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-               eps=cfg.eps)
+    opt = Adam(flat, lr=cfg.learning_rate)
     shuffler = np.random.default_rng(s_shuffle)
 
     best_val = np.inf
@@ -231,12 +226,14 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
                        history=history)
 
 
-def compensate(d_mr: DrivingSignals, params: ModelParams) -> DrivingSignals:
-    """Apply the trained network to model-based driving signals."""
-    expected = (params.rows // 2, params.cols)
-    if (d_mr.l_active, d_mr.k) != expected:
+def compensate(d_mr: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Apply the trained network to the model-based driving signals of S
+    sources in one batched pass: (S, L, K) complex in, (S, L, K) out."""
+    d = np.asarray(d_mr)
+    l_active, k = params.rows // 2, params.cols
+    if d.ndim != 3 or d.shape[1:] != (l_active, k):
         raise ValueError(
-            f"driving matrix {(d_mr.l_active, d_mr.k)} does not match the "
-            f"trained geometry {expected}")
-    out = network.cnn_forward(pack_driving(d_mr.values), params)
-    return DrivingSignals(values=unpack_driving(out), provenance="cnn")
+            f"driving array {d.shape} does not match the trained geometry "
+            f"(S, {l_active}, {k})")
+    y, _ = forward(params, pack_driving(np.moveaxis(d, 0, -1))[None, ...])
+    return np.moveaxis(unpack_driving(y[0]), -1, 0)

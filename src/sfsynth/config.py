@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from dataclasses import asdict, dataclass, replace
 
@@ -182,6 +183,12 @@ class ExperimentConfig:
         unknown = set(self.methods) - {"mr", "pm", "cnn"}
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ValueError("config key 'methods' must name at least one "
+                             f"method, each once, got {list(self.methods)}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("config key 'lam' must be a positive finite "
+                             f"number, got {self.lam!r}")
         if not 0 <= self.n_remove < self.n_loudspeakers:
             raise ValueError("n_remove must be in [0, L)")
         if self.freq_count < 1:

@@ -21,8 +21,8 @@ from .evaluation import (
     metric_samples,
     sweep,
 )
-from .network import ModelParams, forward
-from .renderers import DrivingSignals, pm_driving, pm_operator
+from .network import ModelParams
+from .renderers import pm_driving, pm_operator
 
 
 class StageError(RuntimeError):
@@ -91,9 +91,10 @@ def _test_driving(methods, dataset: Dataset, operators,
     """Per-method (S, L_active, K) driving arrays for the test sources;
     operators() returns the per-frequency PM operators."""
     recs = dataset.test
+    mr = np.stack([unpack_driving(r.tensor) for r in recs])
     out = {}
     if "mr" in methods:
-        out["mr"] = np.stack([unpack_driving(r.tensor) for r in recs])
+        out["mr"] = mr
     if "pm" in methods:
         d = np.empty((len(recs), dataset.l_active, dataset.freq_grid.k),
                      dtype=np.complex128)
@@ -104,9 +105,7 @@ def _test_driving(methods, dataset: Dataset, operators,
     if "cnn" in methods:
         if params is None:
             raise ValueError("cnn requested but no trained model is available")
-        x = np.stack([r.tensor for r in recs], axis=-1)[None, ...]
-        y, _ = forward(params, x)
-        out["cnn"] = np.transpose(unpack_driving(y[0]), (2, 0, 1))
+        out["cnn"] = compensate(mr, params)
     return out
 
 
@@ -164,13 +163,11 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
         # the CNN maps all K; MR alone needs the rendered frequency only
         freqs, col = (freq, ki) if "cnn" in methods else (
             FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c), 0)
-        mr = DrivingSignals(
-            values=mr_driving_matrix(array, [Source(position=pos)], freqs, cp,
-                                     cfg.lam, cfg.mr_listening_radius())[0],
-            provenance="mr")
-        driving["mr"] = mr.values[:, col]
+        mr = mr_driving_matrix(array, [Source(position=pos)], freqs, cp,
+                               cfg.lam, cfg.mr_listening_radius())
+        driving["mr"] = mr[0, :, col]
         if "cnn" in methods:
-            driving["cnn"] = compensate(mr, params).values[:, col]
+            driving["cnn"] = compensate(mr, params)[0, :, col]
     g_grid = green_matrix(grid.points, array.active_positions, omega, freq.c)
 
     fields_dir = out_dir / "fields"

@@ -85,7 +85,6 @@ class PointSet:
     """Sampled 2D points with an optional raster structure for images."""
 
     points: np.ndarray              # (N, 2)
-    role: str                       # "listening" | "control"
     grid_shape: tuple | None = None       # (ny, nx) of the generating raster
     grid_index: np.ndarray | None = None  # (N, 2) int (iy, ix) per point
 
@@ -231,18 +230,16 @@ def sample_listening_grid(area: ListeningArea) -> PointSet:
         keep = np.hypot(pts[:, 0] - area.center[0],
                         pts[:, 1] - area.center[1]) < area.radius
         pts, idx = pts[keep], idx[keep]
-    return PointSet(points=pts, role="listening",
-                    grid_shape=(ny, nx), grid_index=idx)
+    return PointSet(points=pts, grid_shape=(ny, nx), grid_index=idx)
 
 
 def sample_control_points(area: ListeningArea, target_count: int,
-                          clearance_from: ArrayGeometry | None = None,
-                          clearance: float = MIN_CLEARANCE) -> PointSet:
+                          clearance_from: ArrayGeometry | None = None) -> PointSet:
     """Coarse cell-centred grid with at most target_count points.
 
     Rectangle grids use an aspect-matched nx x ny layout; disk grids use
     the densest n x n layout whose inside-count stays within the target.
-    Points closer than `clearance` to any loudspeaker of `clearance_from`
+    Points closer than MIN_CLEARANCE to any loudspeaker of `clearance_from`
     are dropped.
     """
     if target_count < 1:
@@ -253,7 +250,7 @@ def sample_control_points(area: ListeningArea, target_count: int,
             return pts
         d = np.linalg.norm(
             pts[:, None, :] - clearance_from.positions[None, :, :], axis=-1)
-        return pts[np.min(d, axis=1) > clearance]
+        return pts[np.min(d, axis=1) > MIN_CLEARANCE]
 
     if area.kind == "rectangle":
         w = area.xmax - area.xmin
@@ -267,7 +264,7 @@ def sample_control_points(area: ListeningArea, target_count: int,
         ys = area.ymin + (np.arange(ny) + 0.5) * h / ny
         gx, gy = np.meshgrid(xs, ys)
         pts = _trim(np.stack([gx.ravel(), gy.ravel()], axis=1))
-        return PointSet(points=pts, role="control")
+        return PointSet(points=pts)
 
     # disk: search the largest n x n cell-centred raster that fits
     best = None
@@ -295,4 +292,4 @@ def sample_control_points(area: ListeningArea, target_count: int,
             over += 1
     if best is None:
         raise ValueError("target_count exceeds the listening-grid resolution")
-    return PointSet(points=best, role="control")
+    return PointSet(points=best)

@@ -17,6 +17,12 @@ COMPENSATOR_CHANNELS = (128, 256, 512, 256, 128, 128, 1)
 # layer SKIP_DST before the next layer runs
 SKIP_SRC = 1
 SKIP_DST = 3
+# initial PReLU slope, also the negative-side gain the init variance assumes
+PRELU_INIT_SLOPE = 0.25
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,7 @@ class ModelParams:
 
 def init_params(rows: int, cols: int, seed,
                 layers: list | None = None,
-                skip: tuple | None = (SKIP_SRC, SKIP_DST),
-                prelu_slope: float = 0.25) -> ModelParams:
+                skip: tuple | None = (SKIP_SRC, SKIP_DST)) -> ModelParams:
     """Variance-scaled fan-in initialization suited to PReLU; zero biases.
 
     seed is anything numpy's default_rng accepts (int or SeedSequence).
@@ -135,10 +140,10 @@ def init_params(rows: int, cols: int, seed,
     kernels, biases, slopes = [], [], []
     for sp in specs:
         fan_in = sp.in_ch * sp.kh * sp.kw
-        std = np.sqrt(2.0 / ((1.0 + prelu_slope ** 2) * fan_in))
+        std = np.sqrt(2.0 / ((1.0 + PRELU_INIT_SLOPE ** 2) * fan_in))
         kernels.append(rng.normal(0.0, std, sp.kernel_shape()))
         biases.append(np.zeros(sp.out_ch))
-        slopes.append(np.full(sp.out_ch, prelu_slope) if sp.act == "prelu" else None)
+        slopes.append(np.full(sp.out_ch, PRELU_INIT_SLOPE) if sp.act == "prelu" else None)
     src, dst = (None, None) if skip is None else skip
     return ModelParams(rows=rows, cols=cols, layers=specs, kernels=kernels,
                        biases=biases, slopes=slopes, skip_src=src, skip_dst=dst)
@@ -266,37 +271,22 @@ def backward(params: ModelParams, gout: np.ndarray, fwd_cache) -> list:
     return grads
 
 
-def cnn_forward(tensor: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Single-sample forward pass: (rows, cols) in, (rows, cols) out."""
-    t = np.asarray(tensor, dtype=np.float64)
-    if t.shape != (params.rows, params.cols):
-        raise ValueError(
-            f"tensor shape {t.shape} does not match model "
-            f"({params.rows}, {params.cols})")
-    y, _ = forward(params, t[None, :, :, None])
-    return y[0, :, :, 0]
-
-
 class Adam:
     """Adam with bias correction; operates in place on a parameter list."""
 
-    def __init__(self, params: list, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params: list, grads: list) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

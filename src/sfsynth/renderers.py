@@ -21,34 +21,6 @@ from .acoustics import (
 from .bessel import hankel2_sym_range
 from .geometry import ArrayGeometry, PointSet
 
-PROVENANCES = ("mr", "pm", "cnn")
-
-
-@dataclass(frozen=True)
-class DrivingSignals:
-    """Per-loudspeaker, per-frequency complex driving coefficients."""
-
-    values: np.ndarray               # (L_active, K)
-    provenance: str                  # "mr" | "pm" | "cnn"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 2:
-            raise ValueError("driving signals must be an (L, K) matrix")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("driving signals must be finite")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-    @property
-    def l_active(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -57,7 +29,6 @@ class FilterBank:
 
     values: np.ndarray               # (L_active, N)
     directions: np.ndarray           # (N,)
-    omega: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -73,16 +44,10 @@ class PMOperator:
 
     g_cp: np.ndarray                 # (I, L_active)
     c_cp: np.ndarray                 # (L_active, I)
-    lam: float
-    omega: float
 
     @property
     def n_control(self) -> int:
         return self.g_cp.shape[0]
-
-    @property
-    def l_active(self) -> int:
-        return self.g_cp.shape[1]
 
 
 def synthesize(array: ArrayGeometry, d: np.ndarray, points: PointSet,
@@ -121,7 +86,7 @@ def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
     e_n = np.exp(-1j * np.outer(pw.directions, ms))           # (N, 2M+1)
     scale = 4.0 / (1j * array.active_count)
     values = scale * (e_l * w) @ e_n.T
-    return FilterBank(values=values, directions=pw.directions, omega=omega)
+    return FilterBank(values=values, directions=pw.directions)
 
 
 def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
@@ -153,6 +118,20 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     return d.T
 
 
+def _regularized_normal_factor(array: ArrayGeometry, cp: PointSet,
+                               omega: float, lam: float, c: float) -> tuple:
+    """Green's matrix G (I, L_active) from the active loudspeakers to the
+    control points, and the Cholesky factor of G^H G + lam I shared by
+    the regularized least-squares fits."""
+    if len(cp) == 0:
+        raise ValueError("control point set must be non-empty")
+    if array.active_count < 1:
+        raise ValueError("array has no active loudspeakers")
+    g = green_matrix(cp.points, array.active_positions, omega, c)
+    a = g.conj().T @ g + lam * np.eye(array.active_count)
+    return g, sla.cho_factor(a)
+
+
 def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
                           pw: PlaneWaveSet, omega: float, lam: float,
                           c: float = DEFAULT_SPEED_OF_SOUND) -> FilterBank:
@@ -160,16 +139,12 @@ def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
     least-squares sense at the control points."""
     if array.family != "linear":
         raise ValueError("linear filter bank needs a linear array")
-    if len(cp) == 0:
-        raise ValueError("control point set must be non-empty")
-    g = green_matrix(cp.points, array.active_positions, omega, c)
+    g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
     targets = np.stack(
         [plane_wave_field(cp.points, th, omega, c) for th in pw.directions],
         axis=1)                                               # (I, N)
-    a = g.conj().T @ g + lam * np.eye(array.active_count)
-    cho = sla.cho_factor(a)
     values = sla.cho_solve(cho, g.conj().T @ targets)
-    return FilterBank(values=values, directions=pw.directions, omega=omega)
+    return FilterBank(values=values, directions=pw.directions)
 
 
 def linear_window(array: ArrayGeometry) -> tuple:
@@ -217,15 +192,8 @@ def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
 def pm_operator(array: ArrayGeometry, cp: PointSet, omega: float, lam: float,
                 c: float = DEFAULT_SPEED_OF_SOUND) -> PMOperator:
     """Build the pressure-matching operator for one frequency."""
-    if len(cp) == 0:
-        raise ValueError("control point set must be non-empty")
-    if array.active_count < 1:
-        raise ValueError("array has no active loudspeakers")
-    g = green_matrix(cp.points, array.active_positions, omega, c)
-    a = g.conj().T @ g + lam * np.eye(array.active_count)
-    cho = sla.cho_factor(a)
-    c_cp = sla.cho_solve(cho, g.conj().T)
-    return PMOperator(g_cp=g, c_cp=c_cp, lam=lam, omega=omega)
+    g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
+    return PMOperator(g_cp=g, c_cp=sla.cho_solve(cho, g.conj().T))
 
 
 def pm_driving(op: PMOperator, p_cp: np.ndarray) -> np.ndarray:

@@ -124,9 +124,14 @@ def _one_error_line(out) -> str:
     ('{"methods": ["mr", 3]}', "'methods'"),
     ('{"fig_source": [1.0]}', "'fig_source'"),
     ('{"family": 5}', "'family'"),
+    ('{"lam": -1}', "'lam'"),
+    ('{"lam": 0}', "'lam'"),
+    ('{"methods": []}', "'methods'"),
+    ('{"methods": ["mr", "mr", "pm"]}', "'methods'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
-        "family-number"])
+        "family-number", "lam-negative", "lam-zero", "methods-empty",
+        "methods-repeated"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -193,3 +198,16 @@ def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
     bad.write_bytes(mangle((artifacts / name).read_bytes()))
     out = run_cli("inspect", str(bad))
     assert str(bad) in _one_error_line(out)
+
+
+def test_render_cnn_with_checkpoint_of_other_geometry(artifacts, tmp_path):
+    # the fixture's checkpoint is trained for 8 active loudspeakers and 15
+    # frequencies; this config keeps 10 of the 16 loudspeakers
+    (tmp_path / "checkpoint.sfsm").write_bytes(
+        (artifacts / "checkpoint.sfsm").read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(MICRO, n_remove=6)))
+    out = run_cli("render", "--config", str(cfg), "--scale", "desk",
+                  "--out", str(tmp_path), "--method", "cnn",
+                  "--source", "2.0,0.5", "--frequency", "200")
+    assert "trained geometry (S, 8, 15)" in _one_error_line(out)

@@ -20,7 +20,6 @@ from sfsynth.compensator import (
     unpack_driving,
 )
 from sfsynth.network import LayerSpec, backward, forward, init_params
-from sfsynth.renderers import DrivingSignals
 
 W = LossWeights(lambda_abs=25.0, lambda_phase=1.0)
 
@@ -298,10 +297,9 @@ def test_compensate_zero_params_zero_output():
         k[:] = 0
     for b in p.biases:
         b[:] = 0
-    d = DrivingSignals(values=np.ones((8, 15), complex), provenance="mr")
-    out = compensate(d, p)
-    assert out.provenance == "cnn"
-    assert np.all(out.values == 0)
+    out = compensate(np.ones((3, 8, 15), complex), p)
+    assert out.shape == (3, 8, 15)
+    assert np.all(out == 0)
 
 
 def test_compensate_identity_network():
@@ -311,14 +309,33 @@ def test_compensate_identity_network():
     p.kernels[0][0, 0, 1, 1] = 1.0
     p.biases[0][:] = 0
     rng = np.random.default_rng(13)
-    d = DrivingSignals(values=rng.normal(size=(4, 5))
-                       + 1j * rng.normal(size=(4, 5)), provenance="mr")
+    d = rng.normal(size=(2, 4, 5)) + 1j * rng.normal(size=(2, 4, 5))
     out = compensate(d, p)
-    assert np.allclose(out.values, d.values, atol=1e-15)
+    assert np.allclose(out, d, atol=1e-15)
 
 
 def test_compensate_geometry_mismatch():
     p = init_params(16, 15, seed=0)
-    d = DrivingSignals(values=np.ones((7, 15), complex), provenance="mr")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trained geometry"):
+        compensate(np.ones((1, 7, 15), complex), p)
+    # one source's (L, K) matrix is not a batch
+    with pytest.raises(ValueError, match="trained geometry"):
+        compensate(np.ones((8, 15), complex), p)
+
+
+def test_compensate_rejects_non_finite():
+    p = init_params(16, 15, seed=0)
+    d = np.ones((2, 8, 15), complex)
+    d[1, 3, 4] = np.inf
+    with pytest.raises(ValueError, match="finite"):
         compensate(d, p)
+
+
+def test_compensate_batch_matches_one_source_calls():
+    p = init_params(16, 15, seed=5)
+    rng = np.random.default_rng(21)
+    d = rng.normal(size=(5, 8, 15)) + 1j * rng.normal(size=(5, 8, 15))
+    batched = compensate(d, p)
+    for s in range(len(d)):
+        np.testing.assert_allclose(batched[s], compensate(d[s:s + 1], p)[0],
+                                   rtol=1e-12, atol=0)

@@ -40,13 +40,13 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_forward_identical(tmp_path):
-    from sfsynth.network import cnn_forward
+    from sfsynth.network import forward
     params = init_params(16, 15, seed=6)
     path = tmp_path / "m.sfsm"
     save_checkpoint(path, params)
     back = load_checkpoint(path)
-    x = np.random.default_rng(1).normal(size=(16, 15))
-    assert np.array_equal(cnn_forward(x, params), cnn_forward(x, back))
+    x = np.random.default_rng(1).normal(size=(1, 16, 15, 2))
+    assert np.array_equal(forward(params, x)[0], forward(back, x)[0])
 
 
 def _toy_dataset():

@@ -185,7 +185,7 @@ def test_control_points_exceed_resolution():
 def test_point_set_rejects_duplicates():
     from sfsynth.geometry import PointSet
     with pytest.raises(ValueError):
-        PointSet(points=np.array([[0.0, 0.0], [0.0, 0.0]]), role="control")
+        PointSet(points=np.array([[0.0, 0.0], [0.0, 0.0]]))
 
 
 def test_array_geometry_invariant_enforced():

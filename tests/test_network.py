@@ -8,7 +8,6 @@ from sfsynth.network import (
     Adam,
     LayerSpec,
     backward,
-    cnn_forward,
     compensator_layers,
     forward,
     init_params,
@@ -73,8 +72,8 @@ def test_shape_solver_rejects_small_input():
 def test_forward_full_scale_shape():
     # 64-loudspeaker, 63-frequency geometry: (128, 63) in and out
     p = init_params(128, 63, seed=0)
-    out = cnn_forward(np.zeros((128, 63)), p)
-    assert out.shape == (128, 63)
+    out, _ = forward(p, np.zeros((1, 128, 63, 1)))
+    assert out.shape == (1, 128, 63, 1)
 
 
 def test_forward_output_shape_and_zero_params():
@@ -90,12 +89,12 @@ def test_forward_output_shape_and_zero_params():
     assert np.all(y == 0)
 
 
-def test_cnn_forward_shape_validation():
+def test_forward_shape_validation():
     p = init_params(16, 15, seed=0)
-    out = cnn_forward(np.zeros((16, 15)), p)
-    assert out.shape == (16, 15)
+    out, _ = forward(p, np.zeros((1, 16, 15, 1)))
+    assert out.shape == (1, 16, 15, 1)
     with pytest.raises(ValueError):
-        cnn_forward(np.zeros((16, 14)), p)
+        forward(p, np.zeros((1, 16, 14, 1)))
 
 
 def test_identity_single_layer():
@@ -106,8 +105,8 @@ def test_identity_single_layer():
     p.kernels[0][:] = 0
     p.kernels[0][0, 0, 1, 1] = 1.0
     p.biases[0][:] = 0
-    x = np.random.default_rng(3).normal(size=(6, 7))
-    assert np.allclose(cnn_forward(x, p), x, atol=1e-15)
+    x = np.random.default_rng(3).normal(size=(1, 6, 7, 1))
+    assert np.allclose(forward(p, x)[0], x, atol=1e-15)
 
 
 def _numeric_grad(p, x, wmask, arr, idx, h=1e-5):

@@ -17,7 +17,6 @@ from sfsynth.geometry import (
     sample_listening_grid,
 )
 from sfsynth.renderers import (
-    DrivingSignals,
     linear_window,
     mr_circular_driving,
     mr_circular_filter_bank,
@@ -255,8 +254,7 @@ def test_pm_exact_inverse_square_case():
     g += 16 * np.eye(16)           # keep it well conditioned
     import sfsynth.renderers as rd
     op = rd.PMOperator(g_cp=g, c_cp=np.linalg.solve(g.conj().T @ g,
-                                                    g.conj().T), lam=0.0,
-                       omega=OMEGA_500)
+                                                    g.conj().T))
     assert np.allclose(op.c_cp @ g, np.eye(16), atol=1e-8)
 
 
@@ -285,8 +283,7 @@ def test_pm_driving_scalar_formula():
     g = np.array([[0.3 - 0.2j]])
     lam = 0.05
     import sfsynth.renderers as rd
-    op = rd.PMOperator(g_cp=g, c_cp=g.conj().T / (abs(g[0, 0]) ** 2 + lam),
-                       lam=lam, omega=OMEGA_500)
+    op = rd.PMOperator(g_cp=g, c_cp=g.conj().T / (abs(g[0, 0]) ** 2 + lam))
     p = np.array([1.0 + 1.0j])
     d = pm_driving(op, p)
     assert d[0] == pytest.approx(np.conj(g[0, 0]) * p[0]
@@ -364,12 +361,3 @@ def test_full_array_beats_decimated_at_every_frequency(disk_grid):
         n_f = nre(synthesize(arr, d_f, disk_grid, omega, C), p)
         n_d = nre(synthesize(dec, d_d, disk_grid, omega, C), p)
         assert n_f < n_d, f"full array not better at {f} Hz"
-
-
-def test_driving_signals_validation():
-    with pytest.raises(ValueError):
-        DrivingSignals(values=np.array([[np.inf + 0j]]), provenance="mr")
-    with pytest.raises(ValueError):
-        DrivingSignals(values=np.ones((2, 3), complex), provenance="other")
-    d = DrivingSignals(values=np.ones((4, 6), complex), provenance="pm")
-    assert d.l_active == 4 and d.k == 6
