@@ -51,7 +51,7 @@ from .geometry import (
     sample_control_points,
     sample_listening_grid,
 )
-from .network import LayerSpec, ModelParams, compensator_layers, init_params
+from .network import ModelParams, compensator_layers, init_params
 from .renderers import (
     FilterBank,
     PMOperator,

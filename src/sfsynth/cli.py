@@ -105,8 +105,9 @@ def _cmd_inspect(args) -> int:
         print(f"model checkpoint: input {params.rows}x{params.cols}, "
               f"{len(params.layers)} layers, {params.param_count()} parameters")
         for i, sp in enumerate(params.layers):
+            act = "linear" if params.slopes[i] is None else "prelu"
             print(f"  layer {i}: {sp.kind} {sp.in_ch}->{sp.out_ch} "
-                  f"k({sp.kh}x{sp.kw}) s({sp.sh}x{sp.sw}) {sp.act}")
+                  f"k({sp.kh}x{sp.kw}) s({sp.sh}x{sp.sw}) {act}")
     else:
         raise ValueError(f"{path}: unrecognised file magic {magic!r}")
     return 0

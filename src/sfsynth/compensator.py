@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
-from .network import Adam, ModelParams, forward, backward
+from .network import Adam, ModelParams, backward, forward, init_params
 
 
 @dataclass(frozen=True)
@@ -164,10 +163,7 @@ def evaluate_loss(params: ModelParams, records, g_stack: np.ndarray,
 
 def train_compensator(train_records, val_records, cfg: TrainConfig,
                       g_stack: np.ndarray,
-                      weights: LossWeights | None = None,
-                      layers: list | None = None,
-                      skip: tuple | None = (network.SKIP_SRC, network.SKIP_DST),
-                      log_every: int = 0) -> TrainResult:
+                      weights: LossWeights | None = None) -> TrainResult:
     """Adam training with early stopping on the validation loss.
 
     Deterministic for a fixed cfg.seed: the initialization and the
@@ -181,8 +177,7 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
     rows, cols = np.asarray(train_records[0].tensor).shape
     seq = np.random.SeedSequence(cfg.seed)
     s_init, s_shuffle = seq.spawn(2)
-    params = network.init_params(rows, cols, seed=s_init, layers=layers,
-                                 skip=skip)
+    params = init_params(rows, cols, seed=s_init)
     flat = params.flat()
     opt = Adam(flat, lr=cfg.learning_rate)
     shuffler = np.random.default_rng(s_shuffle)
@@ -210,8 +205,6 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch, "validation loss is not finite")
         history.append((train_loss, val_loss))
-        if log_every and epoch % log_every == 0:
-            print(f"epoch {epoch:5d}  train {train_loss:.6f}  val {val_loss:.6f}")
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch

@@ -119,13 +119,40 @@ def _pointwise_nre_db(p_hat: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.clip(r, NRE_FLOOR_DB, -NRE_FLOOR_DB)
 
 
+def _load_trained_checkpoint(cfg: ExperimentConfig, out_dir: Path) -> ModelParams:
+    """Load <out_dir>/checkpoint.sfsm after checking that the directory's
+    manifest was written for this config and still lists the checkpoint
+    with its current hash."""
+    ckpt = out_dir / "checkpoint.sfsm"
+    if not ckpt.exists():
+        raise FileNotFoundError(
+            f"no checkpoint at {ckpt}; train the model first "
+            f"(sfsynth train) or pass --method mr/pm")
+    man_path = out_dir / "manifest.json"
+    try:
+        manifest = ArtifactManifest.from_json(man_path.read_text())
+    except (OSError, ValueError):
+        raise ValueError(f"no readable manifest at {man_path} to tell which "
+                         f"config {ckpt} was trained for") from None
+    chash = cfg.config_hash()
+    if manifest.config_hash != chash:
+        raise ValueError(f"{ckpt} was trained for another config (manifest "
+                         f"config_hash {manifest.config_hash[:12]}, this "
+                         f"config {chash[:12]})")
+    if not manifest.fresh(out_dir, "checkpoint"):
+        raise ValueError(f"{ckpt} is not the checkpoint {man_path} records")
+    return fileio.load_checkpoint(ckpt)
+
+
 def render_field(cfg: ExperimentConfig, out_dir, methods,
                  source_pos, frequency: float,
                  params: ModelParams | None = None) -> list:
     """Write the ground-truth field once and, for each method, its field
     (real part) and pointwise error map, as CSV plus graymaps.  The
     ground truth, the grid Green's matrix and the MR signals are computed
-    once for all methods.  Returns the relative paths written."""
+    once for all methods.  Without `params`, a cnn render loads the
+    directory's checkpoint, which its manifest must record for this
+    config.  Returns the relative paths written."""
     if isinstance(methods, str):
         raise ValueError(f"methods must be a list of names, not {methods!r}")
     methods = list(methods)
@@ -146,12 +173,7 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
     grid = cfg.listening_grid()
 
     if "cnn" in methods and params is None:
-        ckpt = out_dir / "checkpoint.sfsm"
-        if not ckpt.exists():
-            raise FileNotFoundError(
-                f"no checkpoint at {ckpt}; train the model first "
-                f"(sfsynth train) or pass --method mr/pm")
-        params = fileio.load_checkpoint(ckpt)
+        params = _load_trained_checkpoint(cfg, out_dir)
 
     p_true = green_matrix(grid.points, pos[None, :], omega, freq.c)[:, 0]
     driving = {}

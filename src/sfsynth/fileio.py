@@ -24,9 +24,9 @@ import numpy as np
 from .acoustics import FrequencyGrid, Source
 from .datasets import Dataset, DatasetRecord
 from .network import (
+    COMPENSATOR_CHANNELS,
     SKIP_DST,
     SKIP_SRC,
-    LayerSpec,
     ModelParams,
     compensator_layers,
 )
@@ -37,6 +37,12 @@ FORMAT_VERSION = 1
 
 _KINDS = ("conv", "tconv")
 _ACTS = ("prelu", "linear")
+# one layer table entry; kind and act are stored as indices into _KINDS
+# and _ACTS
+_FIELDS = ("kind", "act", "in_ch", "out_ch", "kh", "kw", "sh", "sw", "ph",
+           "pw", "oph", "opw")
+_LAYER = struct.Struct("<BBIIIIIIIIII")
+_N_LAYERS = len(COMPENSATOR_CHANNELS)
 _DATASET_DIMS = ("l_active", "k", "i_cp", "n_train", "n_val", "n_test")
 
 
@@ -136,96 +142,79 @@ def _deinterleave(raw: np.ndarray) -> np.ndarray:
 
 # -- model checkpoints -------------------------------------------------------
 
-def _layer_entry(sp: LayerSpec) -> dict:
-    return {"kind": sp.kind, "act": sp.act, "in_ch": sp.in_ch,
-            "out_ch": sp.out_ch, "kh": sp.kh, "kw": sp.kw, "sh": sp.sh,
-            "sw": sp.sw, "ph": sp.ph, "pw": sp.pw, "oph": sp.oph,
-            "opw": sp.opw}
+def _table_rows(layers: list) -> list:
+    """The stored layer table, one tuple of _FIELDS per layer: the
+    activation is fixed by position (PReLU, linear on the last layer) and
+    the output padding (oph, opw) is always zero."""
+    return [(sp.kind, _ACTS[i == len(layers) - 1], sp.in_ch, sp.out_ch,
+             sp.kh, sp.kw, sp.sh, sp.sw, sp.ph, sp.pw, 0, 0)
+            for i, sp in enumerate(layers)]
+
+
+def _table_bytes(layers: list) -> bytes:
+    """Layer count followed by the packed table entries."""
+    return struct.pack("<I", len(layers)) + b"".join(
+        _LAYER.pack(_KINDS.index(kind), _ACTS.index(act), *rest)
+        for kind, act, *rest in _table_rows(layers))
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
     """Binary checkpoint plus a JSON sidecar mirroring the layer table."""
     path = Path(path)
     l_active, k = params.rows // 2, params.cols
+    layers = params.layers
     with atomic_open(path) as fh:
         fh.write(MAGIC_MODEL)
-        fh.write(struct.pack("<III", FORMAT_VERSION, l_active, k))
-        fh.write(struct.pack("<ii",
-                             -1 if params.skip_src is None else params.skip_src,
-                             -1 if params.skip_dst is None else params.skip_dst))
-        fh.write(struct.pack("<I", len(params.layers)))
-        for sp in params.layers:
-            fh.write(struct.pack(
-                "<BBIIIIIIIIII", _KINDS.index(sp.kind), _ACTS.index(sp.act),
-                sp.in_ch, sp.out_ch, sp.kh, sp.kw, sp.sh, sp.sw,
-                sp.ph, sp.pw, sp.oph, sp.opw))
-        for i in range(len(params.layers)):
-            fh.write(params.kernels[i].astype("<f8").tobytes())
-            fh.write(params.biases[i].astype("<f8").tobytes())
-            if params.slopes[i] is not None:
-                fh.write(params.slopes[i].astype("<f8").tobytes())
+        fh.write(struct.pack("<IIIii", FORMAT_VERSION, l_active, k,
+                             SKIP_SRC, SKIP_DST))
+        fh.write(_table_bytes(layers))
+        for p in params.flat():
+            fh.write(p.astype("<f8").tobytes())
     sidecar = {
         "format": "sfs-model", "version": FORMAT_VERSION,
         "l_active": l_active, "k": k,
-        "skip_src": params.skip_src, "skip_dst": params.skip_dst,
+        "skip_src": SKIP_SRC, "skip_dst": SKIP_DST,
         "param_count": params.param_count(),
-        "layers": [_layer_entry(sp) for sp in params.layers],
+        "layers": [dict(zip(_FIELDS, row)) for row in _table_rows(layers)],
     }
     write_text(path.with_suffix(path.suffix + ".json"),
                json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
-def _check_layer_table(r: _Reader, at: int, rows: int, cols: int,
-                       specs: list, skip: tuple) -> None:
-    """Fail at the table's offset `at` unless it is the compensator chain
-    for a (rows, cols) input with the table's channel counts (one output
-    channel) and the skip pair is absent or the standard one."""
-    if skip not in ((-1, -1), (SKIP_SRC, SKIP_DST)):
-        r.fail(f"skip layers {skip} are neither absent nor "
-               f"({SKIP_SRC}, {SKIP_DST})", at)
-    channels = tuple(sp.out_ch for sp in specs[:-1]) + (1,)
-    try:
-        expected = compensator_layers(rows, cols, channels)
-    except ValueError as exc:
-        r.fail(f"layer table: {exc}", at)
-    if specs != expected:
-        r.fail(f"layer table is not the compensator chain for a "
-               f"{rows}x{cols} input with channels {channels}", at)
-
-
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint whose layer table is the compensator chain for
+    its input size, with the channel counts the table names."""
     with open(path, "rb") as fh:
         r = _Reader(fh, path, MAGIC_MODEL, "model checkpoint")
-        l_active, k, skip_src, skip_dst, n_layers = r.unpack("<IIiiI", "header")
-        if not (-1 <= skip_src < n_layers and -1 <= skip_dst < n_layers):
-            r.fail(f"skip layers ({skip_src}, {skip_dst}) out of range", 16)
-        specs, table_at = [], r.offset
-        for i in range(n_layers):
-            at = r.offset
-            vals = r.unpack("<BBIIIIIIIIII", f"layer {i}")
-            if vals[0] >= len(_KINDS) or vals[1] >= len(_ACTS):
-                r.fail(f"layer {i}: kind byte {vals[0]} or activation byte "
-                       f"{vals[1]} out of range", at)
-            specs.append(LayerSpec(
-                kind=_KINDS[vals[0]], act=_ACTS[vals[1]], in_ch=vals[2],
-                out_ch=vals[3], kh=vals[4], kw=vals[5], sh=vals[6],
-                sw=vals[7], ph=vals[8], pw=vals[9], oph=vals[10],
-                opw=vals[11]))
-        _check_layer_table(r, table_at, 2 * l_active, k, specs,
-                           (skip_src, skip_dst))
-        r.expect_size(r.offset + sum(
-            8 * (math.prod(sp.kernel_shape())
-                 + sp.out_ch * (2 if sp.act == "prelu" else 1)) for sp in specs))
+        l_active, k, *skip = r.unpack("<IIii", "header")
+        if tuple(skip) != (SKIP_SRC, SKIP_DST):
+            r.fail(f"skip layers {tuple(skip)} are not "
+                   f"({SKIP_SRC}, {SKIP_DST})", 16)
+        # the layer count is compared with the table; failures name the
+        # offset of the first entry
+        at, rows = r.offset + 4, 2 * l_active
+        table = r.take(4 + _N_LAYERS * _LAYER.size, "layer table")
+        channels = tuple(_LAYER.unpack_from(table, 4 + i * _LAYER.size)[3]
+                         for i in range(_N_LAYERS - 1)) + (1,)
+        try:
+            layers = compensator_layers(rows, k, channels)
+        except ValueError as exc:
+            r.fail(f"layer table: {exc}", at)
+        if table != _table_bytes(layers):
+            r.fail(f"layer table is not the compensator chain for a "
+                   f"{rows}x{k} input with channels {channels}", at)
+        # kernel, bias and slope per layer; the linear last layer has one
+        # output channel and no slope
+        r.expect_size(r.offset + 8 * (sum(
+            math.prod(sp.kernel_shape()) + 2 * sp.out_ch for sp in layers) - 1))
         kernels, biases, slopes = [], [], []
-        for i, sp in enumerate(specs):
+        for i, sp in enumerate(layers):
             kernels.append(r.floats(sp.kernel_shape(), f"layer {i} kernel"))
             biases.append(r.floats((sp.out_ch,), f"layer {i} bias"))
             slopes.append(r.floats((sp.out_ch,), f"layer {i} slope")
-                          if sp.act == "prelu" else None)
-    return ModelParams(rows=2 * l_active, cols=k, layers=specs,
-                       kernels=kernels, biases=biases, slopes=slopes,
-                       skip_src=None if skip_src < 0 else skip_src,
-                       skip_dst=None if skip_dst < 0 else skip_dst)
+                          if i < _N_LAYERS - 1 else None)
+    return ModelParams(rows=rows, cols=k, kernels=kernels, biases=biases,
+                       slopes=slopes)
 
 
 # -- datasets ----------------------------------------------------------------

@@ -36,16 +36,13 @@ class LayerSpec:
     sw: int = 2
     ph: int = 0
     pw: int = 0
-    oph: int = 0         # trailing output padding (transposed layers)
-    opw: int = 0
-    act: str = "prelu"   # "prelu" | "linear"
 
     def out_shape(self, h: int, w: int) -> tuple:
         if self.kind == "conv":
             return ((h + 2 * self.ph - self.kh) // self.sh + 1,
                     (w + 2 * self.pw - self.kw) // self.sw + 1)
-        return ((h - 1) * self.sh + self.kh - 2 * self.ph + self.oph,
-                (w - 1) * self.sw + self.kw - 2 * self.pw + self.opw)
+        return ((h - 1) * self.sh + self.kh - 2 * self.ph,
+                (w - 1) * self.sw + self.kw - 2 * self.pw)
 
     def kernel_shape(self) -> tuple:
         if self.kind == "conv":
@@ -60,8 +57,9 @@ def compensator_layers(rows: int, cols: int,
     Encoder: three stride-2 valid 3x3 convolutions.  Decoder: three
     stride-2 transposed convolutions whose kernel heights/widths (3 or 4)
     are solved so each one exactly inverts the matching encoder shape,
-    then a stride-1 zero-padded linear layer.  Raises when no 3/4 kernel
-    chain can reproduce the input shape (input too small).
+    then a stride-1 zero-padded output layer.  Every layer but that last,
+    linear one is followed by a PReLU.  Raises when no 3/4 kernel chain
+    can reproduce the input shape (input too small).
     """
     if len(channels) != 7:
         raise ValueError("seven channel counts expected")
@@ -89,31 +87,33 @@ def compensator_layers(rows: int, cols: int,
         specs.append(LayerSpec("tconv", in_ch, channels[3 + i], kh, kw))
         in_ch = channels[3 + i]
     specs.append(LayerSpec("tconv", in_ch, channels[6], 3, 3, sh=1, sw=1,
-                           ph=1, pw=1, act="linear"))
+                           ph=1, pw=1))
     return specs
 
 
 @dataclass
 class ModelParams:
-    """All learnable parameters plus the layer table and skip wiring."""
+    """All learnable parameters of the compensator chain for a
+    (rows, cols) input."""
 
     rows: int
     cols: int
-    layers: list                     # list[LayerSpec]
     kernels: list                    # list[np.ndarray]
     biases: list                     # list[np.ndarray]
-    slopes: list                     # list[np.ndarray | None], PReLU only
-    skip_src: int | None = SKIP_SRC
-    skip_dst: int | None = SKIP_DST
+    slopes: list                     # PReLU slopes; None for the last layer
+
+    @property
+    def layers(self) -> list:
+        """The layer table, derived from the input shape and the channel
+        counts (the bias sizes)."""
+        return compensator_layers(self.rows, self.cols,
+                                  tuple(b.size for b in self.biases))
 
     def flat(self) -> list:
         """Parameter arrays in declaration order: kernel, bias, slope."""
         out = []
-        for i in range(len(self.layers)):
-            out.append(self.kernels[i])
-            out.append(self.biases[i])
-            if self.slopes[i] is not None:
-                out.append(self.slopes[i])
+        for k, b, s in zip(self.kernels, self.biases, self.slopes):
+            out += [k, b] if s is None else [k, b, s]
         return out
 
     def param_count(self) -> int:
@@ -121,38 +121,30 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(
-            rows=self.rows, cols=self.cols, layers=list(self.layers),
+            rows=self.rows, cols=self.cols,
             kernels=[k.copy() for k in self.kernels],
             biases=[b.copy() for b in self.biases],
-            slopes=[None if s is None else s.copy() for s in self.slopes],
-            skip_src=self.skip_src, skip_dst=self.skip_dst)
+            slopes=[None if s is None else s.copy() for s in self.slopes])
 
 
 def init_params(rows: int, cols: int, seed,
-                layers: list | None = None,
-                skip: tuple | None = (SKIP_SRC, SKIP_DST)) -> ModelParams:
+                channels: tuple = COMPENSATOR_CHANNELS) -> ModelParams:
     """Variance-scaled fan-in initialization suited to PReLU; zero biases.
 
     seed is anything numpy's default_rng accepts (int or SeedSequence).
     """
-    specs = compensator_layers(rows, cols) if layers is None else list(layers)
+    specs = compensator_layers(rows, cols, channels)
     rng = np.random.default_rng(seed)
     kernels, biases, slopes = [], [], []
-    for sp in specs:
+    for i, sp in enumerate(specs):
         fan_in = sp.in_ch * sp.kh * sp.kw
         std = np.sqrt(2.0 / ((1.0 + PRELU_INIT_SLOPE ** 2) * fan_in))
         kernels.append(rng.normal(0.0, std, sp.kernel_shape()))
         biases.append(np.zeros(sp.out_ch))
-        slopes.append(np.full(sp.out_ch, PRELU_INIT_SLOPE) if sp.act == "prelu" else None)
-    src, dst = (None, None) if skip is None else skip
-    return ModelParams(rows=rows, cols=cols, layers=specs, kernels=kernels,
-                       biases=biases, slopes=slopes, skip_src=src, skip_dst=dst)
-
-
-def _pad_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        slopes.append(np.full(sp.out_ch, PRELU_INIT_SLOPE)
+                      if i < len(specs) - 1 else None)
+    return ModelParams(rows=rows, cols=cols, kernels=kernels, biases=biases,
+                       slopes=slopes)
 
 
 def _im2col(x: np.ndarray, kh, kw, sh, sw):
@@ -178,21 +170,21 @@ def _col2im(cols, c, h, w, b, kh, kw, sh, sw, ho, wo):
 def forward(params: ModelParams, x: np.ndarray):
     """Run the network on x of shape (1, rows, cols, batch).
 
-    Returns (output, cache); the cache feeds backward().
+    Returns (output, cache); the cache feeds backward().  The encoder
+    convolutions are unpadded; the transposed layers crop their padding
+    from the full-size output.
     """
     if x.ndim != 4 or x.shape[0] != 1 or x.shape[1:3] != (params.rows, params.cols):
         raise ValueError(
             f"input must have shape (1, {params.rows}, {params.cols}, batch)")
     caches = []
-    acts = []
     cur = x
     for i, sp in enumerate(params.layers):
         if sp.kind == "conv":
-            xp = _pad_hw(cur, sp.ph, sp.pw)
-            cols, ho, wo = _im2col(xp, sp.kh, sp.kw, sp.sh, sp.sw)
+            cols, ho, wo = _im2col(cur, sp.kh, sp.kw, sp.sh, sp.sw)
             y = (params.kernels[i].reshape(sp.out_ch, -1) @ cols)
             y = y.reshape(sp.out_ch, ho, wo, -1) + params.biases[i][:, None, None, None]
-            cache = {"cols": cols, "xp_shape": xp.shape}
+            cache = {"cols": cols, "x_shape": cur.shape}
         else:
             c, h, w, b = cur.shape
             hf = (h - 1) * sp.sh + sp.kh
@@ -202,72 +194,60 @@ def forward(params: ModelParams, x: np.ndarray):
             full = _col2im(cols, sp.out_ch, hf, wf, b,
                            sp.kh, sp.kw, sp.sh, sp.sw, h, w)
             y = full[:, sp.ph:hf - sp.ph, sp.pw:wf - sp.pw, :]
-            if sp.oph or sp.opw:
-                y = np.pad(y, ((0, 0), (0, sp.oph), (0, sp.opw), (0, 0)))
             y = y + params.biases[i][:, None, None, None]
             cache = {"x2": x2, "x_shape": (c, h, w, b)}
-        if sp.act == "prelu":
+        if params.slopes[i] is not None:
             cache["pre"] = y
             neg = y < 0
             cache["neg"] = neg
             y = np.where(neg, params.slopes[i][:, None, None, None] * y, y)
         caches.append(cache)
-        acts.append(y)
-        cur = y
-        if i == params.skip_dst:
-            cur = cur + acts[params.skip_src]
-    return cur, (caches, acts, x)
+        if i == SKIP_SRC:
+            skip = y
+        cur = y + skip if i == SKIP_DST else y
+    return cur, caches
 
 
-def backward(params: ModelParams, gout: np.ndarray, fwd_cache) -> list:
+def backward(params: ModelParams, gout: np.ndarray, caches) -> list:
     """Gradients of a scalar loss with respect to every parameter, given
     the loss gradient at the network output.  Order matches flat()."""
-    caches, acts, _ = fwd_cache
-    n = len(params.layers)
+    layers = params.layers
+    n = len(layers)
     gk = [None] * n
     gb = [None] * n
     gs = [None] * n
     g = gout
-    g_skip = None
     for i in range(n - 1, -1, -1):
-        sp = params.layers[i]
-        if i == params.skip_dst:
+        sp = layers[i]
+        if i == SKIP_DST:
             g_skip = g
-        if i == params.skip_src and g_skip is not None:
+        if i == SKIP_SRC:
             g = g + g_skip
         cache = caches[i]
-        if sp.act == "prelu":
+        if params.slopes[i] is not None:
             pre, neg = cache["pre"], cache["neg"]
             gs[i] = np.where(neg, g * pre, 0.0).sum(axis=(1, 2, 3))
             g = np.where(neg, params.slopes[i][:, None, None, None] * g, g)
+        c, h, w, b = cache["x_shape"]
         if sp.kind == "conv":
             cols = cache["cols"]
             g2 = g.reshape(sp.out_ch, -1)
             gk[i] = (g2 @ cols.T).reshape(params.kernels[i].shape)
             gb[i] = g.sum(axis=(1, 2, 3))
             gcols = params.kernels[i].reshape(sp.out_ch, -1).T @ g2
-            c, hp, wp, b = cache["xp_shape"]
-            ho, wo = g.shape[1], g.shape[2]
-            gx = _col2im(gcols, sp.in_ch, hp, wp, b,
-                         sp.kh, sp.kw, sp.sh, sp.sw, ho, wo)
-            g = gx[:, sp.ph:hp - sp.ph, sp.pw:wp - sp.pw, :] if (sp.ph or sp.pw) else gx
+            g = _col2im(gcols, sp.in_ch, h, w, b,
+                        sp.kh, sp.kw, sp.sh, sp.sw, g.shape[1], g.shape[2])
         else:
             x2 = cache["x2"]
-            c, h, w, b = cache["x_shape"]
             gb[i] = g.sum(axis=(1, 2, 3))
-            gcore = g
-            if sp.oph or sp.opw:
-                gcore = g[:, :g.shape[1] - sp.oph, :g.shape[2] - sp.opw, :]
-            gp = _pad_hw(gcore, sp.ph, sp.pw)
-            cols, _, _ = _im2col(gp, sp.kh, sp.kw, sp.sh, sp.sw)
+            if sp.ph or sp.pw:
+                g = np.pad(g, ((0, 0), (sp.ph, sp.ph), (sp.pw, sp.pw), (0, 0)))
+            cols, _, _ = _im2col(g, sp.kh, sp.kw, sp.sh, sp.sw)
             gk[i] = (x2 @ cols.T).reshape(params.kernels[i].shape)
             g = (params.kernels[i].reshape(sp.in_ch, -1) @ cols).reshape(c, h, w, b)
     grads = []
     for i in range(n):
-        grads.append(gk[i])
-        grads.append(gb[i])
-        if params.slopes[i] is not None:
-            grads.append(gs[i])
+        grads += [gk[i], gb[i]] if gs[i] is None else [gk[i], gb[i], gs[i]]
     return grads
 
 

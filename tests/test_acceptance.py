@@ -36,7 +36,7 @@ from sfsynth.geometry import (
     make_circular_array,
     sample_listening_grid,
 )
-from sfsynth.network import LayerSpec, backward, forward, init_params
+from sfsynth.network import backward, forward, init_params
 from sfsynth.renderers import mr_circular_driving, synthesize
 
 C = 343.0
@@ -209,14 +209,10 @@ def test_criterion_06_gradient_check():
     t0 = time.time()
     w = LossWeights(lambda_abs=25.0, lambda_phase=1.0)
     rng = np.random.default_rng(6)
-    rows, cols, n_cp = 8, 9, 5
-    specs = [
-        LayerSpec("conv", 1, 4, 3, 3),
-        LayerSpec("conv", 4, 4, 3, 3),
-        LayerSpec("tconv", 4, 4, 3, 4),
-        LayerSpec("tconv", 4, 1, 4, 3, act="linear"),
-    ]
-    params = init_params(rows, cols, seed=6, layers=specs, skip=(0, 2))
+    # the compensator chain at 16x15 with small channels: skip pair (1, 3),
+    # a 4x3 transposed kernel and the padded stride-1 output layer
+    rows, cols, n_cp = 16, 15, 5
+    params = init_params(rows, cols, seed=6, channels=(4, 4, 4, 4, 4, 4, 1))
     g = (rng.normal(size=(cols, n_cp, rows // 2))
          + 1j * rng.normal(size=(cols, n_cp, rows // 2)))
     x = rng.normal(size=(rows, cols))
@@ -237,26 +233,19 @@ def test_criterion_06_gradient_check():
 
     h = 1e-5
     worst = 0.0
-    gi = 0
-    for i in range(len(params.layers)):
-        arrays = [params.kernels[i], params.biases[i]]
-        if params.slopes[i] is not None:
-            arrays.append(params.slopes[i])
-        for arr in arrays:
-            ana = grads[gi]
-            gi += 1
-            idxs = rng.choice(arr.size, size=min(10, arr.size), replace=False)
-            for idx in idxs:
-                flat = arr.ravel()
-                old = flat[idx]
-                flat[idx] = old + h
-                lp, _, _ = full_loss()
-                flat[idx] = old - h
-                lm, _, _ = full_loss()
-                flat[idx] = old
-                num = (lp - lm) / (2 * h)
-                a = float(ana.ravel()[idx])
-                worst = max(worst, abs(num - a) / max(abs(num), abs(a), 1e-10))
+    for arr, ana in zip(params.flat(), grads):
+        idxs = rng.choice(arr.size, size=min(10, arr.size), replace=False)
+        for idx in idxs:
+            flat = arr.ravel()
+            old = flat[idx]
+            flat[idx] = old + h
+            lp, _, _ = full_loss()
+            flat[idx] = old - h
+            lm, _, _ = full_loss()
+            flat[idx] = old
+            num = (lp - lm) / (2 * h)
+            a = float(ana.ravel()[idx])
+            worst = max(worst, abs(num - a) / max(abs(num), abs(a), 1e-10))
     assert worst <= 1e-4
     elapsed = time.time() - t0
     assert elapsed < 60.0

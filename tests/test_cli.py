@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -162,15 +161,7 @@ def artifacts(tmp_path_factory):
     from sfsynth.fileio import save_checkpoint, save_dataset
     from sfsynth.network import init_params
     d = tmp_path_factory.mktemp("artifacts")
-    params = init_params(16, 15, seed=4)
-    save_checkpoint(d / "checkpoint.sfsm", params)
-    # layer 0 keeps half its output channels and layer 1 still expects all:
-    # the file size fits its table, the channel chain does not
-    half = params.layers[0].out_ch // 2
-    params.layers[0] = replace(params.layers[0], out_ch=half)
-    for arrays in (params.kernels, params.biases, params.slopes):
-        arrays[0] = arrays[0][:half]
-    save_checkpoint(d / "halved.sfsm", params)
+    save_checkpoint(d / "checkpoint.sfsm", init_params(16, 15, seed=4))
     rec = DatasetRecord(source_id=0, source=Source(position=np.array([2.0, 0.5])),
                         tensor=np.ones((4, 3)), pressures=np.ones((5, 3)) * 1j)
     save_dataset(d / "dataset.sfsx", Dataset(
@@ -185,12 +176,25 @@ def _with_kind_byte(raw):
     return raw[:28] + bytes([7]) + raw[29:]
 
 
+def _with_halved_first_layer(raw):
+    # layer 0 keeps half its 128 output channels and layer 1 still expects
+    # all: its out_ch (byte 34) and its kernel, bias and slope blobs (after
+    # the 7-entry table) shrink together, so the file size fits the table
+    # and the channel chain does not
+    at, kernel, vector = 28 + 7 * 46, 128 * 9 * 8, 128 * 8
+    blobs = [raw[at:at + kernel], raw[at + kernel:at + kernel + vector],
+             raw[at + kernel + vector:at + kernel + 2 * vector]]
+    return (raw[:34] + (64).to_bytes(4, "little") + raw[38:at]
+            + b"".join(blob[:len(blob) // 2] for blob in blobs)
+            + raw[at + kernel + 2 * vector:])
+
+
 @pytest.mark.parametrize("name,mangle", [
     ("checkpoint.sfsm", lambda raw: raw[:100]),
     ("checkpoint.sfsm", _with_kind_byte),
     ("dataset.sfsx", lambda raw: raw[:len(raw) // 2]),
     ("dataset.sfsx", lambda raw: raw[:20]),
-    ("halved.sfsm", lambda raw: raw),
+    ("checkpoint.sfsm", _with_halved_first_layer),
 ], ids=["truncated-checkpoint", "kind-byte", "half-dataset", "20-byte-dataset",
         "halved-channel"])
 def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
@@ -202,12 +206,38 @@ def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
 
 def test_render_cnn_with_checkpoint_of_other_geometry(artifacts, tmp_path):
     # the fixture's checkpoint is trained for 8 active loudspeakers and 15
-    # frequencies; this config keeps 10 of the 16 loudspeakers
-    (tmp_path / "checkpoint.sfsm").write_bytes(
-        (artifacts / "checkpoint.sfsm").read_bytes())
+    # frequencies; this config keeps 10 of the 16 loudspeakers.  The
+    # manifest records the checkpoint for this config, so only the shape
+    # check can catch it
+    from sfsynth.config import load_config
+    from sfsynth.experiment import ArtifactManifest
+    from sfsynth.fileio import sha256_file
+    ckpt = tmp_path / "checkpoint.sfsm"
+    ckpt.write_bytes((artifacts / "checkpoint.sfsm").read_bytes())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(MICRO, n_remove=6)))
+    (tmp_path / "manifest.json").write_text(ArtifactManifest(
+        config_hash=load_config(cfg, scale="desk").config_hash(),
+        files=[{"path": ckpt.name, "role": "checkpoint",
+                "sha256": sha256_file(ckpt), "stale": False}]).to_json())
     out = run_cli("render", "--config", str(cfg), "--scale", "desk",
                   "--out", str(tmp_path), "--method", "cnn",
                   "--source", "2.0,0.5", "--frequency", "200")
     assert "trained geometry (S, 8, 15)" in _one_error_line(out)
+
+
+def test_render_cnn_refuses_checkpoint_of_other_seed(micro_cfg_file, tmp_path):
+    # --seed 2 decimates the array differently from the run's --seed 1:
+    # same (L, K), another set of active loudspeakers
+    exp = tmp_path / "exp"
+    out = run_cli("run", "--config", str(micro_cfg_file), "--scale", "desk",
+                  "--out", str(exp), "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    render = ["render", "--config", str(micro_cfg_file), "--scale", "desk",
+              "--out", str(exp), "--method", "cnn", "--source", "2.0,0.5",
+              "--frequency", "200"]
+    assert "trained for another config" in _one_error_line(
+        run_cli(*render, "--seed", "2"))
+    out = run_cli(*render, "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    assert "cnn_real" in out.stdout

@@ -13,6 +13,7 @@ from sfsynth import experiment, fileio
 from sfsynth.config import desk_config
 from sfsynth.experiment import ArtifactManifest, render_field, run_experiment
 from sfsynth.fileio import sha256_file
+from sfsynth.network import init_params
 
 
 def micro_config(**overrides):
@@ -75,6 +76,23 @@ def test_render_field_missing_checkpoint(tmp_path):
     cfg = micro_config()
     with pytest.raises(FileNotFoundError):
         render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0)
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (lambda d: (d / "manifest.json").unlink(), "no readable manifest"),
+    (lambda d: fileio.save_checkpoint(d / "checkpoint.sfsm",
+                                      init_params(16, 15, seed=9)),
+     "not the checkpoint"),
+], ids=["no-manifest", "checkpoint-replaced"])
+def test_render_field_checks_checkpoint_against_manifest(micro_run, tmp_path,
+                                                        tamper, match):
+    cfg, out, _ = micro_run
+    for name in ("checkpoint.sfsm", "checkpoint.sfsm.json", "manifest.json"):
+        (tmp_path / name).write_bytes((Path(out) / name).read_bytes())
+    tamper(tmp_path)
+    with pytest.raises(ValueError, match=match):
+        render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0)
+    assert not (tmp_path / "fields").exists()
 
 
 def test_render_field_rejects_bare_method_string(micro_run, tmp_path):

@@ -29,7 +29,6 @@ def test_checkpoint_roundtrip(tmp_path):
         assert fh.read(4) == b"SFSM"
     back = load_checkpoint(path)
     assert back.rows == 16 and back.cols == 15
-    assert back.skip_src == params.skip_src
     assert len(back.layers) == 7
     for a, b in zip(params.flat(), back.flat()):
         assert np.array_equal(a, b)
@@ -37,6 +36,18 @@ def test_checkpoint_roundtrip(tmp_path):
     assert sidecar["param_count"] == params.param_count()
     assert len(sidecar["layers"]) == 7
     assert sidecar["layers"][0]["out_ch"] == 128
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # the checkpoint and sidecar bytes of a fixed initialization; a change
+    # here changes every checkpoint the pipeline writes
+    path = tmp_path / "m.sfsm"
+    save_checkpoint(path, init_params(16, 15, seed=0))
+    assert path.stat().st_size == 25_207_114
+    assert sha256_file(path) == \
+        "5b110a5c674b721baaaae07aeb178524c6aecfceaed2f5b2ee21fca77a6b4492"
+    assert sha256_file(tmp_path / "m.sfsm.json") == \
+        "5d3e0171dbcad7f7bb70c6c3cadc2cf60df056776b3776ebf2b5821329525522"
 
 
 def test_checkpoint_forward_identical(tmp_path):
@@ -120,17 +131,21 @@ def test_checkpoint_header_corruption(saved, tmp_path, offset, data,
     assert str(bad) in str(info.value)
 
 
-@pytest.mark.parametrize("offset,data,match", [
-    (16, b"\x00", "skip layers"),             # skip pair (0, 3)
-    (34, (64).to_bytes(4, "little"), "layer table"),   # layer 0 out_ch
-    (8, (9).to_bytes(4, "little"), "layer table"),     # L for another table
-], ids=["skip-pair", "out-channels", "input-rows"])
-def test_checkpoint_layer_table_checked(saved, tmp_path, offset, data, match):
-    # the layer table starts at byte 28
+@pytest.mark.parametrize("offset,data,match,offset_seen", [
+    (16, b"\x00", "skip layers", 16),                  # skip pair (0, 3)
+    (16, b"\xff" * 8, "skip layers", 16),              # skip absent (-1, -1)
+    (34, (64).to_bytes(4, "little"), "layer table", 28),   # layer 0 out_ch
+    (8, (9).to_bytes(4, "little"), "layer table", 28),     # L for another table
+    (62, (1).to_bytes(4, "little"), "layer table", 28),    # layer 0 oph
+], ids=["skip-pair", "skip-absent", "out-channels", "input-rows",
+        "output-padding"])
+def test_checkpoint_layer_table_checked(saved, tmp_path, offset, data, match,
+                                        offset_seen):
+    # the skip pair sits at byte 16, the layer table starts at byte 28
     bad = _corrupt(saved[0], tmp_path / "bad.sfsm", offset, data)
     with pytest.raises(ArtifactFormatError, match=match) as info:
         load_checkpoint(bad)
-    assert info.value.offset == 28
+    assert info.value.offset == offset_seen
 
 
 @pytest.mark.parametrize("which,load", [(0, load_checkpoint), (1, load_dataset)],

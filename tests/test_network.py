@@ -1,31 +1,31 @@
-"""Network machinery: shape solver, forward/backward consistency and the
-optimizer."""
+"""Network machinery: shape solver, forward/backward consistency, a
+direct-sum forward oracle and the optimizer."""
 
 import numpy as np
 import pytest
 
 from sfsynth.network import (
+    SKIP_DST,
+    SKIP_SRC,
     Adam,
-    LayerSpec,
     backward,
     compensator_layers,
     forward,
     init_params,
 )
 
+SMALL_CHANNELS = (4, 4, 4, 4, 4, 4, 1)
 
-def tiny_params(seed=2, rows=8, cols=9):
-    """2 conv + 2 transposed-conv, 4 channels; skip from layer 0 to 2."""
-    specs = [
-        LayerSpec("conv", 1, 4, 3, 3),
-        LayerSpec("conv", 4, 4, 3, 3),
-        LayerSpec("tconv", 4, 4, 3, 4),
-        LayerSpec("tconv", 4, 1, 4, 3, act="linear"),
-    ]
-    p = init_params(rows, cols, seed=seed, layers=specs, skip=(0, 2))
+
+def small_params(seed=2):
+    """The compensator chain for a 16x15 input with four channels per
+    hidden layer, random biases and per-channel PReLU slopes."""
+    p = init_params(16, 15, seed=seed, channels=SMALL_CHANNELS)
     rng = np.random.default_rng(seed + 1)
-    for i in range(len(p.layers)):
-        p.biases[i][:] = rng.normal(0, 0.1, p.biases[i].shape)
+    for b, s in zip(p.biases, p.slopes):
+        b[:] = rng.normal(0, 0.1, b.shape)
+        if s is not None:
+            s[:] = rng.uniform(0.1, 0.4, s.shape)
     return p
 
 
@@ -35,7 +35,7 @@ def test_shape_solver_full_scale():
     assert chans == [128, 256, 512, 256, 128, 128, 1]
     # the layer restoring the loudspeaker axis needs the taller kernel
     assert (specs[5].kh, specs[5].kw) == (4, 3)
-    assert specs[6].sh == 1 and specs[6].ph == 1 and specs[6].act == "linear"
+    assert specs[6].sh == 1 and specs[6].ph == 1
     h, w = 128, 63
     for sp in specs:
         h, w = sp.out_shape(h, w)
@@ -97,16 +97,53 @@ def test_forward_shape_validation():
         forward(p, np.zeros((1, 16, 14, 1)))
 
 
-def test_identity_single_layer():
-    # a single stride-1 same-padded layer with a centred delta kernel
-    # reproduces its input exactly
-    spec = LayerSpec("tconv", 1, 1, 3, 3, sh=1, sw=1, ph=1, pw=1, act="linear")
-    p = init_params(6, 7, seed=0, layers=[spec], skip=None)
-    p.kernels[0][:] = 0
-    p.kernels[0][0, 0, 1, 1] = 1.0
-    p.biases[0][:] = 0
-    x = np.random.default_rng(3).normal(size=(1, 6, 7, 1))
-    assert np.allclose(forward(p, x)[0], x, atol=1e-15)
+def _reference_forward(p, x):
+    """Direct-sum forward pass of one (rows, cols) sample: explicit loops
+    over every output pixel of a convolution, every input pixel of a
+    transposed convolution, the padding crop, PReLU and the skip add."""
+    cur = x
+    acts = []
+    for i, sp in enumerate(p.layers):
+        c, h, w = cur.shape
+        ker = p.kernels[i]
+        if sp.kind == "conv":
+            ho, wo = (h - sp.kh) // sp.sh + 1, (w - sp.kw) // sp.sw + 1
+            y = np.zeros((sp.out_ch, ho, wo))
+            for o in range(sp.out_ch):
+                for r in range(ho):
+                    for q in range(wo):
+                        patch = cur[:, r * sp.sh:r * sp.sh + sp.kh,
+                                    q * sp.sw:q * sp.sw + sp.kw]
+                        y[o, r, q] = np.sum(ker[o] * patch)
+        else:
+            full = np.zeros((sp.out_ch, (h - 1) * sp.sh + sp.kh,
+                             (w - 1) * sp.sw + sp.kw))
+            for ci in range(c):
+                for r in range(h):
+                    for q in range(w):
+                        full[:, r * sp.sh:r * sp.sh + sp.kh,
+                             q * sp.sw:q * sp.sw + sp.kw] += cur[ci, r, q] * ker[ci]
+            y = full[:, sp.ph:full.shape[1] - sp.ph, sp.pw:full.shape[2] - sp.pw]
+        y = y + p.biases[i][:, None, None]
+        if p.slopes[i] is not None:
+            y = np.where(y < 0, p.slopes[i][:, None, None] * y, y)
+        acts.append(y)
+        cur = y + acts[SKIP_SRC] if i == SKIP_DST else y
+    return cur
+
+
+def test_forward_matches_direct_sum_reference():
+    p = small_params(seed=5)
+    # the real chain: skip pair (1, 3), a 4x3 transposed kernel and the
+    # padded stride-1 linear output layer
+    assert (SKIP_SRC, SKIP_DST) == (1, 3)
+    assert any((sp.kh, sp.kw) == (4, 3) for sp in p.layers)
+    assert (p.layers[-1].sh, p.layers[-1].ph, p.slopes[-1]) == (1, 1, None)
+    x = np.random.default_rng(6).normal(size=(1, 16, 15, 3))
+    y, _ = forward(p, x)
+    for j in range(x.shape[-1]):
+        np.testing.assert_allclose(y[..., j], _reference_forward(p, x[..., j]),
+                                   rtol=1e-12, atol=0)
 
 
 def _numeric_grad(p, x, wmask, arr, idx, h=1e-5):
@@ -121,10 +158,10 @@ def _numeric_grad(p, x, wmask, arr, idx, h=1e-5):
 
 
 def test_parameter_gradients_match_finite_differences():
-    p = tiny_params()
+    p = small_params()
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(1, 8, 9, 2))
-    wmask = rng.normal(size=(1, 8, 9, 2))
+    x = rng.normal(size=(1, 16, 15, 2))
+    wmask = rng.normal(size=(1, 16, 15, 2))
     y, cache = forward(p, x)
     grads = backward(p, wmask, cache)
     gi = 0
@@ -145,20 +182,18 @@ def test_parameter_gradients_match_finite_differences():
     assert worst <= 1e-6, f"worst gradient relative error {worst:.3e}"
 
 
-def test_gradients_without_skip():
-    specs = [
-        LayerSpec("conv", 1, 3, 3, 3),
-        LayerSpec("tconv", 3, 1, 4, 3, act="linear"),
-    ]
-    p = init_params(8, 9, seed=4, layers=specs, skip=None)
+def test_gradients_through_skip_branch():
+    # the kernels up to the skip source reach the output along both the
+    # decoder path and the skip branch
+    p = small_params(seed=4)
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(1, 8, 9, 3))
-    wmask = rng.normal(size=(1, 8, 9, 3))
+    x = rng.normal(size=(1, 16, 15, 3))
+    wmask = rng.normal(size=(1, 16, 15, 3))
     _, cache = forward(p, x)
     grads = backward(p, wmask, cache)
-    arr = p.kernels[0]
-    num = _numeric_grad(p, x, wmask, arr, 5)
-    assert num == pytest.approx(float(grads[0].ravel()[5]), rel=1e-7)
+    for layer, gi in ((0, 0), (SKIP_SRC, 3)):
+        num = _numeric_grad(p, x, wmask, p.kernels[layer], 5)
+        assert num == pytest.approx(float(grads[gi].ravel()[5]), rel=1e-7)
 
 
 def test_param_count_and_flat_order():

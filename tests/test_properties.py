@@ -27,7 +27,7 @@ from sfsynth.fileio import (
     save_checkpoint,
     save_dataset,
 )
-from sfsynth.network import compensator_layers, init_params
+from sfsynth.network import init_params
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 FAST = settings(max_examples=30, deadline=None)
@@ -91,10 +91,8 @@ def small_models(draw):
     rows = 2 * draw(st.integers(8, 11))
     cols = draw(st.integers(15, 20))
     channels = tuple(draw(st.integers(1, 3)) for _ in range(6)) + (1,)
-    skip = draw(st.sampled_from([None, (1, 3)]))
     return init_params(rows, cols, seed=draw(st.integers(0, 2 ** 16)),
-                       layers=compensator_layers(rows, cols, channels),
-                       skip=skip)
+                       channels=channels)
 
 
 @st.composite
@@ -138,7 +136,6 @@ def test_checkpoint_roundtrip_random_shapes(params):
                        _saved_bytes(save_checkpoint, params))
     assert (back.rows, back.cols) == (params.rows, params.cols)
     assert back.layers == params.layers
-    assert (back.skip_src, back.skip_dst) == (params.skip_src, params.skip_dst)
     for a, b in zip(params.flat(), back.flat()):
         assert np.array_equal(a, b)
 
