@@ -33,32 +33,9 @@ def _config_from(args) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_run(args) -> int:
-    manifest = run_experiment(_config_from(args), args.out)
-    print(f"wrote {len(manifest.files)} artifacts to {args.out}")
-    return 0
-
-
-def _cmd_gen_dataset(args) -> int:
-    run_experiment(_config_from(args), args.out, stages=("dataset",))
-    print(f"dataset written to {args.out / 'dataset.sfsx'}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    cfg = _config_from(args)
-    if "cnn" not in cfg.methods:
-        cfg = replace(cfg, methods=tuple(cfg.methods) + ("cnn",))
-        cfg.validate()
-    run_experiment(cfg, args.out, stages=("dataset", "train"))
-    print(f"checkpoint written to {args.out / 'checkpoint.sfsm'}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    manifest = run_experiment(_config_from(args), args.out,
-                              stages=("dataset", "train", "sweep"))
-    for rel in sorted(manifest.paths_for("metrics")):
+def _cmd_stages(args) -> int:
+    manifest = run_experiment(_config_from(args), args.out, until=args.until)
+    for rel in sorted(f["path"] for f in manifest.files):
         print(rel)
     return 0
 
@@ -121,22 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "with a learned driving-signal compensator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run every stage (dataset, train, "
-                                   "evaluate, render)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("gen-dataset", help="generate and persist the dataset")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_dataset)
-
-    p = sub.add_parser("train", help="train the compensation network")
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="run the metric sweeps")
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
+    for name, until, text in (
+            ("run", "render", "run every stage (dataset, train, evaluate, "
+                              "render)"),
+            ("gen-dataset", "dataset", "generate and persist the dataset"),
+            ("train", "train", "train the compensation network "
+                               "(the config's methods must include cnn)"),
+            ("evaluate", "sweep", "run the metric sweeps")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=_cmd_stages, until=until)
 
     p = sub.add_parser("render", help="render one field comparison")
     _add_common(p)
@@ -159,10 +130,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -193,6 +193,9 @@ class ExperimentConfig:
             raise ValueError("n_remove must be in [0, L)")
         if self.freq_count < 1:
             raise ValueError("need at least one frequency")
+        if self.n_radius_bins < 1:
+            raise ValueError("config key 'n_radius_bins' must be at least 1, "
+                             f"got {self.n_radius_bins!r}")
         l_active = self.n_loudspeakers - self.n_remove
         if "cnn" in self.methods:
             # raises with a size diagnosis when the geometry cannot feed

@@ -32,10 +32,13 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+MANIFEST = "manifest.json"
+
+
 @dataclass
 class ArtifactManifest:
     config_hash: str
-    files: list                      # {"path", "role", "sha256", "stale"}
+    files: list                      # {"path", "role", "sha256"}
 
     def to_json(self) -> str:
         payload = {"config_hash": self.config_hash,
@@ -55,13 +58,21 @@ class ArtifactManifest:
                 raise ValueError("manifest file entries need path, role and sha256")
         return cls(config_hash=d["config_hash"], files=d["files"])
 
-    def fresh(self, out_dir, role: str) -> bool:
-        """True when the role has entries and every one exists, is not
-        stale and still hashes to its recorded sha256."""
+    @classmethod
+    def read(cls, out_dir) -> "ArtifactManifest | None":
+        """The manifest of `out_dir`; None when it is absent or malformed."""
+        try:
+            return cls.from_json((Path(out_dir) / MANIFEST).read_text())
+        except (OSError, ValueError):
+            return None
+
+    def fresh(self, out_dir, role: str, paths) -> bool:
+        """True when the role's recorded paths are exactly `paths` and
+        every one of those files still hashes to its recorded sha256."""
         out_dir = Path(out_dir)
         entries = [f for f in self.files if f["role"] == role]
-        return bool(entries) and all(
-            not f.get("stale") and (out_dir / f["path"]).is_file()
+        return sorted(f["path"] for f in entries) == sorted(paths) and all(
+            (out_dir / f["path"]).is_file()
             and fileio.sha256_file(out_dir / f["path"]) == f["sha256"]
             for f in entries)
 
@@ -69,21 +80,25 @@ class ArtifactManifest:
         return [f["path"] for f in self.files if f["role"] == role]
 
 
-def _record(manifest: ArtifactManifest, out_dir: Path, rel: str, role: str) -> None:
-    manifest.files = [f for f in manifest.files if f["path"] != rel]
-    manifest.files.append({"path": rel, "role": role,
-                           "sha256": fileio.sha256_file(out_dir / rel),
-                           "stale": False})
+CHECKPOINT_PATHS = ["checkpoint.sfsm", "checkpoint.sfsm.json"]
 
 
-def _write_manifest(manifest: ArtifactManifest, out_dir: Path) -> None:
-    fileio.write_text(out_dir / "manifest.json", manifest.to_json())
+def _metric_paths(cfg: ExperimentConfig) -> dict:
+    """Path of every metric CSV of the sweep -> its (axis, metric)."""
+    axes = ["frequency_hz"] + (["radius_m"] if cfg.family == "circular" else [])
+    return {f"metrics_{metric}_{ax.split('_')[0]}.csv": (ax, metric)
+            for ax in axes for metric in ("nre", "ssim")}
 
 
-def _mark_stale(manifest: ArtifactManifest, role: str) -> None:
-    for f in manifest.files:
-        if f["role"] == role:
-            f["stale"] = True
+def _field_paths(freq: FrequencyGrid, methods, frequency: float) -> list:
+    """Paths render_field writes, a CSV and a PGM per field: the ground
+    truth, then each method's real part and error map, at the grid
+    frequency nearest `frequency`."""
+    tag = f"f{freq.frequencies[freq.nearest_index(frequency)]:.0f}"
+    names = ["gt_real"] + [f"{m}_{kind}" for m in methods
+                           for kind in ("real", "nre")]
+    return [f"fields/{name}_{tag}.{ext}" for name in names
+            for ext in ("csv", "pgm")]
 
 
 def _test_driving(methods, dataset: Dataset, operators,
@@ -121,25 +136,24 @@ def _pointwise_nre_db(p_hat: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _load_trained_checkpoint(cfg: ExperimentConfig, out_dir: Path) -> ModelParams:
     """Load <out_dir>/checkpoint.sfsm after checking that the directory's
-    manifest was written for this config and still lists the checkpoint
-    with its current hash."""
-    ckpt = out_dir / "checkpoint.sfsm"
+    manifest was written for this config and still records the train
+    stage's files with their current hashes."""
+    ckpt = out_dir / CHECKPOINT_PATHS[0]
     if not ckpt.exists():
         raise FileNotFoundError(
             f"no checkpoint at {ckpt}; train the model first "
             f"(sfsynth train) or pass --method mr/pm")
-    man_path = out_dir / "manifest.json"
-    try:
-        manifest = ArtifactManifest.from_json(man_path.read_text())
-    except (OSError, ValueError):
+    man_path = out_dir / MANIFEST
+    manifest = ArtifactManifest.read(out_dir)
+    if manifest is None:
         raise ValueError(f"no readable manifest at {man_path} to tell which "
-                         f"config {ckpt} was trained for") from None
+                         f"config {ckpt} was trained for")
     chash = cfg.config_hash()
     if manifest.config_hash != chash:
         raise ValueError(f"{ckpt} was trained for another config (manifest "
                          f"config_hash {manifest.config_hash[:12]}, this "
                          f"config {chash[:12]})")
-    if not manifest.fresh(out_dir, "checkpoint"):
+    if not manifest.fresh(out_dir, "checkpoint", CHECKPOINT_PATHS):
         raise ValueError(f"{ckpt} is not the checkpoint {man_path} records")
     return fileio.load_checkpoint(ckpt)
 
@@ -167,7 +181,6 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
     freq = cfg.freq_grid()
     ki = freq.nearest_index(frequency)
     omega = freq.angular[ki]
-    f_hz = freq.frequencies[ki]
     array = cfg.array()
     cp = cfg.control_points()
     grid = cfg.listening_grid()
@@ -192,25 +205,16 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
             driving["cnn"] = compensate(mr, params)[0, :, col]
     g_grid = green_matrix(grid.points, array.active_positions, omega, freq.c)
 
-    fields_dir = out_dir / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"f{f_hz:.0f}"
-    written = []
-
-    def emit(name, values):
-        csv_rel = f"fields/{name}_{tag}.csv"
-        pgm_rel = f"fields/{name}_{tag}.pgm"
+    fields = [p_true]
+    for method in methods:
+        p_hat = g_grid @ driving[method]
+        fields += [p_hat, _pointwise_nre_db(p_hat, p_true).astype(np.complex128)]
+    written = _field_paths(freq, methods, frequency)
+    (out_dir / "fields").mkdir(parents=True, exist_ok=True)
+    for values, csv_rel, pgm_rel in zip(fields, written[::2], written[1::2]):
         fileio.write_field_csv(out_dir / csv_rel, grid.points, values)
         fileio.write_pgm(out_dir / pgm_rel, np.real(values), grid.grid_shape,
                          grid.grid_index)
-        written.extend([csv_rel, pgm_rel])
-
-    emit("gt_real", p_true)
-    for method in methods:
-        p_hat = g_grid @ driving[method]
-        emit(f"{method}_real", p_hat)
-        emit(f"{method}_nre",
-             _pointwise_nre_db(p_hat, p_true).astype(np.complex128))
     return written
 
 
@@ -218,134 +222,104 @@ ALL_STAGES = ("dataset", "train", "sweep", "render")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
-                   stages: tuple = ALL_STAGES) -> ArtifactManifest:
-    """Execute dataset -> train -> sweep -> render; idempotent for a
-    fixed config (stages whose artifacts exist with matching hashes are
-    loaded instead of recomputed).  `stages` restricts the pipeline to a
-    prefix of the chain; later stages always include their prerequisites.
-    """
-    unknown = set(stages) - set(ALL_STAGES)
-    if unknown:
-        raise ValueError(f"unknown stages {sorted(unknown)}")
+                   until: str = "render") -> ArtifactManifest:
+    """Run dataset -> train -> sweep -> render, stopping after `until`;
+    the train stage runs only when "cnn" is among the methods.
+
+    A stage whose files the previous manifest records for this config,
+    exactly and with unchanged hashes, is loaded instead of recomputed.
+    A stage's files are recorded only once it has finished; when a stage
+    fails, the manifest of the finished stages is written and
+    StageError raised.  Idempotent for a fixed config."""
+    if until not in ALL_STAGES:
+        raise ValueError(f"unknown stage {until!r}; expected one of "
+                         f"{list(ALL_STAGES)}")
     cfg.validate()
+    if until == "train" and "cnn" not in cfg.methods:
+        raise ValueError("config key 'methods' must include 'cnn' to train, "
+                         f"got {list(cfg.methods)}")
+    stages = ALL_STAGES[:ALL_STAGES.index(until) + 1]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
-
     # a previous manifest that is malformed or from another config counts
     # as absent: every stage recomputes
-    prev = ArtifactManifest(config_hash=chash, files=[])
-    man_path = out_dir / "manifest.json"
-    if man_path.exists():
-        try:
-            candidate = ArtifactManifest.from_json(man_path.read_text())
-            if candidate.config_hash == chash:
-                prev = candidate
-        except ValueError:
-            pass
+    prev = ArtifactManifest.read(out_dir)
+    if prev is None or prev.config_hash != chash:
+        prev = ArtifactManifest(config_hash=chash, files=[])
     manifest = ArtifactManifest(config_hash=chash, files=[])
 
-    fileio.write_text(out_dir / "config.json", cfg.to_json())
-    _record(manifest, out_dir, "config.json", "config")
-
-    # -- stage: dataset -------------------------------------------------------
-    try:
-        array = cfg.array()
-        cp = cfg.control_points()
-        freq = cfg.freq_grid()
-        ds_rel = "dataset.sfsx"
-        if prev.fresh(out_dir, "dataset"):
-            dataset, _ = fileio.load_dataset(out_dir / ds_rel)
-        else:
-            split = cfg.source_split()
-            dataset = build_dataset(array, split, cp, freq, cfg.lam,
-                                    cfg.mr_listening_radius())
-            fileio.save_dataset(out_dir / ds_rel, dataset,
-                                header_extra={"config_hash": chash})
-        _record(manifest, out_dir, ds_rel, "dataset")
-    except Exception as exc:
-        _mark_stale(manifest, "dataset")
-        _write_manifest(manifest, out_dir)
-        raise StageError("dataset", exc) from exc
-
-    # per-frequency G_cp and PM operators, built on first use and shared
-    # by the train and sweep stages
-    operators = functools.cache(lambda: [
-        pm_operator(array, cp, omega, cfg.lam, freq.c)
-        for omega in freq.angular])
-
-    # -- stage: train ----------------------------------------------------------
-    params = None
-    try:
-        if "cnn" in cfg.methods and {"train", "sweep", "render"} & set(stages):
-            ck_rel = "checkpoint.sfsm"
-            if prev.fresh(out_dir, "checkpoint"):
-                params = fileio.load_checkpoint(out_dir / ck_rel)
-            else:
-                g_stack = np.stack([op.g_cp for op in operators()])
-                result = train_compensator(dataset.train, dataset.val,
-                                           cfg.train_config(), g_stack,
-                                           cfg.loss_weights())
-                params = result.params
-                fileio.save_checkpoint(out_dir / ck_rel, params)
-            _record(manifest, out_dir, ck_rel, "checkpoint")
-            _record(manifest, out_dir, ck_rel + ".json", "checkpoint")
-    except Exception as exc:
-        _mark_stale(manifest, "checkpoint")
-        _write_manifest(manifest, out_dir)
-        raise StageError("train", exc) from exc
-
-    # -- stage: sweep ----------------------------------------------------------
-    if "sweep" in stages:
+    def stage(name, role, paths, compute, load=lambda: None):
+        """Load a stage when `prev` still holds its `paths`, else compute
+        it; record `paths` once it has finished."""
         try:
-            axes = ["frequency_hz"]
-            if cfg.family == "circular":
-                axes.append("radius_m")
-            expected = [f"metrics_{m}_{ax.split('_')[0]}.csv"
-                        for ax in axes for m in ("nre", "ssim")]
-            if prev.fresh(out_dir, "metrics") and \
-                    set(prev.paths_for("metrics")) == set(expected):
-                for rel in expected:
-                    _record(manifest, out_dir, rel, "metrics")
-            else:
-                driving = _test_driving(cfg.methods, dataset, operators,
-                                        params)
-                ctx = SweepContext(array=array, points=cfg.listening_grid(),
-                                   freq_grid=freq,
-                                   sources=[r.source for r in dataset.test],
-                                   driving=driving)
-                methods = list(driving)
-                samples = metric_samples(ctx, methods)
-                fig_ki = freq.nearest_index(cfg.fig_frequency)
-                for ax in axes:
-                    for metric in ("nre", "ssim"):
-                        series = sweep(ctx, methods, ax, metric,
-                                       fixed_frequency_index=fig_ki,
-                                       n_radius_bins=cfg.n_radius_bins,
-                                       samples=samples)
-                        rel = f"metrics_{metric}_{ax.split('_')[0]}.csv"
-                        fileio.write_metric_csv(out_dir / rel, series)
-                        _record(manifest, out_dir, rel, "metrics")
+            result = load() if prev.fresh(out_dir, role, paths) else compute()
+            manifest.files += [{"path": rel, "role": role,
+                                "sha256": fileio.sha256_file(out_dir / rel)}
+                               for rel in paths]
         except Exception as exc:
-            _mark_stale(manifest, "metrics")
-            _write_manifest(manifest, out_dir)
-            raise StageError("sweep", exc) from exc
+            raise StageError(name, exc) from exc
+        return result
 
-    # -- stage: render ---------------------------------------------------------
-    if "render" in stages:
-        try:
-            if prev.fresh(out_dir, "field"):
-                for rel in prev.paths_for("field"):
-                    _record(manifest, out_dir, rel, "field")
-            else:
-                for rel in render_field(cfg, out_dir, cfg.methods,
-                                        cfg.fig_source, cfg.fig_frequency,
-                                        params=params):
-                    _record(manifest, out_dir, rel, "field")
-        except Exception as exc:
-            _mark_stale(manifest, "field")
-            _write_manifest(manifest, out_dir)
-            raise StageError("render", exc) from exc
+    def geometry():
+        return cfg.array(), cfg.control_points(), cfg.freq_grid()
 
-    _write_manifest(manifest, out_dir)
+    def write_config():
+        fileio.write_text(out_dir / "config.json", cfg.to_json())
+        return geometry()
+
+    def build():
+        dataset = build_dataset(array, cfg.source_split(), cp, freq, cfg.lam,
+                                cfg.mr_listening_radius())
+        fileio.save_dataset(out_dir / "dataset.sfsx", dataset,
+                            header_extra={"config_hash": chash})
+        return dataset
+
+    def train():
+        g_stack = np.stack([op.g_cp for op in operators()])
+        params = train_compensator(dataset.train, dataset.val,
+                                   cfg.train_config(), g_stack,
+                                   cfg.loss_weights()).params
+        fileio.save_checkpoint(out_dir / CHECKPOINT_PATHS[0], params)
+        return params
+
+    def evaluate():
+        driving = _test_driving(cfg.methods, dataset, operators, params)
+        ctx = SweepContext(array=array, points=cfg.listening_grid(),
+                           freq_grid=freq,
+                           sources=[r.source for r in dataset.test],
+                           driving=driving)
+        methods = list(driving)
+        samples = metric_samples(ctx, methods)
+        fig_ki = freq.nearest_index(cfg.fig_frequency)
+        for rel, (ax, metric) in _metric_paths(cfg).items():
+            fileio.write_metric_csv(out_dir / rel, sweep(
+                ctx, methods, ax, metric, fixed_frequency_index=fig_ki,
+                n_radius_bins=cfg.n_radius_bins, samples=samples))
+
+    try:
+        array, cp, freq = stage("dataset", "config", ["config.json"],
+                                write_config, geometry)
+        dataset = stage("dataset", "dataset", ["dataset.sfsx"], build,
+                        lambda: fileio.load_dataset(out_dir / "dataset.sfsx")[0])
+        # per-frequency G_cp and PM operators, built on first use and
+        # shared by the train and sweep stages
+        operators = functools.cache(lambda: [
+            pm_operator(array, cp, omega, cfg.lam, freq.c)
+            for omega in freq.angular])
+        params = None
+        if "cnn" in cfg.methods and "train" in stages:
+            params = stage("train", "checkpoint", CHECKPOINT_PATHS, train,
+                           lambda: fileio.load_checkpoint(
+                               out_dir / CHECKPOINT_PATHS[0]))
+        if "sweep" in stages:
+            stage("sweep", "metrics", list(_metric_paths(cfg)), evaluate)
+        if "render" in stages:
+            stage("render", "field",
+                  _field_paths(freq, cfg.methods, cfg.fig_frequency),
+                  lambda: render_field(cfg, out_dir, cfg.methods,
+                                       cfg.fig_source, cfg.fig_frequency,
+                                       params=params))
+    finally:
+        fileio.write_text(out_dir / MANIFEST, manifest.to_json())
     return manifest

@@ -257,6 +257,7 @@ def load_dataset(path) -> tuple:
         try:
             header = json.loads(blob.decode())
             l, k, i_cp, *counts = (header[key] for key in _DATASET_DIMS)
+            seed = header["source_seed"]
             freq = FrequencyGrid(
                 frequencies=np.array([float(f) for f in header["frequencies"]]),
                 c=float(header["c"]))
@@ -265,6 +266,8 @@ def load_dataset(path) -> tuple:
         if not all(isinstance(v, int) and v >= 0 for v in [l, k, i_cp, *counts]) \
                 or freq.k != k:
             r.fail("bad header (dimensions)", at)
+        if not (isinstance(seed, int) and seed >= 0):
+            r.fail(f"bad header (source_seed {seed!r})", at)
         record_size = 4 + 16 + 16 * l * k + 16 * i_cp * k
         r.expect_size(r.offset + sum(counts) * record_size)
         groups = []
@@ -280,7 +283,7 @@ def load_dataset(path) -> tuple:
             groups.append(recs)
     ds = Dataset(train=groups[0], val=groups[1], test=groups[2],
                  freq_grid=freq, l_active=l, n_control=i_cp,
-                 source_seed=header.get("source_seed", 0))
+                 source_seed=seed)
     return ds, header
 
 

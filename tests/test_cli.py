@@ -58,8 +58,20 @@ def test_gen_dataset_only(micro_cfg_file, tmp_path):
     out = run_cli("gen-dataset", "--config", str(micro_cfg_file),
                   "--scale", "desk", "--out", str(tmp_path / "ds"))
     assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["config.json", "dataset.sfsx"]
     assert (tmp_path / "ds" / "dataset.sfsx").exists()
     assert not (tmp_path / "ds" / "checkpoint.sfsm").exists()
+
+
+def test_train_needs_cnn(tmp_path):
+    # training never rewrites the config: without cnn among the methods
+    # it stops before creating the output directory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(MICRO, methods=["mr", "pm"])))
+    out = run_cli("train", "--config", str(cfg), "--scale", "desk",
+                  "--out", str(tmp_path / "x"))
+    assert "'methods'" in _one_error_line(out)
+    assert not (tmp_path / "x").exists()
 
 
 def test_render_and_inspect(micro_cfg_file, tmp_path):
@@ -127,10 +139,12 @@ def _one_error_line(out) -> str:
     ('{"lam": 0}', "'lam'"),
     ('{"methods": []}', "'methods'"),
     ('{"methods": ["mr", "mr", "pm"]}', "'methods'"),
+    ('{"n_radius_bins": 0}', "'n_radius_bins'"),
+    ('{"n_radius_bins": -2}', "'n_radius_bins'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
-        "methods-repeated"])
+        "methods-repeated", "radius-bins-zero", "radius-bins-negative"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -212,14 +226,16 @@ def test_render_cnn_with_checkpoint_of_other_geometry(artifacts, tmp_path):
     from sfsynth.config import load_config
     from sfsynth.experiment import ArtifactManifest
     from sfsynth.fileio import sha256_file
-    ckpt = tmp_path / "checkpoint.sfsm"
-    ckpt.write_bytes((artifacts / "checkpoint.sfsm").read_bytes())
+    for name in ("checkpoint.sfsm", "checkpoint.sfsm.json"):
+        (tmp_path / name).write_bytes((artifacts / name).read_bytes())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(MICRO, n_remove=6)))
     (tmp_path / "manifest.json").write_text(ArtifactManifest(
         config_hash=load_config(cfg, scale="desk").config_hash(),
-        files=[{"path": ckpt.name, "role": "checkpoint",
-                "sha256": sha256_file(ckpt), "stale": False}]).to_json())
+        files=[{"path": name, "role": "checkpoint",
+                "sha256": sha256_file(tmp_path / name)}
+               for name in ("checkpoint.sfsm", "checkpoint.sfsm.json")]
+    ).to_json())
     out = run_cli("render", "--config", str(cfg), "--scale", "desk",
                   "--out", str(tmp_path), "--method", "cnn",
                   "--source", "2.0,0.5", "--frequency", "200")

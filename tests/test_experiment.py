@@ -3,6 +3,8 @@ interrupted artifact writes."""
 
 import builtins
 import fnmatch
+import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +44,8 @@ def test_manifest_contents(micro_run):
     # field images: ground truth plus real/error maps per method
     pgms = [p for p in manifest.paths_for("field") if p.endswith(".pgm")]
     assert len(pgms) >= 3
-    assert all(manifest.fresh(out, role) for role in roles)
+    assert all(manifest.fresh(out, role, manifest.paths_for(role))
+               for role in roles)
 
 
 def test_manifest_hashes_match_disk(micro_run):
@@ -162,15 +165,18 @@ def test_manifest_roundtrip(micro_run):
 
 def test_fresh_needs_entries_and_matching_hashes(micro_run):
     _, out, manifest = micro_run
-    assert manifest.fresh(out, "dataset")
-    assert not manifest.fresh(out, "no-such-role")
+    assert manifest.fresh(out, "dataset", ["dataset.sfsx"])
+    assert not manifest.fresh(out, "no-such-role", ["dataset.sfsx"])
     entry = next(f for f in manifest.files if f["role"] == "dataset")
     altered = ArtifactManifest(config_hash=manifest.config_hash,
                                files=[dict(entry, sha256="0" * 64)])
-    assert not altered.fresh(out, entry["role"])
-    stale = ArtifactManifest(config_hash=manifest.config_hash,
-                             files=[dict(entry, stale=True)])
-    assert not stale.fresh(out, entry["role"])
+    assert not altered.fresh(out, "dataset", ["dataset.sfsx"])
+    # entries an interrupted stage left behind never make it fresh
+    metrics = [f for f in manifest.files if f["role"] == "metrics"]
+    partial = ArtifactManifest(config_hash=manifest.config_hash,
+                               files=metrics[:2])
+    assert len(metrics) == 4
+    assert not partial.fresh(out, "metrics", [f["path"] for f in metrics])
 
 
 @pytest.mark.parametrize("text", [
@@ -194,10 +200,76 @@ def test_malformed_manifest_counts_as_absent(tmp_path, bad):
                 '"sha256": "0"}]}' % cfg.config_hash())
     (tmp_path / "manifest.json").write_text(text)
     manifest = run_experiment(cfg, tmp_path)
-    assert manifest.fresh(tmp_path, "dataset")
+    assert manifest.fresh(tmp_path, "dataset", ["dataset.sfsx"])
     assert len(manifest.paths_for("metrics")) == 4
     again = ArtifactManifest.from_json((tmp_path / "manifest.json").read_text())
     assert again.to_json() == manifest.to_json()
+
+
+# the functions perfbench times as stage boundaries; the runner must
+# look them up by name when a stage runs
+STAGE_FUNCTIONS = ("build_dataset", "train_compensator", "metric_samples",
+                   "render_field")
+
+
+def _count_stage_calls(monkeypatch) -> list:
+    calls = []
+    for name in STAGE_FUNCTIONS:
+        monkeypatch.setattr(
+            experiment, name,
+            lambda *a, _name=name, _real=getattr(experiment, name), **k:
+            calls.append(_name) or _real(*a, **k))
+    return calls
+
+
+def test_manifest_with_stale_keys_is_reused(micro_run, tmp_path, monkeypatch):
+    # older manifests carry "stale": false on every entry; a directory
+    # holding one is reused whole and its manifest rewritten without them
+    cfg, out, manifest = micro_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    old = json.loads((tmp_path / "manifest.json").read_text())
+    for f in old["files"]:
+        f["stale"] = False
+    (tmp_path / "manifest.json").write_text(json.dumps(old))
+    calls = _count_stage_calls(monkeypatch)
+    again = run_experiment(cfg, tmp_path)
+    assert calls == []
+    assert again.to_json() == manifest.to_json()
+
+
+def test_failed_sweep_records_no_metrics(tmp_path, monkeypatch):
+    # the sweep fails after writing its first CSV; the manifest keeps the
+    # finished stages and no entry of the failed one
+    cfg = micro_config(methods=("mr", "pm"))
+    real = experiment.sweep
+
+    def fails_after_first_csv(*args, **kwargs):
+        if list(tmp_path.glob("metrics_*.csv")):
+            raise RuntimeError("sweep broke")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "sweep", fails_after_first_csv)
+    with pytest.raises(experiment.StageError,
+                       match=r"\[stage:sweep\] sweep broke"):
+        run_experiment(cfg, tmp_path)
+    assert (tmp_path / "metrics_nre_frequency.csv").exists()
+    manifest = ArtifactManifest.read(tmp_path)
+    assert manifest.paths_for("metrics") == []
+    assert {f["role"] for f in manifest.files} == {"config", "dataset"}
+
+
+def test_until_dataset_records_config_and_dataset(tmp_path):
+    manifest = run_experiment(micro_config(), tmp_path, until="dataset")
+    assert sorted((f["role"], f["path"]) for f in manifest.files) == [
+        ("config", "config.json"), ("dataset", "dataset.sfsx")]
+    assert not (tmp_path / "checkpoint.sfsm").exists()
+
+
+@pytest.mark.parametrize("until", ["evaluate", "metrics", ""])
+def test_unknown_until_rejected(tmp_path, until):
+    with pytest.raises(ValueError, match="unknown stage"):
+        run_experiment(micro_config(), tmp_path / "x", until=until)
+    assert not (tmp_path / "x").exists()
 
 
 class _TornFile:
@@ -262,6 +334,7 @@ def test_interrupted_write_keeps_old_file_and_rerun_recomputes(
     manifest = run_experiment(cfg, tmp_path)
     assert calls
     roles = {f["role"] for f in manifest.files}
-    assert all(manifest.fresh(tmp_path, role) for role in roles)
+    assert all(manifest.fresh(tmp_path, role, manifest.paths_for(role))
+               for role in roles)
     if target.name != "manifest.json":
         assert target.read_bytes() == before

@@ -1,6 +1,7 @@
 """Binary formats and text/image exporters."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -160,6 +161,29 @@ def test_trailing_bytes_rejected(saved, tmp_path, which, load):
 
 def test_dataset_bad_header_json(saved, tmp_path):
     bad = _corrupt(saved[1], tmp_path / "bad.sfsx", 12, b"[")
+    with pytest.raises(ArtifactFormatError, match="bad header") as info:
+        load_dataset(bad)
+    assert info.value.offset == 12
+
+
+def _with_header(src, dst, edit):
+    # rewrite the length-prefixed JSON header that follows magic and version
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                    + raw[12 + hlen:])
+    return dst
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("source_seed"),
+    lambda h: h.update(source_seed="x"),
+], ids=["missing", "string"])
+def test_dataset_header_source_seed_checked(saved, tmp_path, edit):
+    bad = _with_header(saved[1], tmp_path / "bad.sfsx", edit)
     with pytest.raises(ArtifactFormatError, match="bad header") as info:
         load_dataset(bad)
     assert info.value.offset == 12
