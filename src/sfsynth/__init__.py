@@ -11,13 +11,12 @@ from .acoustics import (
     FrequencyGrid,
     PlaneWaveSet,
     Source,
-    green2d,
     green_matrix,
     herglotz_point_source,
     plane_wave_field,
     truncation_order,
 )
-from .bessel import bessel_jy, hankel2, hankel2_orders
+from .bessel import hankel2_orders
 from .compensator import (
     LossWeights,
     TrainConfig,
@@ -53,7 +52,6 @@ from .geometry import (
 )
 from .network import ModelParams, compensator_layers, init_params
 from .renderers import (
-    FilterBank,
     PMOperator,
     mr_circular_driving,
     mr_linear_driving,

@@ -53,6 +53,8 @@ class FrequencyGrid:
         return len(self.frequencies)
 
     def nearest_index(self, frequency: float) -> int:
+        if not np.isfinite(frequency):
+            raise ValueError(f"frequency must be finite, got {frequency}")
         return int(np.argmin(np.abs(self.frequencies - frequency)))
 
 
@@ -110,23 +112,6 @@ class PlaneWaveSet:
         return self.window[1] - self.window[0]
 
 
-def green2d(r, r_src, omega: float, c: float = DEFAULT_SPEED_OF_SOUND):
-    """Free-field 2D Green's function (j/4) H_0^(2)(k |r - r_src|).
-
-    Accepts a single point or an (N, 2) array of points; raises on
-    coincident point/source pairs.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    src = np.asarray(r_src, dtype=np.float64).reshape(2)
-    single = r.ndim == 1
-    pts = np.atleast_2d(r)
-    d = np.hypot(pts[:, 0] - src[0], pts[:, 1] - src[1])
-    if np.any(d < _SINGULARITY_EPS):
-        raise ValueError("field point coincides with the source position")
-    g = 0.25j * hankel2_zero((omega / c) * d)
-    return g[0] if single else g
-
-
 def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
                  c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
     """Matrix of Green's-function values, shape (n_points, n_sources).
@@ -155,15 +140,13 @@ def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
     return g.reshape(len(pts), len(srcs))
 
 
-def plane_wave_field(r, theta: float, omega: float,
-                     c: float = DEFAULT_SPEED_OF_SOUND):
-    """Unit plane wave exp(j k <r, k_hat(theta)>), k_hat = [cos, sin]."""
-    r = np.asarray(r, dtype=np.float64)
-    single = r.ndim == 1
-    pts = np.atleast_2d(r)
+def plane_wave_field(points: np.ndarray, theta: float, omega: float,
+                     c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+    """Unit plane wave exp(j k <r, k_hat(theta)>), k_hat = [cos, sin], at
+    the (N, 2) points, (N,)."""
+    pts = np.asarray(points, dtype=np.float64)
     phase = (omega / c) * (pts[:, 0] * np.cos(theta) + pts[:, 1] * np.sin(theta))
-    w = np.exp(1j * phase)
-    return w[0] if single else w
+    return np.exp(1j * phase)
 
 
 def truncation_order(omega: float, rho: float,

@@ -25,8 +25,6 @@ import numpy as np
 SERIES_CUTOFF = 16.0
 # |Y| beyond this is treated as overflow (order far above argument)
 OVERFLOW_LIMIT = 1e280
-# guard against absurd orders; renderers stay far below this
-MAX_ORDER = 128
 # Miller start margin: the downward recurrence starts about
 # sqrt(MILLER_ACC * n) orders above n = max(m_max, ceil(x))
 MILLER_ACC = 250
@@ -107,9 +105,7 @@ def jy01(x) -> tuple:
     Raises ValueError on non-positive arguments (Y has a log singularity
     at zero).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("Bessel argument must be positive and finite")
+    x = _arguments(x)
     j0 = np.empty_like(x)
     y0 = np.empty_like(x)
     j1 = np.empty_like(x)
@@ -207,16 +203,6 @@ def bessel_y_orders(m_max: int, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def bessel_jy(m: int, x: float) -> tuple:
-    """(J_m(x), Y_m(x)) for integer m (negative via parity)."""
-    am = abs(int(m))
-    j = bessel_j_orders(am, x)[am]
-    y = bessel_y_orders(am, x)[am]
-    if m < 0 and am % 2 == 1:
-        return -j, -y
-    return j, y
-
-
 def hankel2_orders(m_max: int, x) -> np.ndarray:
     """H_0^(2)(x) .. H_m_max^(2)(x); x is a scalar or a 1-D array (one
     row per argument)."""
@@ -225,21 +211,6 @@ def hankel2_orders(m_max: int, x) -> np.ndarray:
     j = bessel_j_orders(m_max, x)
     y = bessel_y_orders(m_max, x)
     return j - 1j * y
-
-
-def hankel2(m: int, x: float) -> complex:
-    """H_m^(2)(x) for integer order m, |m| <= MAX_ORDER, scalar x > 0.
-
-    Negative orders use H_(-m)^(2) = (-1)^m H_m^(2).
-    """
-    m = int(m)
-    if abs(m) > MAX_ORDER:
-        raise ValueError(f"|order| {abs(m)} exceeds limit {MAX_ORDER}")
-    am = abs(m)
-    h = hankel2_orders(am, float(x))[am]
-    if m < 0 and am % 2 == 1:
-        return -h
-    return h
 
 
 def hankel2_sym_range(m_max: int, x) -> np.ndarray:

@@ -150,7 +150,7 @@ def _batch_loss_and_grads(params: ModelParams, records, idxs,
 
 
 def evaluate_loss(params: ModelParams, records, g_stack: np.ndarray,
-                  w: LossWeights, batch_size: int = 32) -> float:
+                  w: LossWeights, batch_size: int) -> float:
     """Mean loss over records, weighted by record count."""
     total = 0.0
     for lo in range(0, len(records), batch_size):
@@ -162,8 +162,7 @@ def evaluate_loss(params: ModelParams, records, g_stack: np.ndarray,
 
 
 def train_compensator(train_records, val_records, cfg: TrainConfig,
-                      g_stack: np.ndarray,
-                      weights: LossWeights | None = None) -> TrainResult:
+                      g_stack: np.ndarray, weights: LossWeights) -> TrainResult:
     """Adam training with early stopping on the validation loss.
 
     Deterministic for a fixed cfg.seed: the initialization and the
@@ -173,7 +172,6 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
     if len(train_records) == 0 or len(val_records) == 0:
         raise ValueError("need non-empty train and validation splits")
     g_stack = np.asarray(g_stack, dtype=np.complex128)
-    w = weights or LossWeights()
     rows, cols = np.asarray(train_records[0].tensor).shape
     seq = np.random.SeedSequence(cfg.seed)
     s_init, s_shuffle = seq.spawn(2)
@@ -194,13 +192,13 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
         for lo in range(0, n, cfg.batch_size):
             idxs = order[lo:lo + cfg.batch_size].tolist()
             batch_loss, grads = _batch_loss_and_grads(
-                params, train_records, idxs, g_stack, w, want_grads=True)
+                params, train_records, idxs, g_stack, weights, want_grads=True)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, "training loss is not finite")
             opt.step(flat, grads)
             train_loss += batch_loss * len(idxs)
         train_loss /= n
-        val_loss = evaluate_loss(params, val_records, g_stack, w,
+        val_loss = evaluate_loss(params, val_records, g_stack, weights,
                                  cfg.batch_size)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch, "validation loss is not finite")

@@ -9,6 +9,8 @@ import math
 
 from dataclasses import asdict, dataclass, replace
 
+import numpy as np
+
 from .acoustics import FrequencyGrid
 from .compensator import LossWeights, TrainConfig
 from .datasets import SourceSplit, gen_sources_circular, gen_sources_linear
@@ -42,18 +44,19 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json reads NaN and Infinity as floats
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
 # the JSON values each field annotation accepts: (description, test)
 _JSON_TYPES = {
     "int": ("an integer", _is_int),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "tuple[str, ...]": ("a list of strings", lambda v: isinstance(
         v, (list, tuple)) and all(isinstance(x, str) for x in v)),
-    "tuple[float, float]": ("two numbers", lambda v: isinstance(
+    "tuple[float, float]": ("two finite numbers", lambda v: isinstance(
         v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
 }
 
@@ -136,18 +139,28 @@ class ExperimentConfig:
     def listening_grid(self) -> PointSet:
         return sample_listening_grid(self.listening_area())
 
-    def control_points(self, array: ArrayGeometry | None = None) -> PointSet:
+    def control_points(self) -> PointSet:
         return sample_control_points(self.listening_area(),
                                      self.control_target,
-                                     clearance_from=array or self.full_array())
+                                     clearance_from=self.full_array())
+
+    def check_source(self, position, what="source position") -> np.ndarray:
+        """`position` as a (2,) array; ValueError naming `what` unless a
+        source there can be rendered: finite, outside the listening area
+        and, for a circular array, outside the array radius."""
+        pos = np.asarray(position, dtype=np.float64).reshape(2)
+        if not np.all(np.isfinite(pos)):
+            raise ValueError(f"{what} {pos.tolist()} is not finite")
+        if self.listening_area().contains(pos)[0]:
+            raise ValueError(f"{what} lies inside the listening area")
+        if self.family == "circular" and np.hypot(*pos) <= self.array_radius:
+            raise ValueError(f"{what} lies inside the array radius")
+        return pos
 
     def mr_listening_radius(self) -> float:
         """Radius bounding the listening area, used by the modal
         truncation rule."""
-        area = self.listening_area()
-        if area.kind == "disk":
-            return float(area.radius)
-        return area.bounding_radius
+        return self.listening_area().bounding_radius
 
     def source_region_linear(self) -> tuple:
         x0 = self.array_x0
@@ -209,6 +222,7 @@ class ExperimentConfig:
             if self.source_radius_min <= self.array_radius:
                 raise ValueError("sources must lie outside the array")
         self.listening_area()
+        self.check_source(self.fig_source, "config key 'fig_source'")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -76,12 +76,12 @@ class Dataset:
 
 
 def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
-                         test_shift: float, seed: int,
-                         val_count: int | None = None,
+                         test_shift: float, seed: int, val_count: int,
                          n_test: int | None = None) -> SourceSplit:
     """Sources on n_radii seeded-uniform circumferences, n_angles uniform
-    angles each; the test set is the train+val set shifted radially
-    outward by test_shift (optionally subsampled to n_test).
+    angles each, val_count of them drawn for validation; the test set is
+    the train+val set shifted radially outward by test_shift (optionally
+    subsampled to n_test).
     """
     if test_shift <= 0:
         raise ValueError("test_shift must be positive")
@@ -94,8 +94,6 @@ def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
     positions = np.array([[r * np.cos(a), r * np.sin(a)]
                           for r in radii for a in angles])
     total = len(positions)
-    if val_count is None:
-        val_count = max(1, total // 5)
     if not 0 < val_count < total:
         raise ValueError("val_count must split the pool in two")
     val_idx = np.sort(rng.choice(total, size=val_count, replace=False))
@@ -111,26 +109,22 @@ def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
             raise ValueError("n_test must be in (0, train+val count]")
         pick = np.sort(rng.choice(total, size=n_test, replace=False))
         shifted = shifted[pick]
-    pool = {(float(p[0]), float(p[1])) for p in positions}
-    for p in shifted:
-        if (float(p[0]), float(p[1])) in pool:
-            raise ValueError("test shift produced an overlap with train/val")
     test = [Source(position=p) for p in shifted]
     return SourceSplit(train=train, val=val, test=test, seed=seed)
 
 
 def gen_sources_linear(n_train: int, n_val: int, n_test: int,
                        region: tuple, test_shift: float, seed: int,
-                       x0: float | None = None) -> SourceSplit:
+                       x0: float) -> SourceSplit:
     """Seeded-uniform sources in a rectangle on the far side of the
-    array; test sources are +x-shifted copies of the first n_test of
-    train+val."""
+    array plane x = x0; test sources are +x-shifted copies of the first
+    n_test of train+val."""
     if test_shift <= 0:
         raise ValueError("test_shift must be positive")
     xmin, xmax, ymin, ymax = region
     if xmax <= xmin or ymax <= ymin:
         raise ValueError("invalid source region")
-    if x0 is not None and xmin <= x0:
+    if xmin <= x0:
         raise ValueError("source region must lie beyond the array plane x0")
     if n_test > n_train + n_val:
         raise ValueError("n_test cannot exceed the train+val count")
@@ -139,12 +133,8 @@ def gen_sources_linear(n_train: int, n_val: int, n_test: int,
                     rng.uniform(ymin, ymax, n_train + n_val)], axis=1)
     train = [Source(position=p) for p in pos[:n_train]]
     val = [Source(position=p) for p in pos[n_train:]]
-    shifted = pos[:n_test] + np.array([test_shift, 0.0])
-    pool = {(float(p[0]), float(p[1])) for p in pos}
-    for p in shifted:
-        if (float(p[0]), float(p[1])) in pool:
-            raise ValueError("test shift produced an overlap with train/val")
-    test = [Source(position=p) for p in shifted]
+    test = [Source(position=p)
+            for p in pos[:n_test] + np.array([test_shift, 0.0])]
     return SourceSplit(train=train, val=val, test=test, seed=seed)
 
 

@@ -123,24 +123,19 @@ def metric_samples(ctx: SweepContext, methods) -> dict:
 
 
 def sweep(ctx: SweepContext, methods, axis: str, metric: str,
-          fixed_frequency_index: int | None = None,
-          n_radius_bins: int = 10,
-          samples: dict | None = None) -> MetricSeries:
-    """Aggregate a metric over the test sources.
+          fixed_frequency_index: int, n_radius_bins: int,
+          samples: dict) -> MetricSeries:
+    """Aggregate a metric of `samples`, the metric_samples output for
+    ctx, over the test sources.
 
     axis "frequency_hz": mean over sources at every grid frequency.
-    axis "radius_m": sources binned by their radius, metric taken at
-    fixed_frequency_index; empty bins are reported with count zero and a
-    NaN mean rather than dropped.
-
-    `samples` may carry the output of a previous call's raw per-source
-    values to avoid recomputing fields for a second metric.
+    axis "radius_m": sources binned by their radius into n_radius_bins,
+    metric taken at fixed_frequency_index; empty bins are reported with
+    count zero and a NaN mean rather than dropped.
     """
     methods = list(methods)
     if metric not in ("nre", "ssim"):
         raise ValueError(f"unknown metric {metric!r}")
-    if samples is None:
-        samples = metric_samples(ctx, methods)
     if axis == "frequency_hz":
         values = {m: samples[m][metric].mean(axis=0) for m in methods}
         counts = np.full(ctx.freq_grid.k, len(ctx.sources), dtype=int)
@@ -148,8 +143,6 @@ def sweep(ctx: SweepContext, methods, axis: str, metric: str,
                             values=values, counts=counts, metric=metric)
     if axis != "radius_m":
         raise ValueError(f"unknown axis {axis!r}")
-    if fixed_frequency_index is None:
-        raise ValueError("radius sweep needs fixed_frequency_index")
     radii = np.array([s.rho for s in ctx.sources])
     lo, hi = radii.min(), radii.max()
     if hi == lo:

@@ -76,9 +76,6 @@ class ArtifactManifest:
             and fileio.sha256_file(out_dir / f["path"]) == f["sha256"]
             for f in entries)
 
-    def paths_for(self, role: str) -> list:
-        return [f["path"] for f in self.files if f["role"] == role]
-
 
 CHECKPOINT_PATHS = ["checkpoint.sfsm", "checkpoint.sfsm.json"]
 
@@ -171,10 +168,7 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
         raise ValueError(f"methods must be a list of names, not {methods!r}")
     methods = list(methods)
     out_dir = Path(out_dir)
-    area = cfg.listening_area()
-    pos = np.asarray(source_pos, dtype=np.float64).reshape(2)
-    if bool(area.contains(pos[None, :], strict=False)[0]):
-        raise ValueError("source position lies inside the listening area")
+    pos = cfg.check_source(source_pos)
     for method in methods:
         if method not in cfg.methods:
             raise ValueError(f"method {method!r} not enabled in this config")

@@ -129,17 +129,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _interleave(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape + (2,), dtype="<f8")
-    out[..., 0] = z.real
-    out[..., 1] = z.imag
-    return out
-
-
-def _deinterleave(raw: np.ndarray) -> np.ndarray:
-    return raw[..., 0] + 1j * raw[..., 1]
-
-
 # -- model checkpoints -------------------------------------------------------
 
 def _table_rows(layers: list) -> list:
@@ -219,14 +208,23 @@ def load_checkpoint(path) -> ModelParams:
 
 # -- datasets ----------------------------------------------------------------
 
+def _record_dtype(l_active: int, k: int, i_cp: int) -> np.dtype:
+    """One packed dataset record: source id, source position, the
+    packed (2L, K) driving tensor and the (I, K) control pressures.
+    Little-endian complex128 is the interleaved (re, im) float64 layout.
+    ValueError when a record would not fit in 2 GiB."""
+    return np.dtype([("source_id", "<u4"), ("position", "<f8", (2,)),
+                     ("tensor", "<f8", (2 * l_active, k)),
+                     ("pressures", "<c16", (i_cp, k))])
+
+
 def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
-    """Length-prefixed JSON header followed by fixed-size records in
-    split order (train, val, test; source id ascending)."""
-    recs = ds.all_records
-    i_cp = ds.n_control
+    """Length-prefixed JSON header followed by fixed-size records of
+    _record_dtype in split order (train, val, test; source id
+    ascending)."""
     header = {
         "format": "sfs-dataset", "version": FORMAT_VERSION,
-        "l_active": ds.l_active, "k": ds.freq_grid.k, "i_cp": i_cp,
+        "l_active": ds.l_active, "k": ds.freq_grid.k, "i_cp": ds.n_control,
         "n_train": len(ds.train), "n_val": len(ds.val), "n_test": len(ds.test),
         "frequencies": [repr(float(f)) for f in ds.freq_grid.frequencies],
         "c": repr(float(ds.freq_grid.c)),
@@ -235,16 +233,20 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
     if header_extra:
         header.update(header_extra)
     blob = json.dumps(header, sort_keys=True).encode()
+    rec_dtype = _record_dtype(ds.l_active, ds.freq_grid.k, ds.n_control)
+    shapes = (rec_dtype["tensor"].shape, rec_dtype["pressures"].shape)
     with atomic_open(path) as fh:
         fh.write(MAGIC_DATASET)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for rec in recs:
-            fh.write(struct.pack("<I", rec.source_id))
-            fh.write(struct.pack("<dd", float(rec.source.position[0]),
-                                 float(rec.source.position[1])))
-            fh.write(rec.tensor.astype("<f8").tobytes())
-            fh.write(_interleave(rec.pressures).tobytes())
+        # one record in memory at a time
+        for rec in ds.all_records:
+            # numpy would broadcast a one-row array into the record
+            if (rec.tensor.shape, rec.pressures.shape) != shapes:
+                raise ValueError(f"record {rec.source_id} does not have the "
+                                 f"dataset's (2L, K) and (I, K) shapes")
+            fh.write(np.array((rec.source_id, rec.source.position, rec.tensor,
+                               rec.pressures), rec_dtype).tobytes())
 
 
 def load_dataset(path) -> tuple:
@@ -268,20 +270,20 @@ def load_dataset(path) -> tuple:
             r.fail("bad header (dimensions)", at)
         if not (isinstance(seed, int) and seed >= 0):
             r.fail(f"bad header (source_seed {seed!r})", at)
-        record_size = 4 + 16 + 16 * l * k + 16 * i_cp * k
-        r.expect_size(r.offset + sum(counts) * record_size)
-        groups = []
-        for count in counts:
-            recs = []
-            for _ in range(count):
-                sid, x, y = r.unpack("<Idd", "record header")
-                tensor = r.floats((2 * l, k), "tensor")
-                raw = r.floats((i_cp, k, 2), "pressures")
-                recs.append(DatasetRecord(
-                    source_id=sid, source=Source(position=np.array([x, y])),
-                    tensor=tensor, pressures=_deinterleave(raw)))
-            groups.append(recs)
-    ds = Dataset(train=groups[0], val=groups[1], test=groups[2],
+        try:
+            rec_dtype = _record_dtype(l, k, i_cp)
+        except ValueError:
+            r.fail("bad header (record size)", at)
+        r.expect_size(r.offset + sum(counts) * rec_dtype.itemsize)
+        data = np.fromfile(fh, rec_dtype, sum(counts))
+    # the records' arrays are views into that one buffer
+    recs = [DatasetRecord(source_id=int(row["source_id"]),
+                          source=Source(position=row["position"]),
+                          tensor=row["tensor"], pressures=row["pressures"])
+            for row in data]
+    n_train, n_val = counts[0], counts[1]
+    ds = Dataset(train=recs[:n_train], val=recs[n_train:n_train + n_val],
+                 test=recs[n_train + n_val:],
                  freq_grid=freq, l_active=l, n_control=i_cp,
                  source_seed=seed)
     return ds, header

@@ -72,13 +72,6 @@ class ArrayGeometry:
             raise ValueError("angles only defined for circular arrays")
         return self.angles[self.active_mask]
 
-    @property
-    def polar(self) -> tuple:
-        """(rho_l, theta_l) for every loudspeaker of a circular array."""
-        if self.family != "circular":
-            raise ValueError("polar coordinates only defined for circular arrays")
-        return np.full(self.total_count, self.radius), self.angles.copy()
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -139,16 +132,14 @@ class ListeningArea:
         return cls(kind="rectangle", spacing=spacing,
                    xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax)
 
-    def contains(self, points: np.ndarray, strict: bool = True) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Which of the (N, 2) points lie inside or on the boundary."""
         pts = np.atleast_2d(points)
         if self.kind == "disk":
             d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-            return d < self.radius if strict else d <= self.radius + _TOL
-        inx = (pts[:, 0] > self.xmin) & (pts[:, 0] < self.xmax)
-        iny = (pts[:, 1] > self.ymin) & (pts[:, 1] < self.ymax)
-        if not strict:
-            inx = (pts[:, 0] >= self.xmin - _TOL) & (pts[:, 0] <= self.xmax + _TOL)
-            iny = (pts[:, 1] >= self.ymin - _TOL) & (pts[:, 1] <= self.ymax + _TOL)
+            return d <= self.radius + _TOL
+        inx = (pts[:, 0] >= self.xmin - _TOL) & (pts[:, 0] <= self.xmax + _TOL)
+        iny = (pts[:, 1] >= self.ymin - _TOL) & (pts[:, 1] <= self.ymax + _TOL)
         return inx & iny
 
     @property

@@ -254,7 +254,7 @@ def backward(params: ModelParams, gout: np.ndarray, caches) -> list:
 class Adam:
     """Adam with bias correction; operates in place on a parameter list."""
 
-    def __init__(self, params: list, lr: float = 1e-4):
+    def __init__(self, params: list, lr: float):
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]

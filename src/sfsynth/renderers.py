@@ -23,21 +23,6 @@ from .geometry import ArrayGeometry, PointSet
 
 
 @dataclass(frozen=True)
-class FilterBank:
-    """Per-loudspeaker filters for a set of plane-wave directions at one
-    frequency; values indexed (loudspeaker, direction)."""
-
-    values: np.ndarray               # (L_active, N)
-    directions: np.ndarray           # (N,)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("filter bank must be finite")
-
-
-@dataclass(frozen=True)
 class PMOperator:
     """Pressure-matching operator C = (G^H G + lam I)^-1 G^H for one
     frequency; independent of the target field."""
@@ -63,8 +48,9 @@ def synthesize(array: ArrayGeometry, d: np.ndarray, points: PointSet,
 
 def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
                             omega: float,
-                            c: float = DEFAULT_SPEED_OF_SOUND) -> FilterBank:
-    """Closed-form plane-wave filters for a circular array.
+                            c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+    """Closed-form plane-wave filters for a circular array, indexed
+    (loudspeaker, direction): (L_active, N).
 
     h_l(theta_n) = 4/(j L) sum_m j^m exp(j m (theta_l - theta_n)) / H_m^(2)(k rho_l)
 
@@ -85,13 +71,12 @@ def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
     e_l = np.exp(1j * np.outer(array.active_angles, ms))      # (L, 2M+1)
     e_n = np.exp(-1j * np.outer(pw.directions, ms))           # (N, 2M+1)
     scale = 4.0 / (1j * array.active_count)
-    values = scale * (e_l * w) @ e_n.T
-    return FilterBank(values=values, directions=pw.directions)
+    return scale * (e_l * w) @ e_n.T
 
 
 def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
-                        omega: float, c: float = DEFAULT_SPEED_OF_SOUND,
-                        listening_radius: float = 1.0) -> np.ndarray:
+                        omega: float, c: float = DEFAULT_SPEED_OF_SOUND, *,
+                        listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a circular array at
     one frequency, (L, S).
 
@@ -134,17 +119,16 @@ def _regularized_normal_factor(array: ArrayGeometry, cp: PointSet,
 
 def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
                           pw: PlaneWaveSet, omega: float, lam: float,
-                          c: float = DEFAULT_SPEED_OF_SOUND) -> FilterBank:
+                          c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
     """Plane-wave filters for a linear array, fitted in the regularized
-    least-squares sense at the control points."""
+    least-squares sense at the control points, (L_active, N)."""
     if array.family != "linear":
         raise ValueError("linear filter bank needs a linear array")
     g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
     targets = np.stack(
         [plane_wave_field(cp.points, th, omega, c) for th in pw.directions],
         axis=1)                                               # (I, N)
-    values = sla.cho_solve(cho, g.conj().T @ targets)
-    return FilterBank(values=values, directions=pw.directions)
+    return sla.cho_solve(cho, g.conj().T @ targets)
 
 
 def linear_window(array: ArrayGeometry) -> tuple:
@@ -162,23 +146,23 @@ def linear_window(array: ArrayGeometry) -> tuple:
     return t_min, t_max
 
 
-def combine_plane_waves(bank: FilterBank, phi: np.ndarray,
+def combine_plane_waves(bank: np.ndarray, phi: np.ndarray,
                         window_width: float) -> np.ndarray:
-    """Windowed plane-wave superposition of per-direction filters for
-    each of S densities phi (S, N), (L, S):
+    """Windowed plane-wave superposition of per-direction filters
+    bank (L, N) for each of S densities phi (S, N), (L, S):
     d = width/(2 pi N) sum_n phi(theta_n) h(:, theta_n).
     """
-    n = bank.values.shape[1]
+    n = bank.shape[1]
     if np.shape(phi)[-1] != n:
         raise ValueError("density sample count must match the filter bank")
-    d = (bank.values @ np.asarray(phi)[..., None])[..., 0]
+    d = (bank @ np.asarray(phi)[..., None])[..., 0]
     return window_width / (2 * np.pi * n) * d.T
 
 
 def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
                       cp: PointSet, omega: float, lam: float,
-                      c: float = DEFAULT_SPEED_OF_SOUND,
-                      listening_radius: float = 1.0) -> np.ndarray:
+                      c: float = DEFAULT_SPEED_OF_SOUND, *,
+                      listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a linear array at one
     frequency, (L, S); the sources share one filter bank."""
     t_min, t_max = linear_window(array)

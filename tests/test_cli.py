@@ -107,6 +107,18 @@ def test_render_inside_source_fails(micro_cfg_file, tmp_path):
     assert "listening area" in out.stderr
 
 
+@pytest.mark.parametrize("flag,value", [("--frequency", "nan"),
+                                        ("--frequency", "inf"),
+                                        ("--source", "nan,0.5")])
+def test_render_non_finite_value_fails(micro_cfg_file, tmp_path, flag, value):
+    args = {"--frequency": "200", "--source": "2.0,0.5", flag: value}
+    out = run_cli("render", "--config", str(micro_cfg_file), "--scale",
+                  "desk", "--out", str(tmp_path), "--method", "mr",
+                  *[x for kv in args.items() for x in kv])
+    assert "finite" in _one_error_line(out)
+    assert not (tmp_path / "fields").exists()
+
+
 def test_invalid_config_diagnosed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_remove": 99}))
@@ -141,10 +153,19 @@ def _one_error_line(out) -> str:
     ('{"methods": ["mr", "mr", "pm"]}', "'methods'"),
     ('{"n_radius_bins": 0}', "'n_radius_bins'"),
     ('{"n_radius_bins": -2}', "'n_radius_bins'"),
+    ('{"fig_source": [0.1, 0.1]}', "'fig_source'"),
+    ('{"fig_source": [0.9, 0.0]}', "'fig_source'"),
+    ('{"fig_source": [Infinity, 1.0]}', "'fig_source'"),
+    ('{"fig_frequency": NaN}', "'fig_frequency'"),
+    ('{"learning_rate": NaN}', "'learning_rate'"),
+    ('{"lam": -Infinity}', "'lam'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
-        "methods-repeated", "radius-bins-zero", "radius-bins-negative"])
+        "methods-repeated", "radius-bins-zero", "radius-bins-negative",
+        "fig-source-in-listening-area", "fig-source-in-array",
+        "fig-source-infinite", "fig-frequency-nan", "learning-rate-nan",
+        "lam-minus-infinity"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

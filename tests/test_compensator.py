@@ -164,6 +164,15 @@ def _full_loss(params, g, x, p_gt):
     return loss(p, p_gt, W), cache, p
 
 
+def _assert_no_prelu_flip(base_cache, step_cache, what):
+    # a step across a PReLU kink breaks the central difference, so report
+    # it as a kink rather than as a gradient mismatch
+    for i, (a, b) in enumerate(zip(base_cache, step_cache)):
+        if "neg" in a:
+            assert np.array_equal(a["neg"], b["neg"]), \
+                f"{what} flips a PReLU sign in layer {i} (kink)"
+
+
 def test_full_chain_gradient_check():
     """Analytic parameter gradients of the complete loss, through the
     fixed propagation layer, against central finite differences."""
@@ -179,16 +188,19 @@ def test_full_chain_gradient_check():
     rng = np.random.default_rng(8)
     worst = 0.0
     h = 1e-5
-    for arr, ana in zip(params.flat(), grads):
+    for pi, (arr, ana) in enumerate(zip(params.flat(), grads)):
         idxs = rng.choice(arr.size, size=min(6, arr.size), replace=False)
         for idx in idxs:
             flat = arr.ravel()
             old = flat[idx]
             flat[idx] = old + h
-            lp, _, _ = _full_loss(params, g, x, p_gt)
+            lp, cache_p, _ = _full_loss(params, g, x, p_gt)
             flat[idx] = old - h
-            lm, _, _ = _full_loss(params, g, x, p_gt)
+            lm, cache_m, _ = _full_loss(params, g, x, p_gt)
             flat[idx] = old
+            for sign, step in (("+h", cache_p), ("-h", cache_m)):
+                _assert_no_prelu_flip(cache, step,
+                                      f"the {sign} step of parameter {pi}[{idx}]")
             num = (lp - lm) / (2 * h)
             a = float(ana.ravel()[idx])
             rel = abs(num - a) / max(abs(num), abs(a), 1e-10)
@@ -214,8 +226,8 @@ def test_training_deterministic():
     recs, g = _toy_records()
     cfg = TrainConfig(learning_rate=1e-3, max_epochs=4, patience=4,
                       batch_size=2, seed=123)
-    r1 = train_compensator(recs[:2], recs[2:], cfg, g)
-    r2 = train_compensator(recs[:2], recs[2:], cfg, g)
+    r1 = train_compensator(recs[:2], recs[2:], cfg, g, W)
+    r2 = train_compensator(recs[:2], recs[2:], cfg, g, W)
     assert r1.best_val_loss == r2.best_val_loss
     for a, b in zip(r1.params.flat(), r2.params.flat()):
         assert np.array_equal(a, b)
@@ -226,7 +238,7 @@ def test_training_patience_zero_stops_on_first_regression():
     # a large step size makes the validation loss bounce within a few epochs
     cfg = TrainConfig(learning_rate=0.5, max_epochs=200, patience=0,
                       batch_size=2, seed=0)
-    r = train_compensator(recs[:2], recs[2:], cfg, g)
+    r = train_compensator(recs[:2], recs[2:], cfg, g, W)
     vals = [v for _, v in r.history]
     assert r.epochs_run < cfg.max_epochs
     # every epoch before the last strictly improved the running best;
@@ -242,9 +254,9 @@ def test_training_requires_splits():
     recs, g = _toy_records()
     cfg = TrainConfig(max_epochs=1, patience=0)
     with pytest.raises(ValueError):
-        train_compensator([], recs, cfg, g)
+        train_compensator([], recs, cfg, g, W)
     with pytest.raises(ValueError):
-        train_compensator(recs, [], cfg, g)
+        train_compensator(recs, [], cfg, g, W)
 
 
 def test_training_divergence_reported():
@@ -254,7 +266,7 @@ def test_training_divergence_reported():
     cfg = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2)
     with np.errstate(invalid="ignore"):
         with pytest.raises((TrainingDivergedError, ValueError)):
-            train_compensator(bad[:2], bad[2:], cfg, g)
+            train_compensator(bad[:2], bad[2:], cfg, g, W)
 
 
 def test_overfit_single_record_smoke():
@@ -263,7 +275,7 @@ def test_overfit_single_record_smoke():
     recs, g = _toy_records(count=1, seed=11)
     cfg = TrainConfig(learning_rate=1e-3, max_epochs=60, patience=60,
                       batch_size=1, seed=1)
-    r = train_compensator(recs, recs, cfg, g)
+    r = train_compensator(recs, recs, cfg, g, W)
     first = r.history[0][0]
     last = r.history[-1][0]
     assert last < 0.5 * first
@@ -273,8 +285,8 @@ def test_best_epoch_parameters_returned():
     recs, g = _toy_records(count=4, seed=12)
     cfg = TrainConfig(learning_rate=1e-3, max_epochs=6, patience=6,
                       batch_size=2, seed=2)
-    r = train_compensator(recs[:2], recs[2:], cfg, g)
-    val = evaluate_loss(r.params, recs[2:], g, W if False else LossWeights(),
+    r = train_compensator(recs[:2], recs[2:], cfg, g, W)
+    val = evaluate_loss(r.params, recs[2:], g, W,
                         cfg.batch_size)
     assert val == pytest.approx(r.best_val_loss, rel=1e-12)
 

@@ -46,8 +46,8 @@ def test_circular_degenerate_range():
 
 
 def test_circular_deterministic():
-    a = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7)
-    b = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7)
+    a = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4)
+    b = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4)
     for sa, sb in zip(a.all_sources, b.all_sources):
         assert np.array_equal(sa.position, sb.position)
 
@@ -66,12 +66,20 @@ def test_circular_shift_is_radial():
 
 
 def test_split_disjointness():
-    split = gen_sources_circular(5, 16, (1.5, 3.5), 0.05, seed=4)
+    split = gen_sources_circular(5, 16, (1.5, 3.5), 0.05, seed=4,
+                                 val_count=16)
     seen = set()
     for s in split.all_sources:
         key = (float(s.position[0]), float(s.position[1]))
         assert key not in seen
         seen.add(key)
+
+
+def test_split_rejects_shared_source():
+    # catches a test shift that lands on a train or validation source
+    src = Source(position=np.array([2.0, 0.5]))
+    with pytest.raises(ValueError, match="both train and test"):
+        SourceSplit(train=[src], val=[], test=[src], seed=0)
 
 
 def test_linear_counts_and_region():
@@ -89,7 +97,8 @@ def test_linear_counts_and_region():
 
 
 def test_linear_tiny_counts():
-    split = gen_sources_linear(1, 1, 2, (1.2, 3.2, -2, 2), 0.08, seed=6)
+    split = gen_sources_linear(1, 1, 2, (1.2, 3.2, -2, 2), 0.08, seed=6,
+                               x0=1.0)
     assert len(split.all_sources) == 4
     keys = {tuple(s.position) for s in split.all_sources}
     assert len(keys) == 4
@@ -99,7 +108,7 @@ def test_linear_region_validation():
     with pytest.raises(ValueError):
         gen_sources_linear(2, 1, 1, (0.5, 3.0, -2, 2), 0.08, seed=0, x0=1.0)
     with pytest.raises(ValueError):
-        gen_sources_linear(2, 1, 5, (1.2, 3.2, -2, 2), 0.08, seed=0)
+        gen_sources_linear(2, 1, 5, (1.2, 3.2, -2, 2), 0.08, seed=0, x0=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from sfsynth.acoustics import FrequencyGrid, Source, green_matrix
 from sfsynth.evaluation import (
     MetricSeries,
     SweepContext,
+    metric_samples,
     normalize_magnitude,
     nre,
     ssim_global,
@@ -102,9 +103,15 @@ def _small_ctx(methods=("mr",), n_sources=2):
                         sources=sources, driving=driving)
 
 
+def _sweep(ctx, methods, axis, metric, n_radius_bins=10):
+    return sweep(ctx, methods, axis, metric, fixed_frequency_index=0,
+                 n_radius_bins=n_radius_bins,
+                 samples=metric_samples(ctx, methods))
+
+
 def test_sweep_single_source_single_method_matches_direct_nre():
     ctx = _small_ctx(n_sources=1)
-    series = sweep(ctx, ["mr"], "frequency_hz", "nre")
+    series = _sweep(ctx, ["mr"], "frequency_hz", "nre")
     assert len(series.axis_values) == 3
     ki = 1
     omega = ctx.freq_grid.angular[ki]
@@ -118,39 +125,32 @@ def test_sweep_single_source_single_method_matches_direct_nre():
 
 def test_sweep_shape_contract():
     ctx = _small_ctx(methods=("mr", "pm", "cnn"), n_sources=3)
-    series = sweep(ctx, ["mr", "pm", "cnn"], "frequency_hz", "ssim")
+    series = _sweep(ctx, ["mr", "pm", "cnn"], "frequency_hz", "ssim")
     for m in ("mr", "pm", "cnn"):
         assert len(series.values[m]) == ctx.freq_grid.k
 
 
 def test_sweep_order_invariant():
     ctx = _small_ctx(n_sources=4)
-    s1 = sweep(ctx, ["mr"], "frequency_hz", "nre")
+    s1 = _sweep(ctx, ["mr"], "frequency_hz", "nre")
     perm = [2, 0, 3, 1]
     ctx2 = SweepContext(array=ctx.array, points=ctx.points,
                         freq_grid=ctx.freq_grid,
                         sources=[ctx.sources[i] for i in perm],
                         driving={"mr": ctx.driving["mr"][perm]})
-    s2 = sweep(ctx2, ["mr"], "frequency_hz", "nre")
+    s2 = _sweep(ctx2, ["mr"], "frequency_hz", "nre")
     assert np.allclose(s1.values["mr"], s2.values["mr"], atol=1e-12)
 
 
 def test_sweep_radius_bins_report_empty():
     ctx = _small_ctx(n_sources=3)
-    series = sweep(ctx, ["mr"], "radius_m", "nre", fixed_frequency_index=0,
-                   n_radius_bins=6)
+    series = _sweep(ctx, ["mr"], "radius_m", "nre", n_radius_bins=6)
     assert len(series.axis_values) == 6
     assert series.counts.sum() == 3
     empty = series.counts == 0
     assert np.any(empty)
     assert np.all(np.isnan(series.values["mr"][empty]))
     assert np.all(np.isfinite(series.values["mr"][~empty]))
-
-
-def test_sweep_radius_requires_index():
-    ctx = _small_ctx()
-    with pytest.raises(ValueError):
-        sweep(ctx, ["mr"], "radius_m", "nre")
 
 
 def test_metric_series_validation():

@@ -18,6 +18,10 @@ from sfsynth.fileio import sha256_file
 from sfsynth.network import init_params
 
 
+def _paths(manifest, role):
+    return [f["path"] for f in manifest.files if f["role"] == role]
+
+
 def micro_config(**overrides):
     cfg = replace(desk_config("circular"),
                   n_radii=4, n_angles=4, val_count=4, n_test=6,
@@ -40,11 +44,11 @@ def test_manifest_contents(micro_run):
     cfg, out, manifest = micro_run
     roles = {f["role"] for f in manifest.files}
     assert {"config", "dataset", "checkpoint", "metrics", "field"} <= roles
-    assert len(manifest.paths_for("metrics")) == 4
+    assert len(_paths(manifest, "metrics")) == 4
     # field images: ground truth plus real/error maps per method
-    pgms = [p for p in manifest.paths_for("field") if p.endswith(".pgm")]
+    pgms = [p for p in _paths(manifest, "field") if p.endswith(".pgm")]
     assert len(pgms) >= 3
-    assert all(manifest.fresh(out, role, manifest.paths_for(role))
+    assert all(manifest.fresh(out, role, _paths(manifest, role))
                for role in roles)
 
 
@@ -65,7 +69,7 @@ def test_rerun_skips_and_reproduces(micro_run):
 def test_no_checkpoint_without_cnn(tmp_path):
     cfg = micro_config(methods=("mr", "pm"))
     manifest = run_experiment(cfg, tmp_path)
-    assert manifest.paths_for("checkpoint") == []
+    assert _paths(manifest, "checkpoint") == []
     assert not (tmp_path / "checkpoint.sfsm").exists()
 
 
@@ -106,6 +110,16 @@ def test_render_field_rejects_bare_method_string(micro_run, tmp_path):
     assert not (tmp_path / "fields").exists()
 
 
+@pytest.mark.parametrize("frequency", [float("nan"), float("inf")])
+def test_render_field_rejects_non_finite_frequency(micro_run, tmp_path,
+                                                   frequency):
+    # argmin over NaN would pick the first grid frequency
+    cfg, _, _ = micro_run
+    with pytest.raises(ValueError, match="finite"):
+        render_field(cfg, tmp_path, ["mr"], (2.0, 0.5), frequency)
+    assert not (tmp_path / "fields").exists()
+
+
 def test_render_all_methods_in_one_pass(micro_run, tmp_path, monkeypatch):
     # one call writes the ground truth once, and every file it writes has
     # the bytes a single-method call writes
@@ -137,7 +151,7 @@ def test_render_gt_matches_direct_green(micro_run):
     cfg, out, manifest = micro_run
     import csv
     from sfsynth.acoustics import green_matrix
-    gt_csv = [p for p in manifest.paths_for("field")
+    gt_csv = [p for p in _paths(manifest, "field")
               if "gt_real" in p and p.endswith(".csv")][0]
     rows = list(csv.DictReader(open(Path(out) / gt_csv)))
     pts = np.array([[float(r["x"]), float(r["y"])] for r in rows])
@@ -201,7 +215,7 @@ def test_malformed_manifest_counts_as_absent(tmp_path, bad):
     (tmp_path / "manifest.json").write_text(text)
     manifest = run_experiment(cfg, tmp_path)
     assert manifest.fresh(tmp_path, "dataset", ["dataset.sfsx"])
-    assert len(manifest.paths_for("metrics")) == 4
+    assert len(_paths(manifest, "metrics")) == 4
     again = ArtifactManifest.from_json((tmp_path / "manifest.json").read_text())
     assert again.to_json() == manifest.to_json()
 
@@ -254,7 +268,7 @@ def test_failed_sweep_records_no_metrics(tmp_path, monkeypatch):
         run_experiment(cfg, tmp_path)
     assert (tmp_path / "metrics_nre_frequency.csv").exists()
     manifest = ArtifactManifest.read(tmp_path)
-    assert manifest.paths_for("metrics") == []
+    assert _paths(manifest, "metrics") == []
     assert {f["role"] for f in manifest.files} == {"config", "dataset"}
 
 
@@ -334,7 +348,7 @@ def test_interrupted_write_keeps_old_file_and_rerun_recomputes(
     manifest = run_experiment(cfg, tmp_path)
     assert calls
     roles = {f["role"] for f in manifest.files}
-    assert all(manifest.fresh(tmp_path, role, manifest.paths_for(role))
+    assert all(manifest.fresh(tmp_path, role, _paths(manifest, role))
                for role in roles)
     if target.name != "manifest.json":
         assert target.read_bytes() == before

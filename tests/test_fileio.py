@@ -2,12 +2,14 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sfsynth.acoustics import FrequencyGrid, Source
-from sfsynth.datasets import Dataset, DatasetRecord
+from sfsynth.config import desk_config
+from sfsynth.datasets import Dataset, DatasetRecord, build_dataset
 from sfsynth.fileio import (
     ArtifactFormatError,
     load_checkpoint,
@@ -49,6 +51,21 @@ def test_checkpoint_bytes_pinned(tmp_path):
         "5b110a5c674b721baaaae07aeb178524c6aecfceaed2f5b2ee21fca77a6b4492"
     assert sha256_file(tmp_path / "m.sfsm.json") == \
         "5d3e0171dbcad7f7bb70c6c3cadc2cf60df056776b3776ebf2b5821329525522"
+
+
+def test_dataset_bytes_pinned(tmp_path):
+    # the dataset bytes of a fixed desk config (4 train, 2 val, 2 test
+    # sources, 4 frequencies); a change here changes every dataset the
+    # pipeline writes
+    cfg = replace(desk_config(), n_radii=2, n_angles=3, val_count=2,
+                  n_test=2, freq_count=4)
+    ds = build_dataset(cfg.array(), cfg.source_split(), cfg.control_points(),
+                       cfg.freq_grid(), cfg.lam, cfg.mr_listening_radius())
+    path = tmp_path / "d.sfsx"
+    save_dataset(path, ds)
+    assert path.stat().st_size == 39_792
+    assert sha256_file(path) == \
+        "899e2ca05dbdf2de1ccea5f5736d1e8abaf8b0537e0a7b00558f5b6aec5adadb"
 
 
 def test_checkpoint_forward_identical(tmp_path):
@@ -98,6 +115,17 @@ def test_dataset_write_deterministic(tmp_path):
     save_dataset(p1, ds)
     save_dataset(p2, ds)
     assert sha256_file(p1) == sha256_file(p2)
+
+
+def test_dataset_record_shape_checked(tmp_path):
+    # a one-row pressure array would otherwise broadcast into I rows
+    ds = _toy_dataset()
+    rec = ds.train[0]
+    ds.train[0] = DatasetRecord(source_id=rec.source_id, source=rec.source,
+                                tensor=rec.tensor, pressures=rec.pressures[:1])
+    with pytest.raises(ValueError, match="record 0"):
+        save_dataset(tmp_path / "d.sfsx", ds)
+    assert not (tmp_path / "d.sfsx").exists()
 
 
 def _corrupt(src, dst, offset, data):
@@ -185,6 +213,15 @@ def _with_header(src, dst, edit):
 def test_dataset_header_source_seed_checked(saved, tmp_path, edit):
     bad = _with_header(saved[1], tmp_path / "bad.sfsx", edit)
     with pytest.raises(ArtifactFormatError, match="bad header") as info:
+        load_dataset(bad)
+    assert info.value.offset == 12
+
+
+def test_dataset_header_record_too_large(saved, tmp_path):
+    # numpy refuses a record dtype of 2 GiB or more
+    bad = _with_header(saved[1], tmp_path / "bad.sfsx",
+                       lambda h: h.update(l_active=2 ** 30))
+    with pytest.raises(ArtifactFormatError, match="record size") as info:
         load_dataset(bad)
     assert info.value.offset == 12
 
