@@ -7,7 +7,6 @@ evaluation of the reproduced fields.
 """
 
 from .acoustics import (
-    DEFAULT_SPEED_OF_SOUND,
     FrequencyGrid,
     PlaneWaveSet,
     Source,
@@ -18,7 +17,6 @@ from .acoustics import (
 )
 from .bessel import hankel2_orders
 from .compensator import (
-    LossWeights,
     TrainConfig,
     TrainResult,
     TrainingDivergedError,

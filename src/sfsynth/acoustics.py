@@ -12,8 +12,6 @@ import numpy as np
 
 from .bessel import hankel2_sym_range, hankel2_zero
 
-DEFAULT_SPEED_OF_SOUND = 343.0
-
 # points closer than this to a source are treated as coincident
 _SINGULARITY_EPS = 1e-12
 # entries per Bessel call in green_matrix: the call peaks at ~140 bytes
@@ -27,7 +25,7 @@ class FrequencyGrid:
     """Strictly increasing positive frequencies and the medium speed."""
 
     frequencies: np.ndarray          # Hz, (K,)
-    c: float = DEFAULT_SPEED_OF_SOUND
+    c: float                         # speed of sound, m/s
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=np.float64)
@@ -41,7 +39,7 @@ class FrequencyGrid:
 
     @classmethod
     def uniform(cls, start: float, step: float, count: int,
-                c: float = DEFAULT_SPEED_OF_SOUND) -> "FrequencyGrid":
+                c: float) -> "FrequencyGrid":
         return cls(frequencies=start + step * np.arange(count), c=c)
 
     @property
@@ -113,7 +111,7 @@ class PlaneWaveSet:
 
 
 def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
-                 c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+                 c: float) -> np.ndarray:
     """Matrix of Green's-function values, shape (n_points, n_sources).
 
     The Hankel function is evaluated GREEN_CHUNK_ENTRIES entries at a
@@ -141,7 +139,7 @@ def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
 
 
 def plane_wave_field(points: np.ndarray, theta: float, omega: float,
-                     c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+                     c: float) -> np.ndarray:
     """Unit plane wave exp(j k <r, k_hat(theta)>), k_hat = [cos, sin], at
     the (N, 2) points, (N,)."""
     pts = np.asarray(points, dtype=np.float64)
@@ -149,8 +147,7 @@ def plane_wave_field(points: np.ndarray, theta: float, omega: float,
     return np.exp(1j * phase)
 
 
-def truncation_order(omega: float, rho: float,
-                     c: float = DEFAULT_SPEED_OF_SOUND) -> int:
+def truncation_order(omega: float, rho: float, c: float) -> int:
     """Smallest modal order bounding the reproduction error in a disk of
     radius rho: ceil(e * (omega/c) * rho / 2)."""
     if omega <= 0 or rho <= 0 or c <= 0:
@@ -159,7 +156,7 @@ def truncation_order(omega: float, rho: float,
 
 
 def herglotz_coefficients(omega: float, sources: Sequence[Source], M: int,
-                          c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+                          c: float) -> np.ndarray:
     """Circular-harmonic coefficients c_m, m = -M..M, of the plane-wave
     density of each unit point source, (S, 2M+1):
 
@@ -178,8 +175,7 @@ def herglotz_coefficients(omega: float, sources: Sequence[Source], M: int,
 
 
 def herglotz_point_source(theta, omega: float, sources: Sequence[Source],
-                          M: int, c: float = DEFAULT_SPEED_OF_SOUND
-                          ) -> np.ndarray:
+                          M: int, c: float) -> np.ndarray:
     """Plane-wave angular density of each point source at the N angles
     theta, truncated at order M, (S, N).  The value depends on theta only
     through theta - theta_z."""

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
-from .config import ExperimentConfig, load_config
+from .config import METHODS, ExperimentConfig, load_config
 from .experiment import StageError, render_field, run_experiment
 
 
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render one field comparison")
     _add_common(p)
-    p.add_argument("--method", required=True, choices=("mr", "pm", "cnn"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--source", required=True, help="source position 'x,y'")
     p.add_argument("--frequency", type=float, required=True,
                    help="snapped to the nearest grid frequency")

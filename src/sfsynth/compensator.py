@@ -12,30 +12,30 @@ from .network import Adam, ModelParams, backward, forward, init_params
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    lambda_abs: float = 25.0
-    lambda_phase: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_abs < 0 or self.lambda_phase < 0:
-            raise ValueError("loss weights must be non-negative")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    max_epochs: int = 5000
-    patience: int = 100
-    batch_size: int = 32
-    seed: int = 0
+    """Adam, early-stopping and loss settings of one training run; the
+    pipeline builds it with ExperimentConfig.train_config()."""
+
+    learning_rate: float
+    max_epochs: int
+    patience: int
+    batch_size: int
+    seed: int
+    lambda_abs: float                # weight of the magnitude error
+    lambda_phase: float              # weight of the wrapped phase error
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch size and max_epochs must be >= 1")
+        for name, ok, what in (
+                ("learning_rate", self.learning_rate > 0, "positive"),
+                ("max_epochs", self.max_epochs >= 1, "at least 1"),
+                ("batch_size", self.batch_size >= 1, "at least 1"),
+                ("patience", self.patience <= self.max_epochs,
+                 "at most max_epochs"),
+                ("lambda_abs", self.lambda_abs >= 0, "non-negative"),
+                ("lambda_phase", self.lambda_phase >= 0, "non-negative")):
+            if not ok:
+                raise ValueError(f"training setting '{name}' must be {what}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -92,20 +92,20 @@ def _wrap_phase(delta: np.ndarray) -> np.ndarray:
     return np.mod(delta + np.pi, 2 * np.pi) - np.pi
 
 
-def loss(p_pred: np.ndarray, p_gt: np.ndarray, w: LossWeights) -> float:
-    """Mean over entries of lam_abs*| |p_gt|-|p_pred| | plus
-    lam_phase*|wrapped phase difference|."""
+def loss(p_pred: np.ndarray, p_gt: np.ndarray, cfg: TrainConfig) -> float:
+    """Mean over entries of lambda_abs*| |p_gt|-|p_pred| | plus
+    lambda_phase*|wrapped phase difference|, weights from cfg."""
     p_pred = np.asarray(p_pred)
     p_gt = np.asarray(p_gt)
     if p_pred.shape != p_gt.shape:
         raise ValueError("shape mismatch between prediction and target")
     mag_err = np.abs(np.abs(p_gt) - np.abs(p_pred))
     ph_err = np.abs(_wrap_phase(np.angle(p_gt) - np.angle(p_pred)))
-    return float((w.lambda_abs * mag_err + w.lambda_phase * ph_err).mean())
+    return float((cfg.lambda_abs * mag_err + cfg.lambda_phase * ph_err).mean())
 
 
 def loss_gradient(p_pred: np.ndarray, p_gt: np.ndarray,
-                  w: LossWeights) -> np.ndarray:
+                  cfg: TrainConfig) -> np.ndarray:
     """Gradient of loss() with respect to p_pred, carried as the complex
     array dL/dRe + j dL/dIm.  Subgradient 0 at the |.| kinks."""
     if p_pred.shape != p_gt.shape:
@@ -115,10 +115,10 @@ def loss_gradient(p_pred: np.ndarray, p_gt: np.ndarray,
     su = np.sign(np.abs(p_gt) - mag)
     sv = np.sign(_wrap_phase(np.angle(p_gt) - np.angle(p_pred)))
     n = p_pred.size
-    gre = (-w.lambda_abs * su * p_pred.real / safe
-           + w.lambda_phase * sv * p_pred.imag / safe ** 2) / n
-    gim = (-w.lambda_abs * su * p_pred.imag / safe
-           - w.lambda_phase * sv * p_pred.real / safe ** 2) / n
+    gre = (-cfg.lambda_abs * su * p_pred.real / safe
+           + cfg.lambda_phase * sv * p_pred.imag / safe ** 2) / n
+    gim = (-cfg.lambda_abs * su * p_pred.imag / safe
+           - cfg.lambda_phase * sv * p_pred.real / safe ** 2) / n
     zero = mag == 0
     if np.any(zero):
         gre = np.where(zero, 0.0, gre)
@@ -134,35 +134,36 @@ def _stack_batch(records, idxs) -> np.ndarray:
 
 
 def _batch_loss_and_grads(params: ModelParams, records, idxs,
-                          g_stack: np.ndarray, w: LossWeights,
+                          g_stack: np.ndarray, cfg: TrainConfig,
                           want_grads: bool):
     x = _stack_batch(records, idxs)
     y, cache = forward(params, x)
     p = predict_control_pressure(unpack_driving(y[0]), g_stack)   # (I, K, B)
     p_gt = np.stack([records[i].pressures for i in idxs], axis=-1)
-    total = loss(p, p_gt, w)
+    total = loss(p, p_gt, cfg)
     if not want_grads or not np.isfinite(total):
         return total, None
-    gp = loss_gradient(p, p_gt, w)
+    gp = loss_gradient(p, p_gt, cfg)
     gd = np.einsum("kil,ikb->lkb", g_stack.conj(), gp)
     grads = backward(params, pack_driving(gd)[None, ...], cache)
     return total, grads
 
 
 def evaluate_loss(params: ModelParams, records, g_stack: np.ndarray,
-                  w: LossWeights, batch_size: int) -> float:
-    """Mean loss over records, weighted by record count."""
+                  cfg: TrainConfig) -> float:
+    """Mean loss over records in batches of cfg.batch_size, weighted by
+    record count."""
     total = 0.0
-    for lo in range(0, len(records), batch_size):
-        idxs = range(lo, min(lo + batch_size, len(records)))
+    for lo in range(0, len(records), cfg.batch_size):
+        idxs = range(lo, min(lo + cfg.batch_size, len(records)))
         val, _ = _batch_loss_and_grads(params, records, list(idxs), g_stack,
-                                       w, want_grads=False)
+                                       cfg, want_grads=False)
         total += val * len(idxs)
     return total / len(records)
 
 
 def train_compensator(train_records, val_records, cfg: TrainConfig,
-                      g_stack: np.ndarray, weights: LossWeights) -> TrainResult:
+                      g_stack: np.ndarray) -> TrainResult:
     """Adam training with early stopping on the validation loss.
 
     Deterministic for a fixed cfg.seed: the initialization and the
@@ -192,14 +193,13 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
         for lo in range(0, n, cfg.batch_size):
             idxs = order[lo:lo + cfg.batch_size].tolist()
             batch_loss, grads = _batch_loss_and_grads(
-                params, train_records, idxs, g_stack, weights, want_grads=True)
+                params, train_records, idxs, g_stack, cfg, want_grads=True)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, "training loss is not finite")
             opt.step(flat, grads)
             train_loss += batch_loss * len(idxs)
         train_loss /= n
-        val_loss = evaluate_loss(params, val_records, g_stack, weights,
-                                 cfg.batch_size)
+        val_loss = evaluate_loss(params, val_records, g_stack, cfg)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch, "validation loss is not finite")
         history.append((train_loss, val_loss))

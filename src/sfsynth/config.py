@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .acoustics import FrequencyGrid
-from .compensator import LossWeights, TrainConfig
+from .compensator import TrainConfig
 from .datasets import SourceSplit, gen_sources_circular, gen_sources_linear
 from .geometry import (
     ArrayGeometry,
@@ -27,6 +27,9 @@ from .geometry import (
 from .network import compensator_layers
 
 SCHEMA_VERSION = 1
+
+# the driving-signal methods a run can compare, in metric-column order
+METHODS = ("mr", "pm", "cnn")
 
 # the linear listening rectangle sits at this offset range behind the
 # array plane and spans 2 m in both directions
@@ -65,7 +68,7 @@ _JSON_TYPES = {
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     family: str = "circular"
-    methods: tuple[str, ...] = ("mr", "pm", "cnn")
+    methods: tuple[str, ...] = METHODS
     # array
     n_loudspeakers: int = 64
     array_radius: float = 1.0        # circular
@@ -127,7 +130,7 @@ class ExperimentConfig:
 
     def listening_area(self) -> ListeningArea:
         if self.family == "circular":
-            return ListeningArea.disk((0.0, 0.0), self.listening_radius,
+            return ListeningArea.disk(self.listening_radius,
                                       self.listening_spacing)
         x0 = self.array_x0
         return ListeningArea.rectangle(x0 - LINEAR_RECT_FAR,
@@ -182,10 +185,8 @@ class ExperimentConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate,
                            max_epochs=self.max_epochs, patience=self.patience,
-                           batch_size=self.batch_size, seed=self.train_seed)
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda_abs=self.lambda_abs,
+                           batch_size=self.batch_size, seed=self.train_seed,
+                           lambda_abs=self.lambda_abs,
                            lambda_phase=self.lambda_phase)
 
     # -- validation / serialization ------------------------------------------
@@ -193,7 +194,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.family not in ("circular", "linear"):
             raise ValueError(f"unknown family {self.family!r}")
-        unknown = set(self.methods) - {"mr", "pm", "cnn"}
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if not self.methods or len(set(self.methods)) != len(self.methods):
@@ -214,8 +215,7 @@ class ExperimentConfig:
             # raises with a size diagnosis when the geometry cannot feed
             # the network
             compensator_layers(2 * l_active, self.freq_count)
-            self.train_config()
-        self.loss_weights()
+        self.train_config()
         if self.family == "circular":
             if self.source_radius_min <= self.listening_radius:
                 raise ValueError("sources must lie outside the listening disk")

@@ -77,11 +77,11 @@ class Dataset:
 
 def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
                          test_shift: float, seed: int, val_count: int,
-                         n_test: int | None = None) -> SourceSplit:
+                         n_test: int | None) -> SourceSplit:
     """Sources on n_radii seeded-uniform circumferences, n_angles uniform
     angles each, val_count of them drawn for validation; the test set is
-    the train+val set shifted radially outward by test_shift (optionally
-    subsampled to n_test).
+    the train+val set shifted radially outward by test_shift, subsampled
+    to n_test unless n_test is None.
     """
     if test_shift <= 0:
         raise ValueError("test_shift must be positive")

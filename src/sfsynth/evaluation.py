@@ -65,11 +65,9 @@ def ssim_global(p_hat_mag: np.ndarray, p_mag: np.ndarray) -> float:
 class MetricSeries:
     """Per-method metric means along a frequency or radius axis."""
 
-    axis: str                        # "frequency_hz" | "radius_m"
     axis_values: np.ndarray
     values: dict                     # method -> (n_axis,) mean metric
     counts: np.ndarray               # samples averaged per axis value
-    metric: str                      # "nre" | "ssim"
 
     def __post_init__(self):
         n = len(self.axis_values)
@@ -114,11 +112,12 @@ def metric_samples(ctx: SweepContext, methods) -> dict:
         g_src = green_matrix(pts, positions, omega, ctx.freq_grid.c)
         for si in range(s_count):
             p_true = g_src[:, si]
+            true_mag = normalize_magnitude(p_true)
             for m in methods:
                 p_hat = g_grid @ ctx.driving[m][si, :, ki]
                 out[m]["nre"][si, ki] = nre(p_hat, p_true)
                 out[m]["ssim"][si, ki] = ssim_global(
-                    normalize_magnitude(p_hat), normalize_magnitude(p_true))
+                    normalize_magnitude(p_hat), true_mag)
     return out
 
 
@@ -139,8 +138,8 @@ def sweep(ctx: SweepContext, methods, axis: str, metric: str,
     if axis == "frequency_hz":
         values = {m: samples[m][metric].mean(axis=0) for m in methods}
         counts = np.full(ctx.freq_grid.k, len(ctx.sources), dtype=int)
-        return MetricSeries(axis=axis, axis_values=ctx.freq_grid.frequencies.copy(),
-                            values=values, counts=counts, metric=metric)
+        return MetricSeries(axis_values=ctx.freq_grid.frequencies.copy(),
+                            values=values, counts=counts)
     if axis != "radius_m":
         raise ValueError(f"unknown axis {axis!r}")
     radii = np.array([s.rho for s in ctx.sources])
@@ -158,5 +157,4 @@ def sweep(ctx: SweepContext, methods, axis: str, metric: str,
         sums = np.bincount(which, weights=col, minlength=n_radius_bins)
         with np.errstate(invalid="ignore"):
             values[m] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return MetricSeries(axis=axis, axis_values=centers, values=values,
-                        counts=counts, metric=metric)
+    return MetricSeries(axis_values=centers, values=values, counts=counts)

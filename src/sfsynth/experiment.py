@@ -115,8 +115,6 @@ def _test_driving(methods, dataset: Dataset, operators,
                 d[si, :, ki] = pm_driving(op, rec.pressures[:, ki])
         out["pm"] = d
     if "cnn" in methods:
-        if params is None:
-            raise ValueError("cnn requested but no trained model is available")
         out["cnn"] = compensate(mr, params)
     return out
 
@@ -272,8 +270,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     def train():
         g_stack = np.stack([op.g_cp for op in operators()])
         params = train_compensator(dataset.train, dataset.val,
-                                   cfg.train_config(), g_stack,
-                                   cfg.loss_weights()).params
+                                   cfg.train_config(), g_stack).params
         fileio.save_checkpoint(out_dir / CHECKPOINT_PATHS[0], params)
         return params
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import FrequencyGrid, Source
+from .config import METHODS
 from .datasets import Dataset, DatasetRecord
 from .network import (
     COMPENSATOR_CHANNELS,
@@ -304,10 +305,10 @@ def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
 
 
 def write_metric_csv(path, series) -> None:
-    lines = ["axis_value,mr,pm,cnn,count"]
+    lines = [",".join(["axis_value", *METHODS, "count"])]
     for i, ax in enumerate(series.axis_values):
         cells = [_fmt(ax)]
-        for m in ("mr", "pm", "cnn"):
+        for m in METHODS:
             if m in series.values:
                 v = series.values[m][i]
                 cells.append("nan" if np.isnan(v) else _fmt(v))

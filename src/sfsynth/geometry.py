@@ -22,7 +22,6 @@ class ArrayGeometry:
     active_mask: np.ndarray         # (L_total,) bool
     radius: float | None = None     # circular: common rho_l
     angles: np.ndarray | None = None  # circular: theta_l, increasing in [0, 2pi)
-    spacing: float | None = None    # linear: inter-element pitch
     x0: float | None = None         # linear: common x coordinate
     y_extent: float | None = None   # linear: half aperture y0
 
@@ -100,11 +99,11 @@ class PointSet:
 
 @dataclass(frozen=True)
 class ListeningArea:
-    """Disk or axis-aligned rectangle, with a sampling pitch."""
+    """Origin-centred disk or axis-aligned rectangle, with a sampling
+    pitch."""
 
     kind: str                       # "disk" | "rectangle"
     spacing: float
-    center: tuple = (0.0, 0.0)      # disk
     radius: float = 0.0             # disk
     xmin: float = 0.0               # rectangle
     xmax: float = 0.0
@@ -124,8 +123,8 @@ class ListeningArea:
             raise ValueError(f"unknown area kind {self.kind!r}")
 
     @classmethod
-    def disk(cls, center, radius, spacing) -> "ListeningArea":
-        return cls(kind="disk", spacing=spacing, center=tuple(center), radius=radius)
+    def disk(cls, radius, spacing) -> "ListeningArea":
+        return cls(kind="disk", spacing=spacing, radius=radius)
 
     @classmethod
     def rectangle(cls, xmin, xmax, ymin, ymax, spacing) -> "ListeningArea":
@@ -136,8 +135,7 @@ class ListeningArea:
         """Which of the (N, 2) points lie inside or on the boundary."""
         pts = np.atleast_2d(points)
         if self.kind == "disk":
-            d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-            return d <= self.radius + _TOL
+            return np.hypot(pts[:, 0], pts[:, 1]) <= self.radius + _TOL
         inx = (pts[:, 0] >= self.xmin - _TOL) & (pts[:, 0] <= self.xmax + _TOL)
         iny = (pts[:, 1] >= self.ymin - _TOL) & (pts[:, 1] <= self.ymax + _TOL)
         return inx & iny
@@ -146,7 +144,7 @@ class ListeningArea:
     def bounding_radius(self) -> float:
         """Radius of the smallest origin-centred disk covering the area."""
         if self.kind == "disk":
-            return float(np.hypot(*self.center) + self.radius)
+            return float(self.radius)
         corners = np.array([[self.xmin, self.ymin], [self.xmin, self.ymax],
                             [self.xmax, self.ymin], [self.xmax, self.ymax]])
         return float(np.max(np.hypot(corners[:, 0], corners[:, 1])))
@@ -175,7 +173,7 @@ def make_linear_array(L: int, spacing: float, x0: float) -> ArrayGeometry:
     pos = np.stack([np.full(L, float(x0)), y], axis=1)
     return ArrayGeometry(family="linear", positions=pos,
                          active_mask=np.ones(L, dtype=bool),
-                         spacing=float(spacing), x0=float(x0),
+                         x0=float(x0),
                          y_extent=float((L - 1) / 2 * spacing))
 
 
@@ -198,7 +196,7 @@ def sample_listening_grid(area: ListeningArea) -> PointSet:
     """Cartesian raster of the listening area at the configured spacing.
 
     Disk areas keep the raster points strictly inside the circle; the
-    raster is centred on the disk centre so the centre itself is a node.
+    raster is centred on the origin so the centre itself is a node.
     """
     s = area.spacing
     if area.kind == "rectangle":
@@ -209,17 +207,14 @@ def sample_listening_grid(area: ListeningArea) -> PointSet:
         inside = None
     else:
         n_half = int(np.floor(area.radius / s + _TOL))
-        offs = s * np.arange(-n_half, n_half + 1)
-        xs = area.center[0] + offs
-        ys = area.center[1] + offs
-        nx = ny = len(offs)
+        xs = ys = s * np.arange(-n_half, n_half + 1)
+        nx = ny = len(xs)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     iy, ix = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
     idx = np.stack([iy.ravel(), ix.ravel()], axis=1)
     if area.kind == "disk":
-        keep = np.hypot(pts[:, 0] - area.center[0],
-                        pts[:, 1] - area.center[1]) < area.radius
+        keep = np.hypot(pts[:, 0], pts[:, 1]) < area.radius
         pts, idx = pts[keep], idx[keep]
     return PointSet(points=pts, grid_shape=(ny, nx), grid_index=idx)
 
@@ -266,12 +261,10 @@ def sample_control_points(area: ListeningArea, target_count: int,
         step = 2 * area.radius / n
         if step < area.spacing:
             break
-        offs = area.center[0] - area.radius + (np.arange(n) + 0.5) * step
-        offs_y = area.center[1] - area.radius + (np.arange(n) + 0.5) * step
-        gx, gy = np.meshgrid(offs, offs_y)
+        offs = -area.radius + (np.arange(n) + 0.5) * step
+        gx, gy = np.meshgrid(offs, offs)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        keep = np.hypot(pts[:, 0] - area.center[0],
-                        pts[:, 1] - area.center[1]) < area.radius
+        keep = np.hypot(pts[:, 0], pts[:, 1]) < area.radius
         pts = _trim(pts[keep])
         if len(pts) == 0:
             continue

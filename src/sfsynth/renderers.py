@@ -10,7 +10,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .acoustics import (
-    DEFAULT_SPEED_OF_SOUND,
     PlaneWaveSet,
     Source,
     green_matrix,
@@ -36,7 +35,7 @@ class PMOperator:
 
 
 def synthesize(array: ArrayGeometry, d: np.ndarray, points: PointSet,
-               omega: float, c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+               omega: float, c: float) -> np.ndarray:
     """Pressure produced at `points` by driving the active loudspeakers
     with the coefficients d at angular frequency omega."""
     d = np.asarray(d, dtype=np.complex128).reshape(-1)
@@ -47,8 +46,7 @@ def synthesize(array: ArrayGeometry, d: np.ndarray, points: PointSet,
 
 
 def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
-                            omega: float,
-                            c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+                            omega: float, c: float) -> np.ndarray:
     """Closed-form plane-wave filters for a circular array, indexed
     (loudspeaker, direction): (L_active, N).
 
@@ -75,7 +73,7 @@ def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
 
 
 def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
-                        omega: float, c: float = DEFAULT_SPEED_OF_SOUND, *,
+                        omega: float, c: float, *,
                         listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a circular array at
     one frequency, (L, S).
@@ -119,7 +117,7 @@ def _regularized_normal_factor(array: ArrayGeometry, cp: PointSet,
 
 def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
                           pw: PlaneWaveSet, omega: float, lam: float,
-                          c: float = DEFAULT_SPEED_OF_SOUND) -> np.ndarray:
+                          c: float) -> np.ndarray:
     """Plane-wave filters for a linear array, fitted in the regularized
     least-squares sense at the control points, (L_active, N)."""
     if array.family != "linear":
@@ -160,8 +158,7 @@ def combine_plane_waves(bank: np.ndarray, phi: np.ndarray,
 
 
 def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
-                      cp: PointSet, omega: float, lam: float,
-                      c: float = DEFAULT_SPEED_OF_SOUND, *,
+                      cp: PointSet, omega: float, lam: float, c: float, *,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a linear array at one
     frequency, (L, S); the sources share one filter bank."""
@@ -174,7 +171,7 @@ def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
 
 
 def pm_operator(array: ArrayGeometry, cp: PointSet, omega: float, lam: float,
-                c: float = DEFAULT_SPEED_OF_SOUND) -> PMOperator:
+                c: float) -> PMOperator:
     """Build the pressure-matching operator for one frequency."""
     g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
     return PMOperator(g_cp=g, c_cp=sla.cho_solve(cho, g.conj().T))

@@ -18,8 +18,6 @@ import pytest
 from sfsynth.acoustics import Source, green_matrix, truncation_order
 from sfsynth.bessel import hankel2_orders
 from sfsynth.compensator import (
-    LossWeights,
-    TrainConfig,
     loss,
     loss_gradient,
     predict_control_pressure,
@@ -38,7 +36,7 @@ from sfsynth.geometry import (
 )
 from sfsynth.network import backward, forward, init_params
 from sfsynth.renderers import mr_circular_driving, synthesize
-from test_compensator import _assert_no_prelu_flip
+from test_compensator import W, _assert_no_prelu_flip
 
 C = 343.0
 
@@ -128,7 +126,7 @@ def test_criterion_02_plane_wave_expansion():
 def test_criterion_03_mr_circular_reproduction():
     t0 = time.time()
     arr = make_circular_array(64, 1.0)
-    grid = sample_listening_grid(ListeningArea.disk((0, 0), 0.8, 0.04))
+    grid = sample_listening_grid(ListeningArea.disk(0.8, 0.04))
     omega = 2 * np.pi * 500
     rng = np.random.default_rng(0)
     worst = -np.inf
@@ -153,7 +151,7 @@ def test_criterion_03_mr_circular_reproduction():
 def test_criterion_04_degradation_ordering():
     t0 = time.time()
     full = make_circular_array(64, 1.0)
-    grid = sample_listening_grid(ListeningArea.disk((0, 0), 0.8, 0.04))
+    grid = sample_listening_grid(ListeningArea.disk(0.8, 0.04))
     omega = 2 * np.pi * 500
     means = []
     for n_remove in (0, 16, 32, 48):
@@ -209,7 +207,6 @@ def test_criterion_05_pm_residual():
 
 def test_criterion_06_gradient_check():
     t0 = time.time()
-    w = LossWeights(lambda_abs=25.0, lambda_phase=1.0)
     rng = np.random.default_rng(6)
     # the compensator chain at 16x15 with small channels: skip pair (1, 3),
     # a 4x3 transposed kernel and the padded stride-1 output layer
@@ -223,12 +220,12 @@ def test_criterion_06_gradient_check():
     def full_loss():
         y, cache = forward(params, x[None, :, :, None])
         p = predict_control_pressure(unpack_driving(y[0, :, :, 0]), g)
-        return loss(p, p_gt, w), cache, p
+        return loss(p, p_gt, W), cache, p
 
     base, cache, p = full_loss()
     # the loss is piecewise smooth; verify the draw sits away from kinks
     assert np.min(np.abs(np.abs(p_gt) - np.abs(p))) > 1e-3
-    gp = loss_gradient(p, p_gt, w)
+    gp = loss_gradient(p, p_gt, W)
     gd = np.einsum("kil,ik->lk", g.conj(), gp)
     gt_tensor = np.concatenate([gd.real, gd.imag], axis=0)
     grads = backward(params, gt_tensor[None, :, :, None], cache)
@@ -285,9 +282,9 @@ def _desk_record():
 def test_criterion_07_overfit_single_record():
     t0 = time.time()
     rec, g = _desk_record()
-    cfg = TrainConfig(learning_rate=1e-4, max_epochs=500, patience=500,
-                      batch_size=1, seed=7)
-    result = train_compensator([rec], [rec], cfg, g, LossWeights())
+    cfg = replace(W, learning_rate=1e-4, max_epochs=500, patience=500,
+                  batch_size=1, seed=7)
+    result = train_compensator([rec], [rec], cfg, g)
     initial = result.history[0][0]
     final = result.history[-1][0]
     assert final < 0.1 * initial, (initial, final)

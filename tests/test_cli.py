@@ -159,13 +159,14 @@ def _one_error_line(out) -> str:
     ('{"fig_frequency": NaN}', "'fig_frequency'"),
     ('{"learning_rate": NaN}', "'learning_rate'"),
     ('{"lam": -Infinity}', "'lam'"),
+    ('{"batch_size": 0}', "'batch_size'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
         "methods-repeated", "radius-bins-zero", "radius-bins-negative",
         "fig-source-in-listening-area", "fig-source-in-array",
         "fig-source-infinite", "fig-frequency-nan", "learning-rate-nan",
-        "lam-minus-infinity"])
+        "lam-minus-infinity", "batch-size-zero"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -201,7 +202,7 @@ def artifacts(tmp_path_factory):
                         tensor=np.ones((4, 3)), pressures=np.ones((5, 3)) * 1j)
     save_dataset(d / "dataset.sfsx", Dataset(
         train=[rec], val=[rec], test=[rec],
-        freq_grid=FrequencyGrid.uniform(46.0, 23.0, 3), l_active=2,
+        freq_grid=FrequencyGrid.uniform(46.0, 23.0, 3, 343.0), l_active=2,
         n_control=5, source_seed=0))
     return d
 

@@ -1,13 +1,13 @@
 """Packing, the magnitude/phase loss, gradients through the propagation
 layer, and the training loop."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sfsynth.compensator import (
-    LossWeights,
     TrainConfig,
     TrainingDivergedError,
     compensate,
@@ -21,7 +21,10 @@ from sfsynth.compensator import (
 )
 from sfsynth.network import backward, forward, init_params
 
-W = LossWeights(lambda_abs=25.0, lambda_phase=1.0)
+# the paper's loss weights; each training test sets its own Adam and
+# early-stopping values
+W = TrainConfig(learning_rate=1e-4, max_epochs=5000, patience=100,
+                batch_size=32, seed=0, lambda_abs=25.0, lambda_phase=1.0)
 
 
 # -- pack / unpack -------------------------------------------------------------
@@ -80,7 +83,7 @@ def test_predict_matches_synthesize():
                                   sample_control_points)
     from sfsynth.renderers import synthesize
     arr = make_circular_array(8, 1.0)
-    cp = sample_control_points(ListeningArea.disk((0, 0), 0.8, 0.04), 30,
+    cp = sample_control_points(ListeningArea.disk(0.8, 0.04), 30,
                                clearance_from=arr)
     freqs = np.array([200.0, 500.0])
     rng = np.random.default_rng(2)
@@ -120,7 +123,7 @@ def test_loss_nonnegative_and_wrap():
     # wrapped difference: angles 0.1 and 2 pi - 0.1 are 0.2 apart
     p1 = np.array([[np.exp(1j * 0.1)]])
     p2 = np.array([[np.exp(-1j * 0.1)]])
-    assert loss(p1, p2, LossWeights(0.0, 1.0)) == pytest.approx(0.2)
+    assert loss(p1, p2, replace(W, lambda_abs=0.0)) == pytest.approx(0.2)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -224,10 +227,10 @@ def _toy_records(rows=16, cols=15, n_cp=6, count=3, seed=8):
 
 def test_training_deterministic():
     recs, g = _toy_records()
-    cfg = TrainConfig(learning_rate=1e-3, max_epochs=4, patience=4,
-                      batch_size=2, seed=123)
-    r1 = train_compensator(recs[:2], recs[2:], cfg, g, W)
-    r2 = train_compensator(recs[:2], recs[2:], cfg, g, W)
+    cfg = replace(W, learning_rate=1e-3, max_epochs=4, patience=4,
+                  batch_size=2, seed=123)
+    r1 = train_compensator(recs[:2], recs[2:], cfg, g)
+    r2 = train_compensator(recs[:2], recs[2:], cfg, g)
     assert r1.best_val_loss == r2.best_val_loss
     for a, b in zip(r1.params.flat(), r2.params.flat()):
         assert np.array_equal(a, b)
@@ -236,9 +239,9 @@ def test_training_deterministic():
 def test_training_patience_zero_stops_on_first_regression():
     recs, g = _toy_records(seed=9)
     # a large step size makes the validation loss bounce within a few epochs
-    cfg = TrainConfig(learning_rate=0.5, max_epochs=200, patience=0,
-                      batch_size=2, seed=0)
-    r = train_compensator(recs[:2], recs[2:], cfg, g, W)
+    cfg = replace(W, learning_rate=0.5, max_epochs=200, patience=0,
+                  batch_size=2, seed=0)
+    r = train_compensator(recs[:2], recs[2:], cfg, g)
     vals = [v for _, v in r.history]
     assert r.epochs_run < cfg.max_epochs
     # every epoch before the last strictly improved the running best;
@@ -252,30 +255,30 @@ def test_training_patience_zero_stops_on_first_regression():
 
 def test_training_requires_splits():
     recs, g = _toy_records()
-    cfg = TrainConfig(max_epochs=1, patience=0)
+    cfg = replace(W, max_epochs=1, patience=0)
     with pytest.raises(ValueError):
-        train_compensator([], recs, cfg, g, W)
+        train_compensator([], recs, cfg, g)
     with pytest.raises(ValueError):
-        train_compensator(recs, [], cfg, g, W)
+        train_compensator(recs, [], cfg, g)
 
 
 def test_training_divergence_reported():
     recs, g = _toy_records(seed=10)
     bad = [SimpleNamespace(tensor=r.tensor * np.inf, pressures=r.pressures)
            for r in recs]
-    cfg = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2)
+    cfg = replace(W, learning_rate=1e-3, max_epochs=2, patience=2)
     with np.errstate(invalid="ignore"):
         with pytest.raises((TrainingDivergedError, ValueError)):
-            train_compensator(bad[:2], bad[2:], cfg, g, W)
+            train_compensator(bad[:2], bad[2:], cfg, g)
 
 
 def test_overfit_single_record_smoke():
     # scaled-down version of the acceptance criterion: one record, the
     # training loss must collapse well below its starting value
     recs, g = _toy_records(count=1, seed=11)
-    cfg = TrainConfig(learning_rate=1e-3, max_epochs=60, patience=60,
-                      batch_size=1, seed=1)
-    r = train_compensator(recs, recs, cfg, g, W)
+    cfg = replace(W, learning_rate=1e-3, max_epochs=60, patience=60,
+                  batch_size=1, seed=1)
+    r = train_compensator(recs, recs, cfg, g)
     first = r.history[0][0]
     last = r.history[-1][0]
     assert last < 0.5 * first
@@ -283,11 +286,10 @@ def test_overfit_single_record_smoke():
 
 def test_best_epoch_parameters_returned():
     recs, g = _toy_records(count=4, seed=12)
-    cfg = TrainConfig(learning_rate=1e-3, max_epochs=6, patience=6,
-                      batch_size=2, seed=2)
-    r = train_compensator(recs[:2], recs[2:], cfg, g, W)
-    val = evaluate_loss(r.params, recs[2:], g, W,
-                        cfg.batch_size)
+    cfg = replace(W, learning_rate=1e-3, max_epochs=6, patience=6,
+                  batch_size=2, seed=2)
+    r = train_compensator(recs[:2], recs[2:], cfg, g)
+    val = evaluate_loss(r.params, recs[2:], g, cfg)
     assert val == pytest.approx(r.best_val_loss, rel=1e-12)
 
 

@@ -1,9 +1,14 @@
 """Config defaults, presets, validation and the JSON round trip."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import sfsynth
+from sfsynth.compensator import TrainConfig
 from sfsynth.config import (
     ExperimentConfig,
     desk_config,
@@ -101,6 +106,13 @@ def test_validation_failures():
     replace(cfg, n_remove=10, methods=("mr", "pm")).validate()
     with pytest.raises(ValueError):
         replace(cfg, source_radius_min=0.5).validate()
+    # the training settings are checked whatever the methods
+    for methods in (cfg.methods, ("mr", "pm")):
+        for key, value in (("learning_rate", 0.0), ("max_epochs", 0),
+                           ("batch_size", 0), ("patience", cfg.max_epochs + 1),
+                           ("lambda_abs", -1.0)):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                replace(cfg, methods=methods, **{key: value}).validate()
 
 
 def test_mr_listening_radius():
@@ -109,3 +121,34 @@ def test_mr_listening_radius():
     lin = desk_config("linear")
     # bounding radius of the rectangle's corners from the origin
     assert lin.mr_listening_radius() == pytest.approx((1.2 ** 2 + 1) ** 0.5)
+
+
+def _package_signatures():
+    """(dotted name, signature) of every function, method and dataclass
+    constructor defined in an sfsynth module other than config."""
+    for info in pkgutil.iter_modules(sfsynth.__path__):
+        if info.name == "config":
+            continue
+        mod = importlib.import_module(f"sfsynth.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                fn = getattr(member, "__func__", member)
+                if inspect.isfunction(fn):
+                    yield (".".join(filter(None, [info.name, name, attr])),
+                           inspect.signature(fn))
+
+
+def test_no_default_restates_a_config_value():
+    # the config owns the speed of sound and every experiment setting,
+    # TrainConfig's `seed` (train_seed) included; a default elsewhere
+    # could drift from the value a run actually uses
+    owned = ({"c"} | set(ExperimentConfig.__dataclass_fields__)
+             | set(TrainConfig.__dataclass_fields__))
+    found = sorted(f"{where}({p.name}=...)"
+                   for where, sig in _package_signatures()
+                   for p in sig.parameters.values()
+                   if p.name in owned and p.default is not p.empty)
+    assert not found, found

@@ -29,14 +29,14 @@ from sfsynth.renderers import (
 
 def test_circular_full_scale_counts():
     split = gen_sources_circular(20, 128, (1.5, 3.5), 0.05, seed=0,
-                                 val_count=512)
+                                 val_count=512, n_test=None)
     assert len(split.train) == 2048
     assert len(split.val) == 512
     assert len(split.test) == 2560
 
 
 def test_circular_degenerate_range():
-    split = gen_sources_circular(1, 4, (2.0, 2.0), 0.1, seed=1, val_count=1)
+    split = gen_sources_circular(1, 4, (2.0, 2.0), 0.1, seed=1, val_count=1, n_test=None)
     pool = split.train + split.val
     assert len(pool) == 4
     for s in pool:
@@ -46,8 +46,8 @@ def test_circular_degenerate_range():
 
 
 def test_circular_deterministic():
-    a = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4)
-    b = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4)
+    a = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4, n_test=None)
+    b = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4, n_test=None)
     for sa, sb in zip(a.all_sources, b.all_sources):
         assert np.array_equal(sa.position, sb.position)
 
@@ -59,7 +59,7 @@ def test_circular_test_subsample():
 
 
 def test_circular_shift_is_radial():
-    split = gen_sources_circular(2, 4, (2.0, 3.0), 0.05, seed=3, val_count=2)
+    split = gen_sources_circular(2, 4, (2.0, 3.0), 0.05, seed=3, val_count=2, n_test=None)
     pool = {round(s.theta, 12) for s in split.train + split.val}
     for t in split.test:
         assert round(t.theta, 12) in pool
@@ -67,7 +67,7 @@ def test_circular_shift_is_radial():
 
 def test_split_disjointness():
     split = gen_sources_circular(5, 16, (1.5, 3.5), 0.05, seed=4,
-                                 val_count=16)
+                                 val_count=16, n_test=None)
     seen = set()
     for s in split.all_sources:
         key = (float(s.position[0]), float(s.position[1]))
@@ -114,10 +114,10 @@ def test_linear_region_validation():
 @pytest.fixture(scope="module")
 def small_dataset():
     arr = decimate_array(make_circular_array(16, 1.0), 8, seed=97)
-    cp = sample_control_points(ListeningArea.disk((0, 0), 0.8, 0.04), 20,
+    cp = sample_control_points(ListeningArea.disk(0.8, 0.04), 20,
                                clearance_from=arr)
-    fg = FrequencyGrid.uniform(46.0, 23.0, 15)
-    split = gen_sources_circular(2, 3, (1.6, 2.4), 0.05, seed=8, val_count=2)
+    fg = FrequencyGrid.uniform(46.0, 23.0, 15, 343.0)
+    split = gen_sources_circular(2, 3, (1.6, 2.4), 0.05, seed=8, val_count=2, n_test=None)
     ds = build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
     return arr, cp, fg, split, ds
 

@@ -88,8 +88,8 @@ def test_ssim_range():
 
 def _small_ctx(methods=("mr",), n_sources=2):
     arr = make_circular_array(8, 1.0)
-    grid = sample_listening_grid(ListeningArea.disk((0, 0), 0.6, 0.1))
-    fg = FrequencyGrid.uniform(100.0, 100.0, 3)
+    grid = sample_listening_grid(ListeningArea.disk(0.6, 0.1))
+    fg = FrequencyGrid.uniform(100.0, 100.0, 3, 343.0)
     rng = np.random.default_rng(4)
     sources = []
     for i in range(n_sources):
@@ -155,6 +155,5 @@ def test_sweep_radius_bins_report_empty():
 
 def test_metric_series_validation():
     with pytest.raises(ValueError):
-        MetricSeries(axis="frequency_hz", axis_values=np.arange(3),
-                     values={"mr": np.zeros(2)}, counts=np.zeros(3, int),
-                     metric="nre")
+        MetricSeries(axis_values=np.arange(3), values={"mr": np.zeros(2)},
+                     counts=np.zeros(3, int))

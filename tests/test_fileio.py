@@ -80,7 +80,7 @@ def test_checkpoint_forward_identical(tmp_path):
 
 def _toy_dataset():
     rng = np.random.default_rng(2)
-    fg = FrequencyGrid.uniform(46.0, 23.0, 4)
+    fg = FrequencyGrid.uniform(46.0, 23.0, 4, 343.0)
     def rec(i):
         return DatasetRecord(
             source_id=i, source=Source(position=rng.uniform(1.5, 3, 2)),
@@ -236,10 +236,9 @@ def test_field_csv(tmp_path):
 
 def test_metric_csv(tmp_path):
     from sfsynth.evaluation import MetricSeries
-    series = MetricSeries(axis="frequency_hz",
-                          axis_values=np.array([46.0, 69.0]),
+    series = MetricSeries(axis_values=np.array([46.0, 69.0]),
                           values={"mr": np.array([-10.0, np.nan])},
-                          counts=np.array([3, 0]), metric="nre")
+                          counts=np.array([3, 0]))
     p = tmp_path / "m.csv"
     write_metric_csv(p, series)
     lines = p.read_text().splitlines()

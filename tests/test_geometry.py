@@ -119,7 +119,7 @@ def test_listening_grid_rectangle_count():
 
 
 def test_listening_grid_disk_count_matches_brute_force():
-    area = ListeningArea.disk((0, 0), 1.0, 0.02)
+    area = ListeningArea.disk(1.0, 0.02)
     grid = sample_listening_grid(area)
     # independent integer-lattice count of i^2 + j^2 < 50^2 (strict)
     oracle = sum(1 for i in range(-50, 51) for j in range(-50, 51)
@@ -144,7 +144,7 @@ def test_control_points_rectangle_aspect():
 
 
 def test_control_points_disk():
-    area = ListeningArea.disk((0, 0), 1.0, 0.02)
+    area = ListeningArea.disk(1.0, 0.02)
     cp = sample_control_points(area, 276)
     assert 0 < len(cp) <= 276
     # independent oracle: densest cell-centred n x n raster within target
@@ -167,7 +167,7 @@ def test_control_points_single():
 
 
 def test_control_points_clearance():
-    area = ListeningArea.disk((0, 0), 1.0, 0.02)
+    area = ListeningArea.disk(1.0, 0.02)
     arr = make_circular_array(64, 1.0)
     cp = sample_control_points(area, 276, clearance_from=arr)
     d = np.linalg.norm(cp.points[:, None, :] - arr.positions[None, :, :],

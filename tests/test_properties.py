@@ -1,8 +1,9 @@
 """Property-based checks: packing and propagation over random shapes,
-batched Bessel calls against per-argument calls, and the binary formats'
-round trips and truncation handling."""
+batched Bessel calls against per-argument calls, the binary formats'
+round trips and truncation handling, and the config JSON round trip."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from sfsynth.bessel import (
     jy01,
 )
 from sfsynth.compensator import pack_driving, predict_control_pressure, unpack_driving
+from sfsynth.config import METHODS, ExperimentConfig, desk_config
 from sfsynth.datasets import Dataset, DatasetRecord
 from sfsynth.fileio import (
     ArtifactFormatError,
@@ -110,7 +112,7 @@ def small_datasets(draw):
             pressures=draw(complex_arrays((i_cp, k)))))
     a, b = counts[0], counts[0] + counts[1]
     return Dataset(train=recs[:a], val=recs[a:b], test=recs[b:],
-                   freq_grid=FrequencyGrid.uniform(46.0, 23.0, k),
+                   freq_grid=FrequencyGrid.uniform(46.0, 23.0, k, 343.0),
                    l_active=l, n_control=i_cp,
                    source_seed=draw(st.integers(0, 100)))
 
@@ -169,3 +171,29 @@ def test_every_strict_prefix_is_rejected(save, load, strategy):
             _load_bytes(load, raw[:cut])
 
     check()
+
+
+# any value of each JSON field type a config holds; schema_version and the
+# string family are fixed values, not ranges
+FINITE_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_FIELD_VALUES = {
+    "int": st.integers(),
+    "int | None": st.none() | st.integers(),
+    "float": FINITE_ANY,
+    "tuple[str, ...]": st.lists(st.sampled_from(METHODS), min_size=1,
+                                unique=True).map(tuple),
+    "tuple[float, float]": st.tuples(FINITE_ANY, FINITE_ANY),
+}
+config_values = st.fixed_dictionaries({
+    name: _FIELD_VALUES[f.type]
+    for name, f in ExperimentConfig.__dataclass_fields__.items()
+    if name != "schema_version" and f.type in _FIELD_VALUES})
+
+
+@FAST
+@given(config_values)
+def test_config_json_roundtrip(values):
+    cfg = replace(desk_config(), **values)
+    again = ExperimentConfig.from_json(cfg.to_json())
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()

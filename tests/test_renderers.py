@@ -40,7 +40,7 @@ def one_direction_filter(arr, cp, theta, omega, lam):
 
 @pytest.fixture(scope="module")
 def disk_grid():
-    return sample_listening_grid(ListeningArea.disk((0, 0), 0.8, 0.04))
+    return sample_listening_grid(ListeningArea.disk(0.8, 0.04))
 
 
 def _gt_field(points, src, omega):
@@ -261,7 +261,7 @@ def test_pm_exact_inverse_square_case():
 
 def test_pm_operator_normal_equation_residual():
     arr = make_circular_array(16, 1.0)
-    area = ListeningArea.disk((0, 0), 0.8, 0.04)
+    area = ListeningArea.disk(0.8, 0.04)
     cp = sample_control_points(area, 100, clearance_from=arr)
     for lam in (1e-6, 1e-2, 1.0):
         op = pm_operator(arr, cp, OMEGA_500, lam, C)
@@ -273,7 +273,7 @@ def test_pm_operator_normal_equation_residual():
 
 def test_pm_large_lam_asymptotics():
     arr = make_circular_array(8, 1.0)
-    area = ListeningArea.disk((0, 0), 0.8, 0.04)
+    area = ListeningArea.disk(0.8, 0.04)
     cp = sample_control_points(area, 40, clearance_from=arr)
     lam = 1e9
     op = pm_operator(arr, cp, OMEGA_500, lam, C)
@@ -293,7 +293,7 @@ def test_pm_driving_scalar_formula():
 
 def test_pm_driving_zero_and_mismatch():
     arr = make_circular_array(8, 1.0)
-    area = ListeningArea.disk((0, 0), 0.8, 0.04)
+    area = ListeningArea.disk(0.8, 0.04)
     cp = sample_control_points(area, 40, clearance_from=arr)
     op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
     assert np.all(pm_driving(op, np.zeros(op.n_control)) == 0)
@@ -318,7 +318,7 @@ def test_pm_synthetic_residuals():
 def test_pm_acoustic_control_residual():
     # reference run: 0.073 for this layout; contract level 0.1
     arr = make_circular_array(16, 1.0)
-    area = ListeningArea.disk((0, 0), 0.8, 0.04)
+    area = ListeningArea.disk(0.8, 0.04)
     cp = sample_control_points(area, 100, clearance_from=arr)
     src = Source(position=np.array([2.0, 0.0]))
     op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
