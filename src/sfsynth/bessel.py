@@ -7,6 +7,9 @@ No external special-function library is used.  The evaluation scheme:
   extended precision (80-bit long double) because the series loses about
   0.43*x decimal digits to cancellation; Hankel's large-argument
   expansion above 16, where its smallest term is ~exp(-2x) < 1.3e-14.
+  The series stops when the term of the batch's largest argument <= 16
+  falls below 1e-26.  hankel2_zero (the Green's function) evaluates
+  order 0 alone; jy01 adds order 1 for the Y recurrence.
 * J_m for m >= 2: Miller's downward recurrence normalised with
   J_0 + 2*sum J_2k = 1 (stable for every m, x in range).
 * Y_m for m >= 2: upward recurrence from Y_0, Y_1 (Y is the dominant
@@ -32,96 +35,117 @@ MILLER_ACC = 250
 _EULER_GAMMA = float(np.longdouble("0.577215664901532860606512090082402431"))
 
 
-def _jy01_series(x: np.ndarray):
-    """Orders 0 and 1 by ascending series, long-double accumulation."""
+def _series(x: np.ndarray, order1: bool) -> list:
+    """[J0, Y0] (and J1, Y1 when order1) by ascending series,
+    long-double accumulation."""
     x = x.astype(np.longdouble)
     half = x / 2
     q = half * half
     one = np.longdouble(1)
 
     j0 = np.ones_like(x)
-    j1 = half.copy()
     s0 = np.zeros_like(x)   # sum (-1)^k H_k q^k / (k!)^2
-    s1 = np.zeros_like(x)   # sum (-1)^k (H_k + H_{k+1}) half^(2k+1) / (k!(k+1)!)
     term0 = np.ones_like(x)
-    term1 = half.copy()
+    scratch = np.empty_like(x)
+    if order1:
+        j1 = half.copy()
+        s1 = np.zeros_like(x)   # sum (-1)^k (H_k + H_{k+1}) half^(2k+1) / (k!(k+1)!)
+        term1 = half.copy()
     hk = np.longdouble(0)
-    x_max = float(np.max(x, initial=0.0))
+    i_max = int(np.argmax(x))
+    x_max = float(x[i_max])
     kmax = 40 + int(3.2 * x_max)
     for k in range(1, kmax + 1):
-        term0 = -term0 * q / (k * k)
-        term1 = -term1 * q / (k * (k + 1))
+        np.negative(term0, out=term0)
+        term0 *= q
+        term0 /= k * k
         hk = hk + one / k
         j0 += term0
-        j1 += term1
-        s0 += term0 * hk
-        s1 += term1 * (2 * hk + one / (k + 1))
-        if k > x_max and np.all(np.abs(term0) < 1e-26):
+        s0 += np.multiply(term0, hk, out=scratch)
+        if order1:
+            np.negative(term1, out=term1)
+            term1 *= q
+            term1 /= k * (k + 1)
+            j1 += term1
+            s1 += np.multiply(term1, 2 * hk + one / (k + 1), out=scratch)
+        # |term0| is q^k / (k!)^2 built by correctly rounded (hence
+        # monotone) products and quotients, and q grows with x, so the
+        # computed |term0| never decreases with x: the entry of the
+        # largest argument is below the bound exactly when every entry is
+        if k > x_max and abs(term0[i_max]) < 1e-26:
             break
     ln_g = np.log(half) + np.longdouble(_EULER_GAMMA)
     two_over_pi = np.longdouble(2) / np.longdouble(np.pi)
-    y0 = two_over_pi * (ln_g * j0 - s0)
-    y1 = two_over_pi * (ln_g * j1 - one / x - (s1 + half) / 2)
-    f64 = np.float64
-    return j0.astype(f64), y0.astype(f64), j1.astype(f64), y1.astype(f64)
+    out = [j0, two_over_pi * (ln_g * j0 - s0)]
+    if order1:
+        out += [j1, two_over_pi * (ln_g * j1 - one / x - (s1 + half) / 2)]
+    return [v.astype(np.float64) for v in out]
 
 
-def _jy01_asymptotic(x: np.ndarray):
-    """Orders 0 and 1 by Hankel's expansion; x above SERIES_CUTOFF."""
+def _asymptotic(x: np.ndarray, order1: bool) -> list:
+    """[J0, Y0] (and J1, Y1 when order1) by Hankel's expansion; x above
+    SERIES_CUTOFF."""
     amp = np.sqrt(2.0 / (np.pi * x))
+    scratch = np.empty_like(x)
     res = []
-    for n in (0, 1):
+    for n in ((0, 1) if order1 else (0,)):
         mu = 4.0 * n * n
         p = np.ones_like(x)
         q = np.zeros_like(x)
         term = np.ones_like(x)
-        sign_p, sign_q = -1.0, 1.0
         # 30 terms for every argument, with no early exit: the terms still
         # shrink (k < 2x), and no value depends on the other arguments
         for k in range(1, 31):
-            term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-            if k % 2 == 1:
-                q = q + sign_q * term
-                sign_q = -sign_q
+            term *= mu - (2 * k - 1) ** 2
+            term /= np.multiply(k * 8.0, x, out=scratch)
+            # odd terms go to q, even ones to p; signs +, -, -, + from k = 1
+            acc = q if k % 2 == 1 else p
+            if k % 4 < 2:
+                acc += term
             else:
-                p = p + sign_p * term
-                sign_p = -sign_p
+                acc -= term
         chi = x - (0.5 * n + 0.25) * np.pi
         c, s = np.cos(chi), np.sin(chi)
-        res.append((amp * (p * c - q * s), amp * (p * s + q * c)))
-    (j0, y0), (j1, y1) = res
-    return j0, y0, j1, y1
+        res += [amp * (p * c - q * s), amp * (p * s + q * c)]
+    return res
+
+
+def _jy(x: np.ndarray, order1: bool) -> list:
+    """[J0, Y0] (and J1, Y1 when order1) for validated arguments, the
+    series at or below SERIES_CUTOFF and the expansion above it."""
+    out = [np.empty_like(x) for _ in range(4 if order1 else 2)]
+    lo = x <= SERIES_CUTOFF
+    for part, body in ((lo, _series), (~lo, _asymptotic)):
+        if np.any(part):
+            for dst, src in zip(out, body(x[part], order1)):
+                dst[part] = src
+    return out
 
 
 def jy01(x) -> tuple:
     """Vectorized (J0, Y0, J1, Y1) for x > 0.
 
     Arguments above SERIES_CUTOFF give the same bits in any batch.  The
-    series stops on a test over the whole batch, so an argument at or
-    below the cutoff can change in its last bits with the batch's largest
-    argument.  This was seen only within ~2e-10 of a zero of J0 or J1,
-    where that value moved by less than 1e-26.
+    series stops when the term of the batch's largest argument at or
+    below the cutoff falls below 1e-26 (the same test as every term
+    falling below it, since the terms grow with the argument), so an
+    argument at or below the cutoff can change in its last bits with
+    that largest argument.  This was seen only within ~2e-10 of a zero
+    of J0 or J1, where that value moved by less than 1e-26.
 
     Raises ValueError on non-positive arguments (Y has a log singularity
     at zero).
     """
-    x = _arguments(x)
-    j0 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    y1 = np.empty_like(x)
-    lo = x <= SERIES_CUTOFF
-    if np.any(lo):
-        j0[lo], y0[lo], j1[lo], y1[lo] = _jy01_series(x[lo])
-    hi = ~lo
-    if np.any(hi):
-        j0[hi], y0[hi], j1[hi], y1[hi] = _jy01_asymptotic(x[hi])
-    return j0, y0, j1, y1
+    return tuple(_jy(_arguments(x), order1=True))
 
 
 def hankel2_zero(x) -> np.ndarray:
-    """Vectorized H_0^(2)(x) = J_0(x) - j Y_0(x) for arrays of x > 0."""
-    j0, y0, _, _ = jy01(x)
+    """Vectorized H_0^(2)(x) = J_0(x) - j Y_0(x) for arrays of x > 0.
+
+    Evaluates order 0 only, with the same operations as jy01, so the
+    result has the bits of jy01's J0 - j Y0 for the same batch.
+    """
+    j0, y0 = _jy(_arguments(x), order1=False)
     return j0 - 1j * y0
 
 

@@ -29,6 +29,7 @@ class TrainConfig:
                 ("learning_rate", self.learning_rate > 0, "positive"),
                 ("max_epochs", self.max_epochs >= 1, "at least 1"),
                 ("batch_size", self.batch_size >= 1, "at least 1"),
+                ("patience", self.patience >= 0, "non-negative"),
                 ("patience", self.patience <= self.max_epochs,
                  "at most max_epochs"),
                 ("lambda_abs", self.lambda_abs >= 0, "non-negative"),

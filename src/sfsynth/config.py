@@ -200,13 +200,16 @@ class ExperimentConfig:
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValueError("config key 'methods' must name at least one "
                              f"method, each once, got {list(self.methods)}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("config key 'lam' must be a positive finite "
-                             f"number, got {self.lam!r}")
+        for key in ("lam", "speed_of_sound", "freq_start", "freq_step"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"config key {key!r} must be a positive "
+                                 f"finite number, got {value!r}")
         if not 0 <= self.n_remove < self.n_loudspeakers:
             raise ValueError("n_remove must be in [0, L)")
         if self.freq_count < 1:
             raise ValueError("need at least one frequency")
+        self.freq_grid()
         if self.n_radius_bins < 1:
             raise ValueError("config key 'n_radius_bins' must be at least 1, "
                              f"got {self.n_radius_bins!r}")

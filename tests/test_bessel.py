@@ -96,14 +96,35 @@ def test_vectorized_zero_order_matches_scalar():
 
 
 def test_series_asymptotic_seam_continuity():
-    # both branches must agree near the switch point
+    # both branches must agree near the switch point: the Wronskian
+    # J1 Y0 - J0 Y1 = 2/(pi x) holds on either side, and the order-0
+    # path gives jy01's bits on either side
     for x in (15.999, 16.0, 16.001):
         j0, y0, j1, y1 = jy01(np.array([x]))
-        m_ref = [r for r in ORACLE if r[0] in (0, 1)]
-        # compare against a short local recomputation via the Wronskian
-        w = j0[0] * (1 * (2 / x) * y1[0] - y0[0]) - j1[0] * y1[0]
-        # J0 Y2 - J2 Y0 = -2*2/(pi x^2) * ... use the simple pair instead:
         assert abs(j1[0] * y0[0] - j0[0] * y1[0] - 2 / (np.pi * x)) < 1e-14
+        assert (hankel2_zero(np.array([x])).tobytes()
+                == (j0 - 1j * y0).tobytes())
+
+
+def test_order_zero_stop_follows_largest_series_argument():
+    # the series stops on the term of the largest argument <= 16; where
+    # that argument sits in the batch must not change a bit, and it gets
+    # the bits of a call on it alone, whose stop it sets too
+    small = [1e-3, 0.7, 2.4045, 5.5, 9.1]
+    largest = 15.3
+    big = [20.0, 57.5]
+    alone = hankel2_zero(np.array([largest])).tobytes()
+    values = []
+    for batch in ([largest] + small + big,
+                  small[:3] + big[:1] + [largest] + small[3:] + big[1:],
+                  small + big + [largest]):
+        x = np.array(batch)
+        h = hankel2_zero(x)
+        j0, y0, _, _ = jy01(x)
+        assert h.tobytes() == (j0 - 1j * y0).tobytes()
+        assert h[batch.index(largest)].tobytes() == alone
+        values.append(h[np.argsort(x)].tobytes())
+    assert values[0] == values[1] == values[2]
 
 
 def test_domain_errors():

@@ -160,13 +160,20 @@ def _one_error_line(out) -> str:
     ('{"learning_rate": NaN}', "'learning_rate'"),
     ('{"lam": -Infinity}', "'lam'"),
     ('{"batch_size": 0}', "'batch_size'"),
+    ('{"patience": -5}', "'patience'"),
+    ('{"speed_of_sound": 0}', "'speed_of_sound'"),
+    ('{"speed_of_sound": -343.0}', "'speed_of_sound'"),
+    ('{"freq_start": 0}', "'freq_start'"),
+    ('{"freq_step": -23.0}', "'freq_step'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
         "methods-repeated", "radius-bins-zero", "radius-bins-negative",
         "fig-source-in-listening-area", "fig-source-in-array",
         "fig-source-infinite", "fig-frequency-nan", "learning-rate-nan",
-        "lam-minus-infinity", "batch-size-zero"])
+        "lam-minus-infinity", "batch-size-zero", "patience-negative",
+        "speed-of-sound-zero", "speed-of-sound-negative", "freq-start-zero",
+        "freq-step-negative"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

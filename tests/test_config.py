@@ -110,9 +110,17 @@ def test_validation_failures():
     for methods in (cfg.methods, ("mr", "pm")):
         for key, value in (("learning_rate", 0.0), ("max_epochs", 0),
                            ("batch_size", 0), ("patience", cfg.max_epochs + 1),
-                           ("lambda_abs", -1.0)):
+                           ("patience", -5), ("lambda_abs", -1.0)):
             with pytest.raises(ValueError, match=f"'{key}'"):
                 replace(cfg, methods=methods, **{key: value}).validate()
+    # the speed of sound and the frequency grid are checked before a run
+    # writes anything, each error naming its key
+    for key, value in (("speed_of_sound", 0.0), ("speed_of_sound", -343.0),
+                       ("speed_of_sound", float("nan")), ("freq_start", 0.0),
+                       ("freq_start", -46.0), ("freq_step", 0.0),
+                       ("freq_step", -23.0)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            replace(cfg, **{key: value}).validate()
 
 
 def test_mr_listening_radius():

@@ -17,6 +17,7 @@ from sfsynth.bessel import (
     bessel_j_orders,
     bessel_y_orders,
     hankel2_sym_range,
+    hankel2_zero,
     jy01,
 )
 from sfsynth.compensator import pack_driving, predict_control_pressure, unpack_driving
@@ -69,8 +70,9 @@ def test_batched_propagation_matches_per_sample(data, l, k, i, b):
 
 
 # the oracle's range: orders up to 60, arguments in [1e-3, 100]; random
-# draws do not land within ~2e-10 of a zero of J0 or J1, where jy01's
-# batch-wide series test can move the last bits (see jy01)
+# draws do not land within ~2e-10 of a zero of J0 or J1, where the
+# series' stop, set by the batch's largest argument <= 16, can move the
+# last bits (see jy01)
 bessel_arguments = st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=8)
 
 
@@ -86,6 +88,19 @@ def test_batched_bessel_rows_equal_scalar_calls(m_max, xs):
             assert np.array_equal(got[i], f(m_max, xi)), (f.__name__, xi)
         for got, want in zip(columns, jy01(np.array([xi]))):
             assert np.array_equal(got[i:i + 1], want), xi
+
+
+@FAST
+@given(st.lists(st.floats(1e-3, 16.0), min_size=1, max_size=8),
+       st.lists(st.floats(16.0, 100.0, exclude_min=True), max_size=8),
+       st.randoms(use_true_random=False))
+def test_order_zero_path_equals_jy01_bits(series_xs, asymptotic_xs, rnd):
+    # arguments on both sides of the cutoff, in any order, in one batch
+    xs = series_xs + asymptotic_xs
+    rnd.shuffle(xs)
+    x = np.array(xs)
+    j0, y0, _, _ = jy01(x)
+    assert hankel2_zero(x).tobytes() == (j0 - 1j * y0).tobytes()
 
 
 @st.composite
