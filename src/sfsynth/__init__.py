@@ -55,7 +55,6 @@ from .renderers import (
     mr_linear_driving,
     pm_driving,
     pm_operator,
-    synthesize,
 )
 
 __version__ = "0.1.0"

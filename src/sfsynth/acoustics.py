@@ -14,9 +14,11 @@ from .bessel import hankel2_sym_range, hankel2_zero
 
 # points closer than this to a source are treated as coincident
 _SINGULARITY_EPS = 1e-12
-# entries per Bessel call in green_matrix: the call peaks at ~140 bytes
-# per entry (long-double series temporaries), so a full-scale grid to
-# every test source (~2.5e7 entries) would need ~3.5 GB in one call
+# entries per Bessel call in green_matrix.  Under tracemalloc, one
+# hankel2_zero call on 2^20 arguments peaks at 178 bytes per entry when
+# every argument is <= 16 (long-double series temporaries) and at 114
+# when every one is above 16, result included; so a full-scale grid to
+# every test source (~2.5e7 entries) would need ~4.4 GB in one call
 GREEN_CHUNK_ENTRIES = 1 << 20
 
 

@@ -241,7 +241,5 @@ def hankel2_sym_range(m_max: int, x) -> np.ndarray:
     """H_m^(2)(x) for m = -m_max .. m_max along the last axis (index
     m + m_max); x is a scalar or a 1-D array (one row per argument)."""
     pos = hankel2_orders(m_max, x)
-    if m_max == 0:
-        return pos
     signs = (-1.0) ** np.arange(m_max, 0, -1)
     return np.concatenate([signs * pos[..., m_max:0:-1], pos], axis=-1)

@@ -205,6 +205,11 @@ class ExperimentConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"config key {key!r} must be a positive "
                                  f"finite number, got {value!r}")
+        for key in ("source_seed", "decimation_seed", "train_seed"):
+            value = getattr(self, key)
+            if value < 0:
+                raise ValueError(f"config key {key!r} must be a non-negative "
+                                 f"integer, got {value!r}")
         if not 0 <= self.n_remove < self.n_loudspeakers:
             raise ValueError("n_remove must be in [0, L)")
         if self.freq_count < 1:

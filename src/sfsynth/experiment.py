@@ -231,6 +231,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         raise ValueError("config key 'methods' must include 'cnn' to train, "
                          f"got {list(cfg.methods)}")
     stages = ALL_STAGES[:ALL_STAGES.index(until) + 1]
+    # built before anything is written: a geometry or source split that
+    # the config cannot give leaves no files behind
+    array, cp, freq = cfg.array(), cfg.control_points(), cfg.freq_grid()
+    split = cfg.source_split()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
@@ -253,15 +257,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
             raise StageError(name, exc) from exc
         return result
 
-    def geometry():
-        return cfg.array(), cfg.control_points(), cfg.freq_grid()
-
-    def write_config():
-        fileio.write_text(out_dir / "config.json", cfg.to_json())
-        return geometry()
-
     def build():
-        dataset = build_dataset(array, cfg.source_split(), cp, freq, cfg.lam,
+        dataset = build_dataset(array, split, cp, freq, cfg.lam,
                                 cfg.mr_listening_radius())
         fileio.save_dataset(out_dir / "dataset.sfsx", dataset,
                             header_extra={"config_hash": chash})
@@ -289,8 +286,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                 n_radius_bins=cfg.n_radius_bins, samples=samples))
 
     try:
-        array, cp, freq = stage("dataset", "config", ["config.json"],
-                                write_config, geometry)
+        stage("dataset", "config", ["config.json"],
+              lambda: fileio.write_text(out_dir / "config.json", cfg.to_json()))
         dataset = stage("dataset", "dataset", ["dataset.sfsx"], build,
                         lambda: fileio.load_dataset(out_dir / "dataset.sfsx")[0])
         # per-frequency G_cp and PM operators, built on first use and

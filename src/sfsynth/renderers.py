@@ -1,5 +1,5 @@
 """Driving-signal computation: model-based rendering for circular and
-linear arrays, pressure matching, and field synthesis."""
+linear arrays, and pressure matching."""
 
 from __future__ import annotations
 
@@ -34,44 +34,6 @@ class PMOperator:
         return self.g_cp.shape[0]
 
 
-def synthesize(array: ArrayGeometry, d: np.ndarray, points: PointSet,
-               omega: float, c: float) -> np.ndarray:
-    """Pressure produced at `points` by driving the active loudspeakers
-    with the coefficients d at angular frequency omega."""
-    d = np.asarray(d, dtype=np.complex128).reshape(-1)
-    if len(d) != array.active_count:
-        raise ValueError("driving length must equal the active loudspeaker count")
-    g = green_matrix(points.points, array.active_positions, omega, c)
-    return g @ d
-
-
-def mr_circular_filter_bank(array: ArrayGeometry, pw: PlaneWaveSet,
-                            omega: float, c: float) -> np.ndarray:
-    """Closed-form plane-wave filters for a circular array, indexed
-    (loudspeaker, direction): (L_active, N).
-
-    h_l(theta_n) = 4/(j L) sum_m j^m exp(j m (theta_l - theta_n)) / H_m^(2)(k rho_l)
-
-    The j^m factor is required for the modal sum to synthesize the plane
-    wave exp(j k <r, k_hat(theta_n)>): matching circular-harmonic
-    coefficients of the Green's function against the Jacobi-Anger
-    expansion of the target introduces exactly one factor j^m.
-    L is the active loudspeaker count, which keeps the amplitude scale
-    stable across decimation levels.
-    """
-    if array.family != "circular":
-        raise ValueError("circular filter bank needs a circular array")
-    k = omega / c
-    M = pw.order
-    ms = np.arange(-M, M + 1)
-    H = hankel2_sym_range(M, k * array.radius)
-    w = (1j) ** ms / H
-    e_l = np.exp(1j * np.outer(array.active_angles, ms))      # (L, 2M+1)
-    e_n = np.exp(-1j * np.outer(pw.directions, ms))           # (N, 2M+1)
-    scale = 4.0 / (1j * array.active_count)
-    return scale * (e_l * w) @ e_n.T
-
-
 def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
                         omega: float, c: float, *,
                         listening_radius: float) -> np.ndarray:
@@ -79,8 +41,18 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     one frequency, (L, S).
 
     Chooses M from the listening radius, renders N = 2M+1 uniformly
-    spaced plane waves, and averages the filters against each source's
-    plane-wave density.
+    spaced plane waves, and averages the closed-form filters
+
+        h_l(theta_n) = 4/(j L) sum_m j^m exp(j m (theta_l - theta_n)) / H_m^(2)(k rho_l)
+
+    against each source's plane-wave density phi:
+    d_l = (1/N) sum_n phi(theta_n) h_l(theta_n).  The j^m factor is
+    required for the modal sum to synthesize the plane wave
+    exp(j k <r, k_hat(theta_n)>): matching circular-harmonic coefficients
+    of the Green's function against the Jacobi-Anger expansion of the
+    target introduces exactly one factor j^m.  L is the active
+    loudspeaker count, which keeps the amplitude scale stable across
+    decimation levels.
     """
     if array.family != "circular":
         raise ValueError("mr_circular_driving needs a circular array")

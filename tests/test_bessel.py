@@ -161,6 +161,15 @@ def test_sym_range_layout():
         assert abs(h[off] - ref) / abs(ref) < 1e-13
 
 
+def test_sym_range_order_zero_is_order_row():
+    # with m_max = 0 the symmetric range is the single order-0 column
+    for x in (3.0, np.array([0.5, 3.0, 17.0, 40.0])):
+        h = hankel2_sym_range(0, x)
+        ref = hankel2_orders(0, x)
+        assert h.shape == ref.shape and h.dtype == ref.dtype
+        assert h.tobytes() == ref.tobytes()
+
+
 def test_tiny_order_value_underflow_zone():
     # J_60(1e-3) ~ 1e-280 must come back with full relative accuracy
     row = None

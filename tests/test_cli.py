@@ -165,6 +165,15 @@ def _one_error_line(out) -> str:
     ('{"speed_of_sound": -343.0}', "'speed_of_sound'"),
     ('{"freq_start": 0}', "'freq_start'"),
     ('{"freq_step": -23.0}', "'freq_step'"),
+    ('{"train_seed": -1}', "'train_seed'"),
+    (('{}', "--seed", "-3"), "'source_seed'"),
+    # geometry and sources the config cannot give are refused before the
+    # output directory is made
+    ('{"control_target": 0}', "target_count"),
+    ('{"array_radius": 0}', "radius must be positive"),
+    ('{"test_shift": 0}', "test_shift"),
+    ('{"val_count": 0}', "val_count"),
+    ('{"n_test": 0}', "n_test"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -173,12 +182,16 @@ def _one_error_line(out) -> str:
         "fig-source-infinite", "fig-frequency-nan", "learning-rate-nan",
         "lam-minus-infinity", "batch-size-zero", "patience-negative",
         "speed-of-sound-zero", "speed-of-sound-negative", "freq-start-zero",
-        "freq-step-negative"])
+        "freq-step-negative", "train-seed-negative", "seed-flag-negative",
+        "control-target-zero", "array-radius-zero", "test-shift-zero",
+        "val-count-zero", "n-test-zero"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
+    # a tuple holds the config text and the extra command-line arguments
+    text, *extra = (text,) if isinstance(text, str) else text
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     out = run_cli("gen-dataset", "--config", str(bad), "--scale", "desk",
-                  "--out", str(tmp_path / "x"))
+                  "--out", str(tmp_path / "x"), *extra)
     assert named in _one_error_line(out)
     assert not (tmp_path / "x").exists()
 

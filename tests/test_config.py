@@ -121,6 +121,10 @@ def test_validation_failures():
                        ("freq_step", -23.0)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             replace(cfg, **{key: value}).validate()
+    # and so is every seed, whichever stage draws from it
+    for key in ("source_seed", "decimation_seed", "train_seed"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            replace(cfg, **{key: -1}).validate()
 
 
 def test_mr_listening_radius():

@@ -20,11 +20,7 @@ from sfsynth.geometry import (
     make_circular_array,
     sample_control_points,
 )
-from sfsynth.renderers import (
-    mr_circular_driving,
-    mr_linear_driving,
-    synthesize,
-)
+from sfsynth.renderers import mr_circular_driving, mr_linear_driving
 
 
 def test_circular_full_scale_counts():
@@ -133,18 +129,13 @@ def test_dataset_shapes(small_dataset):
 
 
 def test_dataset_pressures_match_unit_monopole(small_dataset):
-    # the stored ground truth equals synthesizing a unit source placed at
-    # the record's position
+    # the stored ground truth equals the field of a unit monopole placed
+    # at the record's position
     arr, cp, fg, split, ds = small_dataset
     rec = ds.val[0]
-    from sfsynth.geometry import ArrayGeometry
-    mono = ArrayGeometry(family="circular",
-                         positions=rec.source.position[None, :],
-                         active_mask=np.ones(1, dtype=bool),
-                         radius=rec.source.rho,
-                         angles=np.array([rec.source.theta]))
     for ki, omega in enumerate(fg.angular):
-        ref = synthesize(mono, [1.0], cp, omega, fg.c)
+        ref = green_matrix(cp.points, rec.source.position[None, :], omega,
+                           fg.c)[:, 0]
         assert np.allclose(rec.pressures[:, ki], ref, rtol=1e-12)
 
 

@@ -19,12 +19,10 @@ from sfsynth.geometry import (
 from sfsynth.renderers import (
     linear_window,
     mr_circular_driving,
-    mr_circular_filter_bank,
     mr_linear_driving,
     mr_linear_filter_bank,
     pm_driving,
     pm_operator,
-    synthesize,
 )
 
 C = 343.0
@@ -47,35 +45,6 @@ def _gt_field(points, src, omega):
     return green_matrix(points, src.position[None, :], omega, C)[:, 0]
 
 
-# -- synthesize ---------------------------------------------------------------
-
-def test_synthesize_single_speaker_is_green(disk_grid):
-    arr = make_circular_array(1, 1.5)
-    field = synthesize(arr, [1.0], disk_grid, OMEGA_500, C)
-    ref = green_matrix(disk_grid.points, arr.positions, OMEGA_500, C)[:, 0]
-    assert np.allclose(field, ref, rtol=0, atol=0)
-
-
-def test_synthesize_zero_driving(disk_grid):
-    arr = make_circular_array(8, 1.0)
-    field = synthesize(arr, np.zeros(8), disk_grid, OMEGA_500, C)
-    assert np.all(field == 0)
-
-
-def test_synthesize_superposition(disk_grid):
-    arr = make_circular_array(2, 1.0)
-    f_both = synthesize(arr, [1.0, 1.0], disk_grid, OMEGA_500, C)
-    f_a = synthesize(arr, [1.0, 0.0], disk_grid, OMEGA_500, C)
-    f_b = synthesize(arr, [0.0, 1.0], disk_grid, OMEGA_500, C)
-    assert np.allclose(f_both, f_a + f_b, rtol=1e-13)
-
-
-def test_synthesize_length_mismatch(disk_grid):
-    arr = make_circular_array(8, 1.0)
-    with pytest.raises(ValueError):
-        synthesize(arr, np.ones(7), disk_grid, OMEGA_500, C)
-
-
 # -- circular model-based rendering -------------------------------------------
 
 def test_mr_circular_full_array_reproduction(disk_grid):
@@ -89,8 +58,8 @@ def test_mr_circular_full_array_reproduction(disk_grid):
         src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
         d = mr_circular_driving(arr, [src], OMEGA_500, C,
                                 listening_radius=1.0)[:, 0]
-        p_hat = synthesize(arr, d, disk_grid, OMEGA_500, C)
-        assert nre(p_hat, _gt_field(disk_grid.points, src, OMEGA_500)) <= -15.0
+        g = green_matrix(disk_grid.points, arr.active_positions, OMEGA_500, C)
+        assert nre(g @ d, _gt_field(disk_grid.points, src, OMEGA_500)) <= -15.0
 
 
 def test_mr_circular_decimation_degrades(disk_grid):
@@ -100,47 +69,44 @@ def test_mr_circular_decimation_degrades(disk_grid):
     p = _gt_field(disk_grid.points, src, OMEGA_500)
     d_full = mr_circular_driving(arr, [src], OMEGA_500, C, listening_radius=1.0)[:, 0]
     d_dec = mr_circular_driving(dec, [src], OMEGA_500, C, listening_radius=1.0)[:, 0]
-    nre_full = nre(synthesize(arr, d_full, disk_grid, OMEGA_500, C), p)
-    nre_dec = nre(synthesize(dec, d_dec, disk_grid, OMEGA_500, C), p)
+    g_full = green_matrix(disk_grid.points, arr.active_positions, OMEGA_500, C)
+    g_dec = green_matrix(disk_grid.points, dec.active_positions, OMEGA_500, C)
+    nre_full = nre(g_full @ d_full, p)
+    nre_dec = nre(g_dec @ d_dec, p)
     assert nre_dec > nre_full
 
 
 def test_mr_circular_matches_bruteforce_double_loop():
-    # L=1: d_1 = (1/N) sum_n phi(theta_n) * (4/j) sum_m j^m
-    #   e^(j m (theta_1 - theta_n)) / H_m^(2)(k rho_1)
-    arr = make_circular_array(1, 1.0)
+    # for every active loudspeaker l of a one-element array and of a
+    # 16-element array, whole and decimated by 8:
+    # d_l = (1/N) sum_n phi(theta_n) * 4/(j L_active) sum_m j^m
+    #   e^(j m (theta_l - theta_n)) / H_m^(2)(k rho)
+    from sfsynth.acoustics import herglotz_point_source
     src = Source(position=np.array([1.7, 0.9]))
     omega = 2 * np.pi * 300
     k = omega / C
-    d = mr_circular_driving(arr, [src], omega, C, listening_radius=1.0)[:, 0]
-    from sfsynth.acoustics import herglotz_point_source
     M = truncation_order(omega, 1.0, C)
     N = 2 * M + 1
     H = hankel2_sym_range(M, k * 1.0)           # H[m + M] = H_m^(2)
-    acc = 0.0 + 0.0j
-    for n in range(N):
-        theta_n = 2 * np.pi * n / N
-        phi = herglotz_point_source(theta_n, omega, [src], M, C)[0, 0]
-        h = 0.0 + 0.0j
-        for m in range(-M, M + 1):
-            h += (1j) ** m * np.exp(1j * m * (0.0 - theta_n)) / H[m + M]
-        acc += phi * (4.0 / 1j) * h
-    ref = acc / N
-    assert d[0] == pytest.approx(ref, rel=1e-10)
-
-
-def test_mr_circular_filter_bank_consistent_with_driving():
-    arr = make_circular_array(16, 1.0)
-    src = Source(position=np.array([0.0, 2.5]))
-    omega = 2 * np.pi * 400
-    M = truncation_order(omega, 1.0, C)
-    pw = PlaneWaveSet.full_circle(M)
-    bank = mr_circular_filter_bank(arr, pw, omega, C)
-    from sfsynth.acoustics import herglotz_point_source
-    phi = herglotz_point_source(pw.directions, omega, [src], M, C)[0]
-    ref = (bank @ phi) / len(pw.directions)
-    d = mr_circular_driving(arr, [src], omega, C, listening_radius=1.0)[:, 0]
-    assert np.allclose(d, ref, rtol=1e-10)
+    thetas = 2 * np.pi * np.arange(N) / N
+    phi = [herglotz_point_source(theta_n, omega, [src], M, C)[0, 0]
+           for theta_n in thetas]
+    full = make_circular_array(16, 1.0)
+    for arr in (make_circular_array(1, 1.0), full,
+                decimate_array(full, 8, seed=3)):
+        d = mr_circular_driving(arr, [src], omega, C,
+                                listening_radius=1.0)[:, 0]
+        scale = 4.0 / (1j * arr.active_count)
+        assert len(d) == arr.active_count
+        for l, theta_l in enumerate(arr.active_angles):
+            acc = 0.0 + 0.0j
+            for n, theta_n in enumerate(thetas):
+                h = 0.0 + 0.0j
+                for m in range(-M, M + 1):
+                    h += ((1j) ** m * np.exp(1j * m * (theta_l - theta_n))
+                          / H[m + M])
+                acc += phi[n] * scale * h
+            assert d[l] == pytest.approx(acc / N, rel=1e-10)
 
 
 def test_mr_circular_source_inside_rejected():
@@ -221,7 +187,7 @@ def test_mr_linear_reproduction(linear_setup):
     src = Source(position=np.array([2.0, 0.5]))
     d = mr_linear_driving(arr, [src], cp, OMEGA_500, lam=1e-2, c=C,
                           listening_radius=rect.bounding_radius)[:, 0]
-    p_hat = synthesize(arr, d, grid, OMEGA_500, C)
+    p_hat = green_matrix(grid.points, arr.active_positions, OMEGA_500, C) @ d
     assert nre(p_hat, _gt_field(grid.points, src, OMEGA_500)) <= -10.0
 
 
@@ -344,8 +310,9 @@ def test_driving_scale_equivariance(disk_grid):
     src = Source(position=np.array([2.0, 1.0]))
     s = 2.0 - 3.0j
     d1 = mr_circular_driving(arr, [src], OMEGA_500, C, listening_radius=1.0)[:, 0]
-    f1 = synthesize(arr, d1, disk_grid, OMEGA_500, C)
-    fs = synthesize(arr, s * d1, disk_grid, OMEGA_500, C)
+    g = green_matrix(disk_grid.points, arr.active_positions, OMEGA_500, C)
+    f1 = g @ d1
+    fs = g @ (s * d1)
     assert np.allclose(fs, s * f1, rtol=1e-12)
 
 
@@ -359,6 +326,8 @@ def test_full_array_beats_decimated_at_every_frequency(disk_grid):
         p = _gt_field(disk_grid.points, src, omega)
         d_f = mr_circular_driving(arr, [src], omega, C, listening_radius=1.0)[:, 0]
         d_d = mr_circular_driving(dec, [src], omega, C, listening_radius=1.0)[:, 0]
-        n_f = nre(synthesize(arr, d_f, disk_grid, omega, C), p)
-        n_d = nre(synthesize(dec, d_d, disk_grid, omega, C), p)
+        g_f = green_matrix(disk_grid.points, arr.active_positions, omega, C)
+        g_d = green_matrix(disk_grid.points, dec.active_positions, omega, C)
+        n_f = nre(g_f @ d_f, p)
+        n_d = nre(g_d @ d_d, p)
         assert n_f < n_d, f"full array not better at {f} Hz"
