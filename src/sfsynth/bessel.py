@@ -7,13 +7,16 @@ No external special-function library is used.  The evaluation scheme:
   extended precision (80-bit long double) because the series loses about
   0.43*x decimal digits to cancellation; Hankel's large-argument
   expansion above 16, where its smallest term is ~exp(-2x) < 1.3e-14.
-  The series stops when the term of the batch's largest argument <= 16
-  falls below 1e-26.  hankel2_zero (the Green's function) evaluates
-  order 0 alone; jy01 adds order 1 for the Y recurrence.
+  The series runs once per distinct argument of a batch and stops when
+  the term of the batch's largest argument <= 16 falls below 1e-26.
+  hankel2_zero (the Green's function) evaluates order 0 alone; jy01
+  adds order 1 for the Y recurrence.
 * J_m for m >= 2: Miller's downward recurrence normalised with
   J_0 + 2*sum J_2k = 1 (stable for every m, x in range).
 * Y_m for m >= 2: upward recurrence from Y_0, Y_1 (Y is the dominant
   solution, so upward is stable).
+* hankel2_orders and hankel2_sym_range compute one J row and one Y row
+  per distinct argument and gather them back to the batch.
 
 Accuracy target is 1e-10 relative on the complex Hankel value for
 m <= 60, 1e-3 <= x <= 100; the test fixtures pin this against an
@@ -56,16 +59,16 @@ def _series(x: np.ndarray, order1: bool) -> list:
     x_max = float(x[i_max])
     kmax = 40 + int(3.2 * x_max)
     for k in range(1, kmax + 1):
-        np.negative(term0, out=term0)
+        # the sign flip rides on the divisor: rounding is symmetric in
+        # sign, so t*q/(-k^2) has the bits of (-t)*q/k^2
         term0 *= q
-        term0 /= k * k
+        term0 /= -(k * k)
         hk = hk + one / k
         j0 += term0
         s0 += np.multiply(term0, hk, out=scratch)
         if order1:
-            np.negative(term1, out=term1)
             term1 *= q
-            term1 /= k * (k + 1)
+            term1 /= -(k * (k + 1))
             j1 += term1
             s1 += np.multiply(term1, 2 * hk + one / (k + 1), out=scratch)
         # |term0| is q^k / (k!)^2 built by correctly rounded (hence
@@ -115,10 +118,16 @@ def _jy(x: np.ndarray, order1: bool) -> list:
     series at or below SERIES_CUTOFF and the expansion above it."""
     out = [np.empty_like(x) for _ in range(4 if order1 else 2)]
     lo = x <= SERIES_CUTOFF
-    for part, body in ((lo, _series), (~lo, _asymptotic)):
-        if np.any(part):
-            for dst, src in zip(out, body(x[part], order1)):
-                dst[part] = src
+    if np.any(lo):
+        # the series runs once per distinct argument; they have the
+        # batch's largest argument <= 16, so the stop lands on the same k
+        distinct, where = np.unique(x[lo], return_inverse=True)
+        for dst, src in zip(out, _series(distinct, order1)):
+            dst[lo] = src[where]
+    hi = ~lo
+    if np.any(hi):
+        for dst, src in zip(out, _asymptotic(x[hi], order1)):
+            dst[hi] = src
     return out
 
 
@@ -126,12 +135,13 @@ def jy01(x) -> tuple:
     """Vectorized (J0, Y0, J1, Y1) for x > 0.
 
     Arguments above SERIES_CUTOFF give the same bits in any batch.  The
-    series stops when the term of the batch's largest argument at or
-    below the cutoff falls below 1e-26 (the same test as every term
-    falling below it, since the terms grow with the argument), so an
-    argument at or below the cutoff can change in its last bits with
-    that largest argument.  This was seen only within ~2e-10 of a zero
-    of J0 or J1, where that value moved by less than 1e-26.
+    series runs once per distinct argument at or below the cutoff and
+    stops when the term of the batch's largest one falls below 1e-26
+    (the same test as every term falling below it, since the terms grow
+    with the argument), so an argument at or below the cutoff can change
+    in its last bits with that largest argument, but not with how often
+    any argument repeats.  This was seen only within ~2e-10 of a zero of
+    J0 or J1, where that value moved by less than 1e-26.
 
     Raises ValueError on non-positive arguments (Y has a log singularity
     at zero).
@@ -143,7 +153,9 @@ def hankel2_zero(x) -> np.ndarray:
     """Vectorized H_0^(2)(x) = J_0(x) - j Y_0(x) for arrays of x > 0.
 
     Evaluates order 0 only, with the same operations as jy01, so the
-    result has the bits of jy01's J0 - j Y0 for the same batch.
+    result has the bits of jy01's J0 - j Y0 for the same batch.  Each
+    distinct argument at or below SERIES_CUTOFF goes through the series
+    once, and the series still stops on the batch's largest such one.
     """
     j0, y0 = _jy(_arguments(x), order1=False)
     return j0 - 1j * y0
@@ -202,11 +214,15 @@ def bessel_j_orders(m_max: int, x) -> np.ndarray:
 def bessel_y_orders(m_max: int, x) -> np.ndarray:
     """Y_0(x) .. Y_m_max(x) by upward recurrence; x is a scalar or a
     1-D array (one row per argument).  A row equals the scalar call bit
-    for bit except as jy01 notes for arguments <= SERIES_CUTOFF.
+    for bit except as jy01 notes for arguments <= SERIES_CUTOFF, whose
+    series runs once per distinct argument.
 
     Raises OverflowError when the order so far exceeds the argument that
     Y leaves the double range (the value is astronomically large, not
-    infinite, so it is reported as an error instead).
+    infinite, so it is reported as an error instead).  The message names
+    the first argument, in batch order, whose Y overflows at the lowest
+    order where any does; hankel2_orders passes its distinct arguments
+    in ascending order, so through it that is the smallest of them.
     """
     scalar = np.ndim(x) == 0
     x = _arguments(x)
@@ -229,12 +245,14 @@ def bessel_y_orders(m_max: int, x) -> np.ndarray:
 
 def hankel2_orders(m_max: int, x) -> np.ndarray:
     """H_0^(2)(x) .. H_m_max^(2)(x); x is a scalar or a 1-D array (one
-    row per argument)."""
+    row per argument, each distinct argument evaluated once)."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    j = bessel_j_orders(m_max, x)
-    y = bessel_y_orders(m_max, x)
-    return j - 1j * y
+    scalar = np.ndim(x) == 0
+    # one J row and one Y row per distinct argument, gathered back
+    distinct, where = np.unique(_arguments(x), return_inverse=True)
+    h = bessel_j_orders(m_max, distinct) - 1j * bessel_y_orders(m_max, distinct)
+    return h[where[0]] if scalar else h[where]
 
 
 def hankel2_sym_range(m_max: int, x) -> np.ndarray:

@@ -200,7 +200,10 @@ class ExperimentConfig:
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValueError("config key 'methods' must name at least one "
                              f"method, each once, got {list(self.methods)}")
-        for key in ("lam", "speed_of_sound", "freq_start", "freq_step"):
+        lengths = (("array_radius", "listening_radius")
+                   if self.family == "circular" else ("array_spacing",))
+        for key in ("lam", "speed_of_sound", "freq_start", "freq_step",
+                    "listening_spacing", *lengths):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"config key {key!r} must be a positive "
@@ -215,9 +218,11 @@ class ExperimentConfig:
         if self.freq_count < 1:
             raise ValueError("need at least one frequency")
         self.freq_grid()
-        if self.n_radius_bins < 1:
-            raise ValueError("config key 'n_radius_bins' must be at least 1, "
-                             f"got {self.n_radius_bins!r}")
+        for key in ("n_radius_bins", "control_target"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"config key {key!r} must be at least 1, "
+                                 f"got {value!r}")
         l_active = self.n_loudspeakers - self.n_remove
         if "cnn" in self.methods:
             # raises with a size diagnosis when the geometry cannot feed

@@ -298,9 +298,12 @@ def _fmt(x: float) -> str:
 
 def write_field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.complex128).reshape(-1)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    # Python floats from tolist() print as _fmt prints them
+    columns = (points[:, 0].tolist(), points[:, 1].tolist(),
+               values.real.tolist(), values.imag.tolist())
     lines = ["x,y,re,im"]
-    for p, v in zip(np.atleast_2d(points), values):
-        lines.append(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(v.real)},{_fmt(v.imag)}")
+    lines += [f"{x!r},{y!r},{re!r},{im!r}" for x, y, re, im in zip(*columns)]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -127,6 +127,28 @@ def test_order_zero_stop_follows_largest_series_argument():
     assert values[0] == values[1] == values[2]
 
 
+def test_each_distinct_argument_evaluated_once(monkeypatch):
+    # repeated arguments reach the long-double series and the Miller
+    # recurrence once each, and get the bits of their distinct batch
+    from sfsynth import bessel
+    series_sizes, j_rows = [], []
+    series, j_orders = bessel._series, bessel.bessel_j_orders
+    monkeypatch.setattr(bessel, "_series", lambda x, order1: (
+        series_sizes.append(len(x)) or series(x, order1)))
+    monkeypatch.setattr(bessel, "bessel_j_orders", lambda m_max, x: (
+        j_rows.append(np.size(x)) or j_orders(m_max, x)))
+    distinct = np.linspace(0.5, 15.5, 10)
+    pick = np.random.default_rng(0).permutation(np.arange(1000) % 10)
+    h = hankel2_zero(distinct[pick])
+    assert series_sizes == [10]
+    assert h.tobytes() == hankel2_zero(distinct)[pick].tobytes()
+    series_sizes.clear()
+    rows = hankel2_sym_range(5, np.full(64, 3.0))
+    assert j_rows == [1] and series_sizes == [1]
+    assert rows.shape == (64, 11)
+    assert (rows == hankel2_sym_range(5, 3.0)).all()
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         hankel2_orders(0, 0.0)

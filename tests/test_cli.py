@@ -169,8 +169,11 @@ def _one_error_line(out) -> str:
     (('{}', "--seed", "-3"), "'source_seed'"),
     # geometry and sources the config cannot give are refused before the
     # output directory is made
-    ('{"control_target": 0}', "target_count"),
-    ('{"array_radius": 0}', "radius must be positive"),
+    ('{"control_target": 0}', "'control_target'"),
+    ('{"array_radius": 0}', "'array_radius'"),
+    ('{"listening_spacing": 0}', "'listening_spacing'"),
+    ('{"listening_radius": -1.0}', "'listening_radius'"),
+    ('{"family": "linear", "array_spacing": 0}', "'array_spacing'"),
     ('{"test_shift": 0}', "test_shift"),
     ('{"val_count": 0}', "val_count"),
     ('{"n_test": 0}', "n_test"),
@@ -183,7 +186,8 @@ def _one_error_line(out) -> str:
         "lam-minus-infinity", "batch-size-zero", "patience-negative",
         "speed-of-sound-zero", "speed-of-sound-negative", "freq-start-zero",
         "freq-step-negative", "train-seed-negative", "seed-flag-negative",
-        "control-target-zero", "array-radius-zero", "test-shift-zero",
+        "control-target-zero", "array-radius-zero", "listening-spacing-zero",
+        "listening-radius-negative", "array-spacing-zero", "test-shift-zero",
         "val-count-zero", "n-test-zero"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments

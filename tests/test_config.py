@@ -125,6 +125,17 @@ def test_validation_failures():
     for key in ("source_seed", "decimation_seed", "train_seed"):
         with pytest.raises(ValueError, match=f"'{key}'"):
             replace(cfg, **{key: -1}).validate()
+    # and so are the geometry sizes that the family reads
+    lin = desk_config("linear")
+    for base, key, value in ((cfg, "array_radius", 0.0),
+                             (cfg, "listening_radius", -1.0),
+                             (cfg, "listening_spacing", 0.0),
+                             (cfg, "control_target", 0),
+                             (lin, "array_spacing", 0.0),
+                             (lin, "listening_spacing", -0.02),
+                             (lin, "control_target", -3)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            replace(base, **{key: value}).validate()
 
 
 def test_mr_listening_radius():

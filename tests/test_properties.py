@@ -103,6 +103,26 @@ def test_order_zero_path_equals_jy01_bits(series_xs, asymptotic_xs, rnd):
     assert hankel2_zero(x).tobytes() == (j0 - 1j * y0).tobytes()
 
 
+@FAST
+@given(st.lists(st.floats(1e-3, 16.0), min_size=1, max_size=6),
+       st.lists(st.floats(16.0, 100.0, exclude_min=True), max_size=6),
+       st.lists(st.integers(0, 11), max_size=24), st.integers(0, 60),
+       st.randoms(use_true_random=False))
+def test_repeated_arguments_get_their_distinct_batch_bits(
+        series_xs, asymptotic_xs, repeats, m_max, rnd):
+    # every distinct value at least once (so the largest argument <= 16,
+    # which sets the series stop, is the same), then repeats, shuffled
+    distinct = np.unique(series_xs + asymptotic_xs)
+    pick = list(range(len(distinct))) + [r % len(distinct) for r in repeats]
+    rnd.shuffle(pick)
+    x = distinct[pick]
+    assert hankel2_zero(x).tobytes() == hankel2_zero(distinct)[pick].tobytes()
+    for got, want in zip(jy01(x), jy01(distinct)):
+        assert got.tobytes() == want[pick].tobytes()
+    assert (hankel2_sym_range(m_max, x).tobytes()
+            == hankel2_sym_range(m_max, distinct)[pick].tobytes())
+
+
 @st.composite
 def small_models(draw):
     rows = 2 * draw(st.integers(8, 11))

@@ -305,15 +305,22 @@ def test_pm_exact_reproduction_when_full_rank():
 
 # -- shared renderer properties -------------------------------------------------
 
-def test_driving_scale_equivariance(disk_grid):
+def test_mr_circular_batch_equals_one_source_calls():
+    # eight sources on rho = 2.5 exactly (3-4-5 triangles) share one
+    # Hankel row per frequency; one more lies off that ring.  Each column
+    # of the batch must be its one-source call, byte for byte
+    ring = [(2.5, 0.0), (1.5, 2.0), (0.0, 2.5), (-2.0, 1.5),
+            (-2.5, 0.0), (-1.5, -2.0), (0.0, -2.5), (2.0, -1.5)]
+    sources = [Source(position=np.array(p)) for p in ring + [(1.8, -0.6)]]
+    assert len({s.rho for s in sources[:8]}) == 1
     arr = make_circular_array(16, 1.0)
-    src = Source(position=np.array([2.0, 1.0]))
-    s = 2.0 - 3.0j
-    d1 = mr_circular_driving(arr, [src], OMEGA_500, C, listening_radius=1.0)[:, 0]
-    g = green_matrix(disk_grid.points, arr.active_positions, OMEGA_500, C)
-    f1 = g @ d1
-    fs = g @ (s * d1)
-    assert np.allclose(fs, s * f1, rtol=1e-12)
+    for f in (46.0, 368.0, 1007.0):
+        omega = 2 * np.pi * f
+        batch = mr_circular_driving(arr, sources, omega, C, listening_radius=1.0)
+        alone = np.stack([mr_circular_driving(arr, [s], omega, C,
+                                              listening_radius=1.0)[:, 0]
+                          for s in sources], axis=1)
+        assert batch.tobytes() == alone.tobytes(), f
 
 
 def test_full_array_beats_decimated_at_every_frequency(disk_grid):
