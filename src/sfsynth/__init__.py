@@ -8,7 +8,6 @@ evaluation of the reproduced fields.
 
 from .acoustics import (
     FrequencyGrid,
-    PlaneWaveSet,
     Source,
     green_matrix,
     herglotz_point_source,

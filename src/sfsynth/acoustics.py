@@ -78,41 +78,6 @@ class Source:
         return float(np.arctan2(self.position[1], self.position[0]))
 
 
-@dataclass(frozen=True)
-class PlaneWaveSet:
-    """Uniformly sampled plane-wave directions over an angular window."""
-
-    directions: np.ndarray           # theta_n, (N,)
-    order: int                       # modal truncation order M
-    window: tuple                    # (theta_min, theta_max)
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=np.float64)
-        object.__setattr__(self, "directions", d)
-        if len(d) < 2 * self.order + 1:
-            raise ValueError("need at least 2M+1 plane-wave directions")
-
-    @classmethod
-    def full_circle(cls, order: int) -> "PlaneWaveSet":
-        n = 2 * order + 1
-        return cls(directions=2 * np.pi * np.arange(n) / n, order=order,
-                   window=(0.0, 2 * np.pi))
-
-    @classmethod
-    def windowed(cls, order: int, theta_min: float, theta_max: float) -> "PlaneWaveSet":
-        """Midpoint sampling, so a single direction lands on the window centre."""
-        n = 2 * order + 1
-        width = theta_max - theta_min
-        if width <= 0:
-            raise ValueError("window must have positive width")
-        d = theta_min + (np.arange(n) + 0.5) * width / n
-        return cls(directions=d, order=order, window=(theta_min, theta_max))
-
-    @property
-    def width(self) -> float:
-        return self.window[1] - self.window[0]
-
-
 def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
                  c: float) -> np.ndarray:
     """Matrix of Green's-function values, shape (n_points, n_sources).

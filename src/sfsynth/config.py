@@ -201,7 +201,8 @@ class ExperimentConfig:
             raise ValueError("config key 'methods' must name at least one "
                              f"method, each once, got {list(self.methods)}")
         lengths = (("array_radius", "listening_radius")
-                   if self.family == "circular" else ("array_spacing",))
+                   if self.family == "circular"
+                   else ("array_spacing", "array_x0"))
         for key in ("lam", "speed_of_sound", "freq_start", "freq_step",
                     "listening_spacing", *lengths):
             value = getattr(self, key)
@@ -213,6 +214,10 @@ class ExperimentConfig:
             if value < 0:
                 raise ValueError(f"config key {key!r} must be a non-negative "
                                  f"integer, got {value!r}")
+        if self.family == "linear" and self.n_loudspeakers < 2:
+            raise ValueError("config key 'n_loudspeakers' must be at least 2 "
+                             "for a linear array, got "
+                             f"{self.n_loudspeakers!r}")
         if not 0 <= self.n_remove < self.n_loudspeakers:
             raise ValueError("n_remove must be in [0, L)")
         if self.freq_count < 1:

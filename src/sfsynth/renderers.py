@@ -10,7 +10,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .acoustics import (
-    PlaneWaveSet,
     Source,
     green_matrix,
     herglotz_point_source,
@@ -59,16 +58,17 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     if any(s.rho <= array.radius for s in sources):
         raise ValueError("source must lie outside the array radius")
     M = truncation_order(omega, listening_radius, c)
-    pw = PlaneWaveSet.full_circle(M)
+    n = 2 * M + 1
+    directions = 2 * np.pi * np.arange(n) / n
     k = omega / c
     ms = np.arange(-M, M + 1)
     H = hankel2_sym_range(M, k * array.radius)
-    phi = herglotz_point_source(pw.directions, omega, sources, M, c)
+    phi = herglotz_point_source(directions, omega, sources, M, c)
     # separable evaluation of (1/N) sum_n phi(theta_n) h_l(theta_n), one
     # matrix-vector product per source
-    proj = np.exp(-1j * np.outer(ms, pw.directions)) @ phi[..., None]
+    proj = np.exp(-1j * np.outer(ms, directions)) @ phi[..., None]
     e_l = np.exp(1j * np.outer(array.active_angles, ms))
-    scale = 4.0 / (1j * array.active_count * len(pw.directions))
+    scale = 4.0 / (1j * array.active_count * n)
     d = scale * (e_l @ (((1j) ** ms / H)[:, None] * proj))[..., 0]
     return d.T
 
@@ -88,15 +88,16 @@ def _regularized_normal_factor(array: ArrayGeometry, cp: PointSet,
 
 
 def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
-                          pw: PlaneWaveSet, omega: float, lam: float,
+                          directions: np.ndarray, omega: float, lam: float,
                           c: float) -> np.ndarray:
-    """Plane-wave filters for a linear array, fitted in the regularized
-    least-squares sense at the control points, (L_active, N)."""
+    """Plane-wave filters for a linear array, one column per direction
+    of `directions` (N,), fitted in the regularized least-squares sense
+    at the control points, (L_active, N)."""
     if array.family != "linear":
         raise ValueError("linear filter bank needs a linear array")
     g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
     targets = np.stack(
-        [plane_wave_field(cp.points, th, omega, c) for th in pw.directions],
+        [plane_wave_field(cp.points, th, omega, c) for th in directions],
         axis=1)                                               # (I, N)
     return sla.cho_solve(cho, g.conj().T @ targets)
 
@@ -105,41 +106,44 @@ def linear_window(array: ArrayGeometry) -> tuple:
     """Admissible plane-wave window [atan2(-y0, x0), atan2(y0, x0)].
 
     With the exp(+j k <r, k_hat>) convention these directions propagate
-    toward the listening half-plane x < x0.
+    toward the listening half-plane x < x0.  The window is the aperture
+    seen from the origin, so the origin must lie in that half-plane
+    (x0 > 0) and the aperture must be open (y0 > 0).
     """
     if array.family != "linear":
         raise ValueError("window only defined for linear arrays")
+    if not array.x0 > 0:
+        raise ValueError("linear array x0 must be positive (the origin must "
+                         f"lie on the listening side), got {array.x0!r}")
+    if not array.y_extent > 0:
+        raise ValueError("linear array needs a positive half aperture y0 "
+                         f"(at least 2 loudspeakers), got {array.y_extent!r}")
     t_min = float(np.arctan2(-array.y_extent, array.x0))
     t_max = float(np.arctan2(array.y_extent, array.x0))
-    if t_max <= t_min:
-        raise ValueError("array x0 must be positive for a contiguous window")
     return t_min, t_max
-
-
-def combine_plane_waves(bank: np.ndarray, phi: np.ndarray,
-                        window_width: float) -> np.ndarray:
-    """Windowed plane-wave superposition of per-direction filters
-    bank (L, N) for each of S densities phi (S, N), (L, S):
-    d = width/(2 pi N) sum_n phi(theta_n) h(:, theta_n).
-    """
-    n = bank.shape[1]
-    if np.shape(phi)[-1] != n:
-        raise ValueError("density sample count must match the filter bank")
-    d = (bank @ np.asarray(phi)[..., None])[..., 0]
-    return window_width / (2 * np.pi * n) * d.T
 
 
 def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
                       cp: PointSet, omega: float, lam: float, c: float, *,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a linear array at one
-    frequency, (L, S); the sources share one filter bank."""
+    frequency, (L, S); the sources share one filter bank.
+
+    Samples N = 2M+1 directions at the midpoints of N equal parts of the
+    admissible window [t_min, t_max], so a single direction would land on
+    the window centre, fits one filter h(theta_n) per direction and
+    superposes them against each source's plane-wave density phi:
+    d = (t_max - t_min)/(2 pi N) sum_n phi(theta_n) h(theta_n).
+    """
     t_min, t_max = linear_window(array)
     M = truncation_order(omega, listening_radius, c)
-    pw = PlaneWaveSet.windowed(M, t_min, t_max)
-    bank = mr_linear_filter_bank(array, cp, pw, omega, lam, c)
-    phi = herglotz_point_source(pw.directions, omega, sources, M, c)
-    return combine_plane_waves(bank, phi, pw.width)
+    n = 2 * M + 1
+    width = t_max - t_min
+    directions = t_min + (np.arange(n) + 0.5) * width / n
+    bank = mr_linear_filter_bank(array, cp, directions, omega, lam, c)
+    phi = herglotz_point_source(directions, omega, sources, M, c)
+    d = (bank @ phi[..., None])[..., 0]
+    return width / (2 * np.pi * n) * d.T
 
 
 def pm_operator(array: ArrayGeometry, cp: PointSet, omega: float, lam: float,

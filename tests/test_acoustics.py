@@ -6,7 +6,6 @@ import pytest
 
 from sfsynth.acoustics import (
     FrequencyGrid,
-    PlaneWaveSet,
     Source,
     green_matrix,
     herglotz_point_source,
@@ -165,15 +164,6 @@ def test_frequency_grid():
             fg.nearest_index(bad)
     with pytest.raises(ValueError):
         FrequencyGrid(frequencies=np.array([100.0, 50.0]), c=C)
-
-
-def test_plane_wave_set():
-    pw = PlaneWaveSet.full_circle(5)
-    assert len(pw.directions) == 11
-    assert pw.width == pytest.approx(2 * np.pi)
-    win = PlaneWaveSet.windowed(0, -0.5, 0.5)
-    assert len(win.directions) == 1
-    assert win.directions[0] == pytest.approx(0.0)
 
 
 def test_green_matrix_matches_scalar():

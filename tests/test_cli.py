@@ -174,6 +174,9 @@ def _one_error_line(out) -> str:
     ('{"listening_spacing": 0}', "'listening_spacing'"),
     ('{"listening_radius": -1.0}', "'listening_radius'"),
     ('{"family": "linear", "array_spacing": 0}', "'array_spacing'"),
+    ('{"family": "linear", "array_x0": -1.0}', "'array_x0'"),
+    ('{"family": "linear", "n_loudspeakers": 1, "n_remove": 0, '
+     '"methods": ["mr", "pm"]}', "'n_loudspeakers'"),
     ('{"test_shift": 0}', "test_shift"),
     ('{"val_count": 0}', "val_count"),
     ('{"n_test": 0}', "n_test"),
@@ -187,7 +190,8 @@ def _one_error_line(out) -> str:
         "speed-of-sound-zero", "speed-of-sound-negative", "freq-start-zero",
         "freq-step-negative", "train-seed-negative", "seed-flag-negative",
         "control-target-zero", "array-radius-zero", "listening-spacing-zero",
-        "listening-radius-negative", "array-spacing-zero", "test-shift-zero",
+        "listening-radius-negative", "array-spacing-zero", "array-x0-negative",
+        "linear-one-loudspeaker", "test-shift-zero",
         "val-count-zero", "n-test-zero"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments

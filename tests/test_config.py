@@ -132,10 +132,15 @@ def test_validation_failures():
                              (cfg, "listening_spacing", 0.0),
                              (cfg, "control_target", 0),
                              (lin, "array_spacing", 0.0),
+                             (lin, "array_x0", -1.0),
+                             (lin, "array_x0", 0.0),
                              (lin, "listening_spacing", -0.02),
                              (lin, "control_target", -3)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             replace(base, **{key: value}).validate()
+    # a linear array of one loudspeaker has no aperture to window
+    with pytest.raises(ValueError, match="'n_loudspeakers'"):
+        replace(lin, n_loudspeakers=1, n_remove=0).validate()
 
 
 def test_mr_listening_radius():

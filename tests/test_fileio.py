@@ -53,19 +53,36 @@ def test_checkpoint_bytes_pinned(tmp_path):
         "5d3e0171dbcad7f7bb70c6c3cadc2cf60df056776b3776ebf2b5821329525522"
 
 
-def test_dataset_bytes_pinned(tmp_path):
-    # the dataset bytes of a fixed desk config (4 train, 2 val, 2 test
-    # sources, 4 frequencies); a change here changes every dataset the
-    # pipeline writes
-    cfg = replace(desk_config(), n_radii=2, n_angles=3, val_count=2,
-                  n_test=2, freq_count=4)
+def _dataset_file(cfg, tmp_path):
     ds = build_dataset(cfg.array(), cfg.source_split(), cfg.control_points(),
                        cfg.freq_grid(), cfg.lam, cfg.mr_listening_radius())
     path = tmp_path / "d.sfsx"
     save_dataset(path, ds)
+    return path
+
+
+def test_dataset_bytes_pinned(tmp_path):
+    # the dataset bytes of a fixed desk config (4 train, 2 val, 2 test
+    # sources, 4 frequencies); a change here changes every dataset the
+    # pipeline writes
+    path = _dataset_file(replace(desk_config(), n_radii=2, n_angles=3,
+                                 val_count=2, n_test=2, freq_count=4),
+                         tmp_path)
     assert path.stat().st_size == 39_792
     assert sha256_file(path) == \
         "899e2ca05dbdf2de1ccea5f5736d1e8abaf8b0537e0a7b00558f5b6aec5adadb"
+
+
+def test_linear_dataset_bytes_pinned(tmp_path):
+    # the same for the linear family (4 train, 2 val, 2 test sources,
+    # 4 frequencies), whose MR input comes from the least-squares
+    # plane-wave filters and their windowed superposition
+    path = _dataset_file(replace(desk_config("linear"), n_train_linear=4,
+                                 n_val_linear=2, n_test_linear=2,
+                                 freq_count=4), tmp_path)
+    assert path.stat().st_size == 41_328
+    assert sha256_file(path) == \
+        "820a61a8e196cb840540b9c77defc485b3a18875d16dce116065be2b8d82a5b7"
 
 
 def test_checkpoint_forward_identical(tmp_path):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sfsynth.acoustics import PlaneWaveSet, Source, green_matrix, truncation_order
+from sfsynth.acoustics import (
+    Source,
+    green_matrix,
+    herglotz_point_source,
+    plane_wave_field,
+    truncation_order,
+)
 from sfsynth.bessel import hankel2_sym_range
 from sfsynth.evaluation import nre
 from sfsynth.geometry import (
@@ -31,9 +37,8 @@ OMEGA_500 = 2 * np.pi * 500
 
 def one_direction_filter(arr, cp, theta, omega, lam):
     """Least-squares filter for the single plane-wave direction theta."""
-    pw = PlaneWaveSet(directions=np.array([theta]), order=0,
-                      window=(theta, theta))
-    return mr_linear_filter_bank(arr, cp, pw, omega, lam, C)[:, 0]
+    return mr_linear_filter_bank(arr, cp, np.array([theta]), omega, lam,
+                                 C)[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +86,6 @@ def test_mr_circular_matches_bruteforce_double_loop():
     # 16-element array, whole and decimated by 8:
     # d_l = (1/N) sum_n phi(theta_n) * 4/(j L_active) sum_m j^m
     #   e^(j m (theta_l - theta_n)) / H_m^(2)(k rho)
-    from sfsynth.acoustics import herglotz_point_source
     src = Source(position=np.array([1.7, 0.9]))
     omega = 2 * np.pi * 300
     k = omega / C
@@ -139,6 +143,16 @@ def test_linear_window_geometry():
     assert t_max - t_min == pytest.approx(2 * half)
 
 
+def test_linear_window_needs_origin_side_and_aperture():
+    # x0 < 0: arctan2 would give the complement of the aperture, a window
+    # of width 2 pi - 2 arctan(y0 / |x0|) pointing away from the listener
+    with pytest.raises(ValueError, match="x0 must be positive"):
+        linear_window(make_linear_array(16, 0.25, -1.0))
+    # one loudspeaker: y0 = 0, an empty window
+    with pytest.raises(ValueError, match="half aperture"):
+        linear_window(make_linear_array(1, 0.25, 1.0))
+
+
 def test_mr_linear_scalar_normal_equation():
     # I = 1, L = 1, lam = 0: h = conj(g) p / |g|^2
     arr = make_linear_array(1, 0.1, 1.0)
@@ -147,7 +161,6 @@ def test_mr_linear_scalar_normal_equation():
     theta = 0.3
     h = one_direction_filter(arr, cp, theta, OMEGA_500, lam=0.0)
     g = green_matrix(cp.points, arr.positions, OMEGA_500, C)[0, 0]
-    from sfsynth.acoustics import plane_wave_field
     p = plane_wave_field(cp.points[:1], theta, OMEGA_500, C)[0]
     assert h[0] == pytest.approx(np.conj(g) * p / abs(g) ** 2, rel=1e-12)
 
@@ -166,13 +179,12 @@ def test_mr_linear_fit_residual():
     cp = sample_control_points(rect, 200, clearance_from=arr)
     assert len(cp) >= 150
     t_min, t_max = linear_window(arr)
-    M = truncation_order(OMEGA_500, rect.bounding_radius, C)
-    pw = PlaneWaveSet.windowed(M, t_min, t_max)
-    bank = mr_linear_filter_bank(arr, cp, pw, OMEGA_500, lam=1e-6, c=C)
+    n = 2 * truncation_order(OMEGA_500, rect.bounding_radius, C) + 1
+    directions = t_min + (np.arange(n) + 0.5) * (t_max - t_min) / n
+    bank = mr_linear_filter_bank(arr, cp, directions, OMEGA_500, lam=1e-6, c=C)
     g = green_matrix(cp.points, arr.active_positions, OMEGA_500, C)
-    mid = len(pw.directions) // 2
-    from sfsynth.acoustics import plane_wave_field
-    tgt = plane_wave_field(cp.points, pw.directions[mid], OMEGA_500, C)
+    mid = n // 2
+    tgt = plane_wave_field(cp.points, directions[mid], OMEGA_500, C)
     res = np.linalg.norm(g @ bank[:, mid] - tgt) / np.linalg.norm(tgt)
     assert res <= 0.05
     # dense-solve oracle: same normal equations through an SVD route
@@ -191,26 +203,35 @@ def test_mr_linear_reproduction(linear_setup):
     assert nre(p_hat, _gt_field(grid.points, src, OMEGA_500)) <= -10.0
 
 
-def test_single_direction_weighting_collapses():
-    # N = 1: d = (width / 2 pi) phi(theta_mid) h(theta_mid)
-    from sfsynth.renderers import combine_plane_waves
-    arr = make_linear_array(4, 0.3, 1.0)
+def test_mr_linear_matches_bruteforce_sum():
+    # for every active loudspeaker of a 16-element linear array, whole and
+    # decimated by 8: d = width/(2 pi N) sum_n phi(theta_n) h(theta_n) over
+    # the N = 2M+1 midpoints theta_n of the window, each h from its own
+    # one-direction least-squares fit
+    full = make_linear_array(16, 0.25, 1.0)
     rect = ListeningArea.rectangle(-1.2, 0.8, -1.0, 1.0, 0.02)
-    cp = sample_control_points(rect, 30)
-    src = Source(position=np.array([2.2, 0.1]))
-    omega = 2 * np.pi * 46
-    t_min, t_max = linear_window(arr)
-    pw = PlaneWaveSet.windowed(0, t_min, t_max)
-    assert len(pw.directions) == 1
-    mid = 0.5 * (t_min + t_max)
-    assert pw.directions[0] == pytest.approx(mid)
-    bank = mr_linear_filter_bank(arr, cp, pw, omega, 1e-2, C)
-    from sfsynth.acoustics import herglotz_point_source
-    phi = herglotz_point_source(pw.directions, omega, [src], 0, C)
-    d = combine_plane_waves(bank, phi, pw.width)[:, 0]
-    h = one_direction_filter(arr, cp, mid, omega, 1e-2)
-    ref = (t_max - t_min) / (2 * np.pi) * phi[0, 0] * h
-    assert np.allclose(d, ref, rtol=1e-12)
+    cp = sample_control_points(rect, 200, clearance_from=full)
+    src = Source(position=np.array([2.2, 0.4]))
+    t_min, t_max = linear_window(full)
+    width = t_max - t_min
+    for f in (46.0, 300.0):
+        omega = 2 * np.pi * f
+        M = truncation_order(omega, rect.bounding_radius, C)
+        N = 2 * M + 1
+        thetas = [t_min + (n + 0.5) * width / N for n in range(N)]
+        phi = [herglotz_point_source(theta_n, omega, [src], M, C)[0, 0]
+               for theta_n in thetas]
+        for arr in (full, decimate_array(full, 8, seed=3)):
+            d = mr_linear_driving(arr, [src], cp, omega, 1e-2, C,
+                                  listening_radius=rect.bounding_radius)[:, 0]
+            assert len(d) == arr.active_count
+            acc = np.zeros(arr.active_count, dtype=complex)
+            for theta_n, phi_n in zip(thetas, phi):
+                acc += phi_n * one_direction_filter(arr, cp, theta_n, omega,
+                                                    1e-2)
+            ref = width / (2 * np.pi * N) * acc
+            for l in range(arr.active_count):
+                assert d[l] == pytest.approx(ref[l], rel=1e-10), (f, l)
 
 
 # -- pressure matching ---------------------------------------------------------
