@@ -15,11 +15,12 @@ from .bessel import hankel2_sym_range, hankel2_zero
 # points closer than this to a source are treated as coincident
 _SINGULARITY_EPS = 1e-12
 # entries per Bessel call in green_matrix.  Under tracemalloc, one
-# hankel2_zero call on 2^20 arguments peaks at 193 bytes per entry when
-# every argument is <= 16 and distinct (long-double series temporaries
-# and the sort that finds the distinct arguments) and at 114 when every
-# one is above 16, result included; so a full-scale grid to every test
-# source (~2.5e7 entries) would need ~4.8 GB in one call
+# hankel2_zero call on 2^20 arguments peaks at 58 bytes per entry when
+# every argument is <= 16 (the table sums, the log and the result; the
+# Clenshaw buffers are per block of arguments) and at 114 when every one
+# is above 16 (the asymptotic expansion's temporaries), result included;
+# so a full-scale grid to every test source (~2.5e7 entries) would need
+# up to ~2.9 GB in one call
 GREEN_CHUNK_ENTRIES = 1 << 20
 
 

@@ -184,7 +184,6 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
 
     best_val = np.inf
     best_epoch = -1
-    best_params = params.copy()
     since_improve = 0
     history = []
     n = len(train_records)

@@ -219,9 +219,12 @@ class ExperimentConfig:
                              "for a linear array, got "
                              f"{self.n_loudspeakers!r}")
         if not 0 <= self.n_remove < self.n_loudspeakers:
-            raise ValueError("n_remove must be in [0, L)")
+            raise ValueError("config key 'n_remove' must be in [0, "
+                             f"n_loudspeakers) = [0, {self.n_loudspeakers}), "
+                             f"got {self.n_remove!r}")
         if self.freq_count < 1:
-            raise ValueError("need at least one frequency")
+            raise ValueError("config key 'freq_count' must be at least 1, "
+                             f"got {self.freq_count!r}")
         self.freq_grid()
         for key in ("n_radius_bins", "control_target"):
             value = getattr(self, key)
@@ -230,9 +233,16 @@ class ExperimentConfig:
                                  f"got {value!r}")
         l_active = self.n_loudspeakers - self.n_remove
         if "cnn" in self.methods:
-            # raises with a size diagnosis when the geometry cannot feed
-            # the network
-            compensator_layers(2 * l_active, self.freq_count)
+            # the network's input is (2 * active loudspeakers) x freq_count
+            try:
+                compensator_layers(2 * l_active, self.freq_count)
+            except ValueError as exc:
+                short = ("config keys 'n_loudspeakers' and 'n_remove' leave "
+                         f"{l_active} active loudspeakers"
+                         if 2 * l_active < self.freq_count
+                         else f"config key 'freq_count' is {self.freq_count}")
+                raise ValueError(f"{short}, too few for method 'cnn': "
+                                 f"{exc}") from None
         self.train_config()
         if self.family == "circular":
             if self.source_radius_min <= self.listening_radius:

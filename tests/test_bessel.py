@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsynth.bessel import (
     bessel_j_orders,
@@ -85,7 +87,7 @@ def test_recurrence_invariant():
 
 
 def test_vectorized_zero_order_matches_scalar():
-    # the order-0 path (series/asymptotics) and the order rows (J from
+    # the order-0 path (tables/asymptotics) and the order rows (J from
     # Miller) are different algorithms; they must agree to near machine
     # precision
     xs = np.array([1e-3, 0.5, 2.0, 15.9, 16.1, 60.0, 99.0])
@@ -106,45 +108,80 @@ def test_series_asymptotic_seam_continuity():
                 == (j0 - 1j * y0).tobytes())
 
 
-def test_order_zero_stop_follows_largest_series_argument():
-    # the series stops on the term of the largest argument <= 16; where
-    # that argument sits in the batch must not change a bit, and it gets
-    # the bits of a call on it alone, whose stop it sets too
-    small = [1e-3, 0.7, 2.4045, 5.5, 9.1]
-    largest = 15.3
-    big = [20.0, 57.5]
-    alone = hankel2_zero(np.array([largest])).tobytes()
-    values = []
-    for batch in ([largest] + small + big,
-                  small[:3] + big[:1] + [largest] + small[3:] + big[1:],
-                  small + big + [largest]):
-        x = np.array(batch)
-        h = hankel2_zero(x)
-        j0, y0, _, _ = jy01(x)
-        assert h.tobytes() == (j0 - 1j * y0).tobytes()
-        assert h[batch.index(largest)].tobytes() == alone
-        values.append(h[np.argsort(x)].tobytes())
-    assert values[0] == values[1] == values[2]
+bessel_series_args = st.lists(st.floats(1e-3, 16.0), min_size=1, max_size=8)
+bessel_asymptotic_args = st.lists(st.floats(16.0, 100.0, exclude_min=True),
+                                  max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bessel_series_args, bessel_asymptotic_args,
+       st.lists(st.integers(0, 15), max_size=24),
+       st.randoms(use_true_random=False))
+def test_each_value_depends_on_its_argument_alone(series_xs, asymptotic_xs,
+                                                  repeats, rnd):
+    # an argument gets the bits of a call on it alone, whatever batch it
+    # sits in: permuted, repeated, or mixed with arguments above 16
+    xs = series_xs + asymptotic_xs
+    xs += [xs[r % len(xs)] for r in repeats]
+    rnd.shuffle(xs)
+    x = np.array(xs)
+    h = hankel2_zero(x)
+    columns = jy01(x)
+    for i, xi in enumerate(xs):
+        alone = np.array([xi])
+        assert h[i:i + 1].tobytes() == hankel2_zero(alone).tobytes(), xi
+        for got, want in zip(columns, jy01(alone)):
+            assert got[i:i + 1].tobytes() == want.tobytes(), xi
+
+
+def test_batches_longer_than_a_table_block_keep_the_bits():
+    # the tables are summed a block of arguments at a time; a batch of
+    # several blocks gives the bits of short calls on its pieces
+    from sfsynth.bessel import _TABLE_BLOCK
+    x = np.random.default_rng(4).uniform(1e-3, 20.0, 2 * _TABLE_BLOCK + 5)
+    pieces = np.array_split(x, 37)
+    assert hankel2_zero(x).tobytes() == b"".join(
+        hankel2_zero(p).tobytes() for p in pieces)
+    for got, *want in zip(jy01(x), *(jy01(p) for p in pieces)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_tables_match_long_double_series():
+    # 200 arguments in every table interval against the long-double
+    # series the tables are fitted to, as complex H0 and H1.  Up to 10
+    # the series keeps about 15 digits and the bound is a few ulps;
+    # above, it loses 0.43*x digits to cancellation (~12 left at 16),
+    # so there the bound is 1e-12
+    from sfsynth import bessel
+    width = bessel.TABLE_WIDTH
+    intervals = round(bessel.SERIES_CUTOFF / width)
+    rng = np.random.default_rng(3)
+    x = (np.arange(intervals)[:, None] + rng.uniform(0, 1, (intervals, 200)))
+    x = np.maximum(x.ravel() * width, 1e-3)
+    j0, s0, j1, s1 = bessel._series(x)
+    xl = x.astype(np.longdouble)
+    ln_g = np.log(xl / 2) + bessel._EULER_GAMMA
+    y0 = 2 / bessel._PI * (ln_g * j0 - s0)
+    y1 = 2 / bessel._PI * (ln_g * j1 - 1 / xl - s1 / 2)
+    refs = [(j - 1j * y.astype(np.float64)).astype(np.complex128)
+            for j, y in ((j0, y0), (j1, y1))]
+    tj0, ty0, tj1, ty1 = jy01(x)
+    bound = np.where(x <= 10, 2e-15, 1e-12)
+    for got, ref in zip((tj0 - 1j * ty0, tj1 - 1j * ty1), refs):
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert (rel <= bound).all(), (x[rel > bound], rel[rel > bound])
 
 
 def test_each_distinct_argument_evaluated_once(monkeypatch):
-    # repeated arguments reach the long-double series and the Miller
-    # recurrence once each, and get the bits of their distinct batch
+    # repeated arguments reach the Miller recurrence once, and every row
+    # gets the bits of the one-argument call
     from sfsynth import bessel
-    series_sizes, j_rows = [], []
-    series, j_orders = bessel._series, bessel.bessel_j_orders
-    monkeypatch.setattr(bessel, "_series", lambda x, order1: (
-        series_sizes.append(len(x)) or series(x, order1)))
+    j_rows = []
+    j_orders = bessel.bessel_j_orders
     monkeypatch.setattr(bessel, "bessel_j_orders", lambda m_max, x: (
         j_rows.append(np.size(x)) or j_orders(m_max, x)))
-    distinct = np.linspace(0.5, 15.5, 10)
-    pick = np.random.default_rng(0).permutation(np.arange(1000) % 10)
-    h = hankel2_zero(distinct[pick])
-    assert series_sizes == [10]
-    assert h.tobytes() == hankel2_zero(distinct)[pick].tobytes()
-    series_sizes.clear()
     rows = hankel2_sym_range(5, np.full(64, 3.0))
-    assert j_rows == [1] and series_sizes == [1]
+    assert j_rows == [1]
     assert rows.shape == (64, 11)
     assert (rows == hankel2_sym_range(5, 3.0)).all()
 

@@ -177,6 +177,15 @@ def _one_error_line(out) -> str:
     ('{"family": "linear", "array_x0": -1.0}', "'array_x0'"),
     ('{"family": "linear", "n_loudspeakers": 1, "n_remove": 0, '
      '"methods": ["mr", "pm"]}', "'n_loudspeakers'"),
+    ('{"family": "linear", "n_loudspeakers": 1, "n_remove": 0}',
+     "'n_loudspeakers'"),
+    ('{"n_remove": 16}', "'n_remove'"),
+    ('{"n_remove": -1}', "'n_remove'"),
+    ('{"freq_count": 0}', "'freq_count'"),
+    ('{"n_remove": 10}', "'n_remove'"),
+    ('{"family": "linear", "n_loudspeakers": 4, "n_remove": 0}',
+     "'n_loudspeakers'"),
+    ('{"freq_count": 4}', "'freq_count'"),
     ('{"test_shift": 0}', "test_shift"),
     ('{"val_count": 0}', "val_count"),
     ('{"n_test": 0}', "n_test"),
@@ -191,7 +200,10 @@ def _one_error_line(out) -> str:
         "freq-step-negative", "train-seed-negative", "seed-flag-negative",
         "control-target-zero", "array-radius-zero", "listening-spacing-zero",
         "listening-radius-negative", "array-spacing-zero", "array-x0-negative",
-        "linear-one-loudspeaker", "test-shift-zero",
+        "linear-one-loudspeaker", "linear-one-loudspeaker-cnn",
+        "n-remove-all", "n-remove-negative", "freq-count-zero",
+        "cnn-too-few-loudspeakers", "linear-cnn-too-few-loudspeakers",
+        "cnn-too-few-frequencies", "test-shift-zero",
         "val-count-zero", "n-test-zero"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments

@@ -1,6 +1,7 @@
 """Packing, the magnitude/phase loss, gradients through the propagation
 layer, and the training loop."""
 
+import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -291,6 +292,22 @@ def test_best_epoch_parameters_returned():
     r = train_compensator(recs[:2], recs[2:], cfg, g)
     val = evaluate_loss(r.params, recs[2:], g, cfg)
     assert val == pytest.approx(r.best_val_loss, rel=1e-12)
+
+
+def test_trained_parameters_bytes_pinned():
+    # the parameters of the best epoch (2 of 3) after a short run; the
+    # toy records involve no Bessel call, so only a change to the
+    # initialization, the shuffles or a training step moves this hash
+    recs, g = _toy_records(count=4, seed=13)
+    cfg = replace(W, learning_rate=1e-3, max_epochs=3, patience=3,
+                  batch_size=2, seed=5)
+    r = train_compensator(recs[:2], recs[2:], cfg, g)
+    assert (r.best_epoch, r.epochs_run) == (2, 3)
+    digest = hashlib.sha256()
+    for p in r.params.flat():
+        digest.update(np.ascontiguousarray(p).tobytes())
+    assert digest.hexdigest() == \
+        "639185b04df9aa04ca0bb3d798e6c8df027afad14cbf75ae0c19f266059fae17"
 
 
 # -- compensate -------------------------------------------------------------------

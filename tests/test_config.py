@@ -95,15 +95,21 @@ def test_unknown_key_rejected(tmp_path):
 def test_validation_failures():
     from dataclasses import replace
     cfg = desk_config("circular")
-    with pytest.raises(ValueError):
-        replace(cfg, n_remove=16).validate()
+    for key, value in (("n_remove", 16), ("n_remove", -1), ("freq_count", 0)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            replace(cfg, **{key: value}).validate()
     with pytest.raises(ValueError):
         replace(cfg, methods=("mr", "nope")).validate()
-    # an active count too small for the network is diagnosed up front
-    with pytest.raises(ValueError):
-        replace(cfg, n_remove=10).validate()
+    # an input too small for the network is diagnosed up front, naming
+    # the keys that set its short side
+    for changes, key in (({"n_remove": 10}, "'n_remove'"),
+                         ({"freq_count": 4}, "'freq_count'"),
+                         ({"n_remove": 12, "freq_count": 10}, "'n_remove'")):
+        with pytest.raises(ValueError, match=key):
+            replace(cfg, **changes).validate()
     # dropping cnn lifts the network constraint
     replace(cfg, n_remove=10, methods=("mr", "pm")).validate()
+    replace(cfg, freq_count=4, methods=("mr", "pm")).validate()
     with pytest.raises(ValueError):
         replace(cfg, source_radius_min=0.5).validate()
     # the training settings are checked whatever the methods
@@ -141,6 +147,8 @@ def test_validation_failures():
     # a linear array of one loudspeaker has no aperture to window
     with pytest.raises(ValueError, match="'n_loudspeakers'"):
         replace(lin, n_loudspeakers=1, n_remove=0).validate()
+    with pytest.raises(ValueError, match="'n_loudspeakers'"):
+        replace(lin, n_loudspeakers=4, n_remove=0).validate()
 
 
 def test_mr_listening_radius():

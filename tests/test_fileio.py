@@ -70,7 +70,7 @@ def test_dataset_bytes_pinned(tmp_path):
                          tmp_path)
     assert path.stat().st_size == 39_792
     assert sha256_file(path) == \
-        "899e2ca05dbdf2de1ccea5f5736d1e8abaf8b0537e0a7b00558f5b6aec5adadb"
+        "999e1b1eb9a4c90e9089c1991de6905db92727c94a32d16eceffb3b57cebf4b3"
 
 
 def test_linear_dataset_bytes_pinned(tmp_path):
@@ -82,7 +82,7 @@ def test_linear_dataset_bytes_pinned(tmp_path):
                                  freq_count=4), tmp_path)
     assert path.stat().st_size == 41_328
     assert sha256_file(path) == \
-        "820a61a8e196cb840540b9c77defc485b3a18875d16dce116065be2b8d82a5b7"
+        "7571518d536fcb36e1333b1c674880e0b987d535b93d06ed1920346f763d522a"
 
 
 def test_checkpoint_forward_identical(tmp_path):

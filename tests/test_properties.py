@@ -69,10 +69,7 @@ def test_batched_propagation_matches_per_sample(data, l, k, i, b):
                            rtol=1e-12, atol=1e-6)
 
 
-# the oracle's range: orders up to 60, arguments in [1e-3, 100]; random
-# draws do not land within ~2e-10 of a zero of J0 or J1, where the
-# series' stop, set by the batch's largest argument <= 16, can move the
-# last bits (see jy01)
+# the oracle's range: orders up to 60, arguments in [1e-3, 100]
 bessel_arguments = st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=8)
 
 
@@ -110,8 +107,7 @@ def test_order_zero_path_equals_jy01_bits(series_xs, asymptotic_xs, rnd):
        st.randoms(use_true_random=False))
 def test_repeated_arguments_get_their_distinct_batch_bits(
         series_xs, asymptotic_xs, repeats, m_max, rnd):
-    # every distinct value at least once (so the largest argument <= 16,
-    # which sets the series stop, is the same), then repeats, shuffled
+    # every distinct value at least once, then repeats, shuffled
     distinct = np.unique(series_xs + asymptotic_xs)
     pick = list(range(len(distinct))) + [r % len(distinct) for r in repeats]
     rnd.shuffle(pick)
