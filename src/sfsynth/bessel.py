@@ -53,6 +53,7 @@ MILLER_ACC = 250
 
 _EULER_GAMMA = np.longdouble("0.577215664901532860606512090082402431")
 _PI = np.longdouble("3.141592653589793238462643383279502884")
+_GAMMA_MINUS_LN2 = float(_EULER_GAMMA - np.log(np.longdouble(2)))
 # series terms: at x = 16 the 50th is ~2e-39, far below the long-double
 # rounding of the largest (~2e5)
 _SERIES_TERMS = 50
@@ -120,8 +121,10 @@ def _tables(x: np.ndarray, order1: bool) -> list:
     for lo in range(0, len(x), _TABLE_BLOCK):
         block = slice(lo, lo + _TABLE_BLOCK)
         _clenshaw(table, x[block], sums[block])
-    ln_g = np.log(x * 0.5)
-    ln_g += float(_EULER_GAMMA)
+    # ln(x/2) + gamma without forming x/2, which underflows for the
+    # smallest subnormal argument
+    ln_g = np.log(x)
+    ln_g += _GAMMA_MINUS_LN2
     two_over_pi = 2 / np.pi
     j0, s0 = sums[:, 0], sums[:, 1]
     out = [j0, two_over_pi * (ln_g * j0 - s0)]

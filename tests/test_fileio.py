@@ -70,7 +70,7 @@ def test_dataset_bytes_pinned(tmp_path):
                          tmp_path)
     assert path.stat().st_size == 39_792
     assert sha256_file(path) == \
-        "999e1b1eb9a4c90e9089c1991de6905db92727c94a32d16eceffb3b57cebf4b3"
+        "6dc7f65359a24b33b6b0165590b5b09f2af2f50a5fae6bc8f37519cbd2a721f7"
 
 
 def test_linear_dataset_bytes_pinned(tmp_path):
@@ -82,7 +82,7 @@ def test_linear_dataset_bytes_pinned(tmp_path):
                                  freq_count=4), tmp_path)
     assert path.stat().st_size == 41_328
     assert sha256_file(path) == \
-        "7571518d536fcb36e1333b1c674880e0b987d535b93d06ed1920346f763d522a"
+        "f2764bcb097e10d364eb9fd08392013cfb434a01873a8fa2b688299564939ed7"
 
 
 def test_checkpoint_forward_identical(tmp_path):
