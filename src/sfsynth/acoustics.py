@@ -107,12 +107,13 @@ def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
     return g.reshape(len(pts), len(srcs))
 
 
-def plane_wave_field(points: np.ndarray, theta: float, omega: float,
+def plane_wave_field(points: np.ndarray, theta, omega: float,
                      c: float) -> np.ndarray:
-    """Unit plane wave exp(j k <r, k_hat(theta)>), k_hat = [cos, sin], at
-    the (N, 2) points, (N,)."""
+    """Unit plane waves exp(j k <r, k_hat(theta)>), k_hat = [cos, sin], at
+    the (P, 2) points: (P,) for a scalar theta, (P, N) for N angles."""
     pts = np.asarray(points, dtype=np.float64)
-    phase = (omega / c) * (pts[:, 0] * np.cos(theta) + pts[:, 1] * np.sin(theta))
+    phase = (omega / c) * (np.multiply.outer(pts[:, 0], np.cos(theta))
+                           + np.multiply.outer(pts[:, 1], np.sin(theta)))
     return np.exp(1j * phase)
 
 
@@ -148,12 +149,11 @@ def herglotz_point_source(theta, omega: float, sources: Sequence[Source],
     """Plane-wave angular density of each point source at the N angles
     theta, truncated at order M, (S, N).  The value depends on theta only
     through theta - theta_z."""
-    cm = herglotz_coefficients(omega, sources, M, c)
-    th = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     ms = np.arange(-M, M + 1)
-    # one (N, 2M+1) phase matrix and matrix-vector product per source, so
-    # memory does not grow with the number of sources
-    phi = np.empty((len(sources), th.size), dtype=np.complex128)
-    for i, src in enumerate(sources):
-        phi[i] = np.exp(1j * np.outer(th - src.theta, ms)) @ cm[i]
-    return phi
+    theta_z = np.array([s.theta for s in sources])
+    cm = herglotz_coefficients(omega, sources, M, c)
+    cm *= np.exp(-1j * np.outer(theta_z, ms))
+    # the source angles ride on the coefficients, so every source shares
+    # one (N, 2M+1) phase matrix; one matrix-vector product per source
+    # keeps each row's bits independent of the batch
+    return (np.exp(1j * np.outer(theta, ms)) @ cm[..., None])[..., 0]

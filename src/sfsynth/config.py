@@ -204,7 +204,7 @@ class ExperimentConfig:
                    if self.family == "circular"
                    else ("array_spacing", "array_x0"))
         for key in ("lam", "speed_of_sound", "freq_start", "freq_step",
-                    "listening_spacing", *lengths):
+                    "listening_spacing", "test_shift", *lengths):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"config key {key!r} must be a positive "
@@ -244,11 +244,45 @@ class ExperimentConfig:
                 raise ValueError(f"{short}, too few for method 'cnn': "
                                  f"{exc}") from None
         self.train_config()
+        # the source protocol's counts: (key, (least, why), (most, as
+        # formed)).  The sweep needs test sources; a linear split may leave
+        # train or validation empty unless method cnn needs them
+        one = (1, "")
         if self.family == "circular":
-            if self.source_radius_min <= self.listening_radius:
-                raise ValueError("sources must lie outside the listening disk")
-            if self.source_radius_min <= self.array_radius:
-                raise ValueError("sources must lie outside the array")
+            pool = self.n_radii * self.n_angles
+            counts = (("n_radii", one, None), ("n_angles", one, None),
+                      ("val_count", one, (pool - 1, "n_radii * n_angles - 1")),
+                      ("n_test", one, (pool, "n_radii * n_angles")))
+        else:
+            fit = ((1, " with method 'cnn'") if "cnn" in self.methods
+                   else (0, ""))
+            train_val = self.n_train_linear + self.n_val_linear
+            counts = (("n_train_linear", fit, None),
+                      ("n_val_linear", fit, None),
+                      ("n_test_linear", one,
+                       (train_val, "n_train_linear + n_val_linear")))
+        for key, (lo, why), hi in counts:
+            value = getattr(self, key)
+            if value is None:            # n_test: every train+val source
+                continue
+            if value < lo:
+                raise ValueError(f"config key {key!r} must be at least "
+                                 f"{lo}{why}, got {value!r}")
+            if hi is not None and value > hi[0]:
+                raise ValueError(f"config key {key!r} must be at most "
+                                 f"{hi[1]} = {hi[0]}, got {value!r}")
+        if self.family == "circular":
+            for bound in ("listening_radius", "array_radius"):
+                if not self.source_radius_min > getattr(self, bound):
+                    raise ValueError(
+                        "config key 'source_radius_min' must exceed "
+                        f"{bound} = {getattr(self, bound)!r} (sources lie "
+                        f"outside it), got {self.source_radius_min!r}")
+            if not self.source_radius_max >= self.source_radius_min:
+                raise ValueError(
+                    "config key 'source_radius_max' must be at least "
+                    f"source_radius_min = {self.source_radius_min!r}, got "
+                    f"{self.source_radius_max!r}")
         self.listening_area()
         self.check_source(self.fig_source, "config key 'fig_source'")
 

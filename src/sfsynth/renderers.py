@@ -39,38 +39,38 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     """Model-based driving signals of S sources for a circular array at
     one frequency, (L, S).
 
-    Chooses M from the listening radius, renders N = 2M+1 uniformly
-    spaced plane waves, and averages the closed-form filters
+    Chooses M from the listening radius and matches the circular-harmonic
+    coefficients of each source's field, orders -M..M, at the array
+    radius R:
 
-        h_l(theta_n) = 4/(j L) sum_m j^m exp(j m (theta_l - theta_n)) / H_m^(2)(k rho_l)
+        d_l = (1/L) sum_m H_m^(2)(k rho_z) / H_m^(2)(k R) exp(j m (theta_l - theta_z)).
 
-    against each source's plane-wave density phi:
-    d_l = (1/N) sum_n phi(theta_n) h_l(theta_n).  The j^m factor is
-    required for the modal sum to synthesize the plane wave
-    exp(j k <r, k_hat(theta_n)>): matching circular-harmonic coefficients
-    of the Green's function against the Jacobi-Anger expansion of the
-    target introduces exactly one factor j^m.  L is the active
-    loudspeaker count, which keeps the amplitude scale stable across
-    decimation levels.
+    This equals the plane-wave superposition d_l = (1/N) sum_n
+    phi(theta_n) h_l(theta_n) at N = 2M+1 uniform directions theta_n of
+    the source's plane-wave density phi and the closed-form filters
+    h_l(theta) = 4/(j L) sum_m j^m exp(j m (theta_l - theta)) / H_m^(2)(k R):
+    their orders m and m' meet in (1/N) sum_n exp(j (m' - m) theta_n),
+    which is 1 if m = m' and 0 otherwise because |m - m'| <= 2M < N.
+    L is the active loudspeaker count, which keeps the amplitude scale
+    stable across decimation levels.
     """
     if array.family != "circular":
         raise ValueError("mr_circular_driving needs a circular array")
     if any(s.rho <= array.radius for s in sources):
         raise ValueError("source must lie outside the array radius")
     M = truncation_order(omega, listening_radius, c)
-    n = 2 * M + 1
-    directions = 2 * np.pi * np.arange(n) / n
     k = omega / c
     ms = np.arange(-M, M + 1)
-    H = hankel2_sym_range(M, k * array.radius)
-    phi = herglotz_point_source(directions, omega, sources, M, c)
-    # separable evaluation of (1/N) sum_n phi(theta_n) h_l(theta_n), one
-    # matrix-vector product per source
-    proj = np.exp(-1j * np.outer(ms, directions)) @ phi[..., None]
+    theta_z = np.array([s.theta for s in sources])
+    rho_z = np.array([s.rho for s in sources])
+    coef = hankel2_sym_range(M, k * rho_z)
+    coef /= hankel2_sym_range(M, k * array.radius)
+    coef *= np.exp(-1j * np.outer(theta_z, ms))
+    # one matrix-vector product per source keeps each column's bits
+    # independent of the batch
     e_l = np.exp(1j * np.outer(array.active_angles, ms))
-    scale = 4.0 / (1j * array.active_count * n)
-    d = scale * (e_l @ (((1j) ** ms / H)[:, None] * proj))[..., 0]
-    return d.T
+    d = (e_l @ coef[..., None])[..., 0]
+    return d.T / array.active_count
 
 
 def _regularized_normal_factor(array: ArrayGeometry, cp: PointSet,
@@ -96,9 +96,7 @@ def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
     if array.family != "linear":
         raise ValueError("linear filter bank needs a linear array")
     g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
-    targets = np.stack(
-        [plane_wave_field(cp.points, th, omega, c) for th in directions],
-        axis=1)                                               # (I, N)
+    targets = plane_wave_field(cp.points, directions, omega, c)   # (I, N)
     return sla.cho_solve(cho, g.conj().T @ targets)
 
 

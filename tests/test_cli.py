@@ -186,9 +186,24 @@ def _one_error_line(out) -> str:
     ('{"family": "linear", "n_loudspeakers": 4, "n_remove": 0}',
      "'n_loudspeakers'"),
     ('{"freq_count": 4}', "'freq_count'"),
-    ('{"test_shift": 0}', "test_shift"),
-    ('{"val_count": 0}', "val_count"),
-    ('{"n_test": 0}', "n_test"),
+    ('{"test_shift": 0}', "'test_shift'"),
+    ('{"val_count": 0}', "'val_count'"),
+    ('{"n_test": 0}', "'n_test'"),
+    # the source protocol's counts and radii, each refused by its key
+    ('{"val_count": 320}', "'val_count'"),
+    ('{"n_test": 321}', "'n_test'"),
+    ('{"n_radii": 0}', "'n_radii'"),
+    ('{"n_angles": 0}', "'n_angles'"),
+    ('{"source_radius_min": 0.5}', "'source_radius_min'"),
+    ('{"source_radius_max": 1.0}', "'source_radius_max'"),
+    ('{"family": "linear", "test_shift": -0.1}', "'test_shift'"),
+    ('{"family": "linear", "n_val_linear": 0}', "'n_val_linear'"),
+    ('{"family": "linear", "n_val_linear": -2, "methods": ["mr", "pm"]}',
+     "'n_val_linear'"),
+    ('{"family": "linear", "n_train_linear": 0}', "'n_train_linear'"),
+    ('{"family": "linear", "n_train_linear": -3}', "'n_train_linear'"),
+    ('{"family": "linear", "n_test_linear": 0}', "'n_test_linear'"),
+    ('{"family": "linear", "n_test_linear": 121}', "'n_test_linear'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -204,7 +219,13 @@ def _one_error_line(out) -> str:
         "n-remove-all", "n-remove-negative", "freq-count-zero",
         "cnn-too-few-loudspeakers", "linear-cnn-too-few-loudspeakers",
         "cnn-too-few-frequencies", "test-shift-zero",
-        "val-count-zero", "n-test-zero"])
+        "val-count-zero", "n-test-zero", "val-count-whole-pool",
+        "n-test-above-pool", "n-radii-zero", "n-angles-zero",
+        "source-radius-min-inside", "source-radius-max-below-min",
+        "linear-test-shift-negative", "linear-val-zero-cnn",
+        "linear-val-negative", "linear-train-zero-cnn",
+        "linear-train-negative", "linear-test-zero",
+        "linear-test-above-train-val"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text

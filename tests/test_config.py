@@ -149,6 +149,34 @@ def test_validation_failures():
         replace(lin, n_loudspeakers=1, n_remove=0).validate()
     with pytest.raises(ValueError, match="'n_loudspeakers'"):
         replace(lin, n_loudspeakers=4, n_remove=0).validate()
+    # the source protocol: counts are never negative, the sweep needs
+    # test sources, the circular pool splits in two and holds the test
+    # sources, and method cnn needs linear train and validation sources
+    for base, changes, key in (
+            (cfg, {"n_radii": 0}, "n_radii"),
+            (cfg, {"n_angles": -1}, "n_angles"),
+            (cfg, {"val_count": 0}, "val_count"),
+            (cfg, {"val_count": 320}, "val_count"),
+            (cfg, {"n_test": 0}, "n_test"),
+            (cfg, {"n_test": 321}, "n_test"),
+            (cfg, {"test_shift": 0.0}, "test_shift"),
+            (cfg, {"source_radius_min": 0.5}, "source_radius_min"),
+            (cfg, {"source_radius_min": 0.9}, "source_radius_min"),
+            (cfg, {"source_radius_max": 1.4}, "source_radius_max"),
+            (lin, {"test_shift": -0.08}, "test_shift"),
+            (lin, {"n_train_linear": -3}, "n_train_linear"),
+            (lin, {"n_train_linear": 0}, "n_train_linear"),
+            (lin, {"n_val_linear": 0}, "n_val_linear"),
+            (lin, {"n_val_linear": -2, "methods": ("mr", "pm")},
+             "n_val_linear"),
+            (lin, {"n_test_linear": 0, "methods": ("mr", "pm")},
+             "n_test_linear"),
+            (lin, {"n_test_linear": 121}, "n_test_linear")):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            replace(base, **changes).validate()
+    # without cnn a linear split may leave validation empty
+    replace(lin, n_val_linear=0, methods=("mr", "pm")).validate()
+    replace(cfg, n_test=None).validate()
 
 
 def test_mr_listening_radius():

@@ -70,7 +70,7 @@ def test_dataset_bytes_pinned(tmp_path):
                          tmp_path)
     assert path.stat().st_size == 39_792
     assert sha256_file(path) == \
-        "6dc7f65359a24b33b6b0165590b5b09f2af2f50a5fae6bc8f37519cbd2a721f7"
+        "df7d62a76c2f23c905b66e4291540cff8b95ff851416d9a820f4e2ba54227833"
 
 
 def test_linear_dataset_bytes_pinned(tmp_path):
@@ -82,7 +82,7 @@ def test_linear_dataset_bytes_pinned(tmp_path):
                                  freq_count=4), tmp_path)
     assert path.stat().st_size == 41_328
     assert sha256_file(path) == \
-        "f2764bcb097e10d364eb9fd08392013cfb434a01873a8fa2b688299564939ed7"
+        "e0b1fbb9cc8be103f07564eec20bb2925d62f08d5edc1df4f98de73306db8949"
 
 
 def test_checkpoint_forward_identical(tmp_path):

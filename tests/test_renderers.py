@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from sfsynth.acoustics import (
     Source,
     green_matrix,
+    herglotz_coefficients,
     herglotz_point_source,
     plane_wave_field,
     truncation_order,
@@ -48,6 +49,14 @@ def disk_grid():
 
 def _gt_field(points, src, omega):
     return green_matrix(points, src.position[None, :], omega, C)[:, 0]
+
+
+def _density_by_order_sum(theta_n, omega, src, M):
+    """phi(theta_n) = sum_m c_m e^(j m (theta_n - theta_z)), one order at
+    a time, from the coefficients alone."""
+    cm = herglotz_coefficients(omega, [src], M, C)[0]
+    return sum(cm[m + M] * np.exp(1j * m * (theta_n - src.theta))
+               for m in range(-M, M + 1))
 
 
 # -- circular model-based rendering -------------------------------------------
@@ -93,8 +102,7 @@ def test_mr_circular_matches_bruteforce_double_loop():
     N = 2 * M + 1
     H = hankel2_sym_range(M, k * 1.0)           # H[m + M] = H_m^(2)
     thetas = 2 * np.pi * np.arange(N) / N
-    phi = [herglotz_point_source(theta_n, omega, [src], M, C)[0, 0]
-           for theta_n in thetas]
+    phi = [_density_by_order_sum(theta_n, omega, src, M) for theta_n in thetas]
     full = make_circular_array(16, 1.0)
     for arr in (make_circular_array(1, 1.0), full,
                 decimate_array(full, 8, seed=3)):
@@ -219,7 +227,7 @@ def test_mr_linear_matches_bruteforce_sum():
         M = truncation_order(omega, rect.bounding_radius, C)
         N = 2 * M + 1
         thetas = [t_min + (n + 0.5) * width / N for n in range(N)]
-        phi = [herglotz_point_source(theta_n, omega, [src], M, C)[0, 0]
+        phi = [_density_by_order_sum(theta_n, omega, src, M)
                for theta_n in thetas]
         for arr in (full, decimate_array(full, 8, seed=3)):
             d = mr_linear_driving(arr, [src], cp, omega, 1e-2, C,
@@ -328,20 +336,33 @@ def test_pm_exact_reproduction_when_full_rank():
 
 def test_mr_circular_batch_equals_one_source_calls():
     # eight sources on rho = 2.5 exactly (3-4-5 triangles) share one
-    # Hankel row per frequency; one more lies off that ring.  Each column
-    # of the batch must be its one-source call, byte for byte
+    # Hankel row per frequency; one more lies off that ring.  For both MR
+    # renderers and the plane-wave density, each source's column of the
+    # batch must be its one-source call, byte for byte
     ring = [(2.5, 0.0), (1.5, 2.0), (0.0, 2.5), (-2.0, 1.5),
             (-2.5, 0.0), (-1.5, -2.0), (0.0, -2.5), (2.0, -1.5)]
     sources = [Source(position=np.array(p)) for p in ring + [(1.8, -0.6)]]
     assert len({s.rho for s in sources[:8]}) == 1
-    arr = make_circular_array(16, 1.0)
-    for f in (46.0, 368.0, 1007.0):
-        omega = 2 * np.pi * f
-        batch = mr_circular_driving(arr, sources, omega, C, listening_radius=1.0)
-        alone = np.stack([mr_circular_driving(arr, [s], omega, C,
-                                              listening_radius=1.0)[:, 0]
-                          for s in sources], axis=1)
-        assert batch.tobytes() == alone.tobytes(), f
+    circ = make_circular_array(16, 1.0)
+    lin = make_linear_array(16, 0.25, 1.0)
+    cp = sample_control_points(
+        ListeningArea.rectangle(-1.2, 0.8, -1.0, 1.0, 0.02), 200,
+        clearance_from=lin)
+    renderers = {
+        "mr_circular_driving": lambda srcs, omega: mr_circular_driving(
+            circ, srcs, omega, C, listening_radius=1.0),
+        "mr_linear_driving": lambda srcs, omega: mr_linear_driving(
+            lin, srcs, cp, omega, 1e-2, C, listening_radius=1.0),
+        "herglotz_point_source": lambda srcs, omega: herglotz_point_source(
+            np.linspace(0, 2 * np.pi, 29), omega, srcs, 12, C).T,
+    }
+    for name, render in renderers.items():
+        for f in (46.0, 368.0, 1007.0):
+            omega = 2 * np.pi * f
+            batch = render(sources, omega)
+            alone = np.stack([render([s], omega)[:, 0] for s in sources],
+                             axis=1)
+            assert batch.tobytes() == alone.tobytes(), (name, f)
 
 
 def test_full_array_beats_decimated_at_every_frequency(disk_grid):
