@@ -52,7 +52,6 @@ from .renderers import (
     PMOperator,
     mr_circular_driving,
     mr_linear_driving,
-    pm_driving,
     pm_operator,
 )
 

@@ -15,6 +15,7 @@ from .acoustics import FrequencyGrid
 from .compensator import TrainConfig
 from .datasets import SourceSplit, gen_sources_circular, gen_sources_linear
 from .geometry import (
+    MAX_RASTER_POINTS,
     ArrayGeometry,
     ListeningArea,
     PointSet,
@@ -143,9 +144,15 @@ class ExperimentConfig:
         return sample_listening_grid(self.listening_area())
 
     def control_points(self) -> PointSet:
-        return sample_control_points(self.listening_area(),
-                                     self.control_target,
-                                     clearance_from=self.full_array())
+        try:
+            return sample_control_points(self.listening_area(),
+                                         self.control_target,
+                                         clearance_from=self.full_array())
+        except ValueError as exc:
+            raise ValueError(
+                f"config keys 'control_target' = {self.control_target!r} and "
+                f"'listening_spacing' = {self.listening_spacing!r} give no "
+                f"control points: {exc}") from None
 
     def check_source(self, position, what="source position") -> np.ndarray:
         """`position` as a (2,) array; ValueError naming `what` unless a
@@ -283,7 +290,16 @@ class ExperimentConfig:
                     "config key 'source_radius_max' must be at least "
                     f"source_radius_min = {self.source_radius_min!r}, got "
                     f"{self.source_radius_max!r}")
-        self.listening_area()
+        try:
+            ny, nx = self.listening_area().raster_shape
+            points = ny * nx
+        except OverflowError:        # extent / spacing is not finite
+            points = math.inf
+        if points > MAX_RASTER_POINTS:
+            raise ValueError(
+                f"config key 'listening_spacing' = {self.listening_spacing!r} "
+                "asks for a listening raster of more than "
+                f"{MAX_RASTER_POINTS} points")
         self.check_source(self.fig_source, "config key 'fig_source'")
 
     def to_dict(self) -> dict:

@@ -10,7 +10,7 @@ import numpy as np
 from .acoustics import FrequencyGrid, Source, green_matrix
 from .compensator import pack_driving
 from .geometry import ArrayGeometry, PointSet
-from .renderers import mr_circular_driving, mr_linear_driving
+from .renderers import mr_circular_driving, mr_linear_driving, pm_operator
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of every source at every grid
     frequency, (S, L_active, K); one MR call per frequency for all
-    sources."""
+    sources.  A linear array's filters come from the pressure-matching
+    operator with regularization `lam`, built once per frequency."""
     out = np.empty((len(sources), array.active_count, freq_grid.k),
                    dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
@@ -151,7 +152,8 @@ def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
             d = mr_circular_driving(array, sources, omega, freq_grid.c,
                                     listening_radius=listening_radius)
         else:
-            d = mr_linear_driving(array, sources, cp, omega, lam, freq_grid.c,
+            op = pm_operator(array, cp, omega, lam, freq_grid.c)
+            d = mr_linear_driving(array, sources, cp, op, omega, freq_grid.c,
                                   listening_radius=listening_radius)
         out[:, :, ki] = d.T
     return out

@@ -22,7 +22,7 @@ from .evaluation import (
     sweep,
 )
 from .network import ModelParams
-from .renderers import pm_driving, pm_operator
+from .renderers import pm_operator
 
 
 class StageError(RuntimeError):
@@ -108,12 +108,10 @@ def _test_driving(methods, dataset: Dataset, operators,
     if "mr" in methods:
         out["mr"] = mr
     if "pm" in methods:
-        d = np.empty((len(recs), dataset.l_active, dataset.freq_grid.k),
-                     dtype=np.complex128)
-        for ki, op in enumerate(operators()):
-            for si, rec in enumerate(recs):
-                d[si, :, ki] = pm_driving(op, rec.pressures[:, ki])
-        out["pm"] = d
+        p = np.stack([r.pressures for r in recs])           # (S, I, K)
+        # one stacked product per frequency keeps each source's bits
+        out["pm"] = np.stack([(op.c_cp @ p[:, :, ki, None])[..., 0]
+                              for ki, op in enumerate(operators())], axis=-1)
     if "cnn" in methods:
         out["cnn"] = compensate(mr, params)
     return out
@@ -184,8 +182,8 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
     driving = {}
     if "pm" in methods:
         p_cp = green_matrix(cp.points, pos[None, :], omega, freq.c)[:, 0]
-        driving["pm"] = pm_driving(
-            pm_operator(array, cp, omega, cfg.lam, freq.c), p_cp)
+        driving["pm"] = pm_operator(array, cp, omega, cfg.lam,
+                                    freq.c).c_cp @ p_cp
     if "mr" in methods or "cnn" in methods:
         # the CNN maps all K; MR alone needs the rendered frequency only
         freqs, col = (freq, ki) if "cnn" in methods else (

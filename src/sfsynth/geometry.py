@@ -12,6 +12,11 @@ MIN_CLEARANCE = 0.05
 
 _TOL = 1e-12
 
+# most points ny * nx of the listening raster a config may ask for; it
+# bounds the sweep's grid arrays, e.g. the (ny * nx, L) Green's matrix of
+# one frequency, 1 GiB at 64 loudspeakers.  The full presets use 101 x 101
+MAX_RASTER_POINTS = 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -141,6 +146,18 @@ class ListeningArea:
         return inx & iny
 
     @property
+    def raster_shape(self) -> tuple:
+        """(ny, nx) of the raster sample_listening_grid builds, from the
+        extent and spacing alone; a disk's raster is centred on the
+        origin."""
+        s = self.spacing
+        if self.kind == "rectangle":
+            return (int(np.floor((self.ymax - self.ymin) / s + _TOL)) + 1,
+                    int(np.floor((self.xmax - self.xmin) / s + _TOL)) + 1)
+        n = 2 * int(np.floor(self.radius / s + _TOL)) + 1
+        return n, n
+
+    @property
     def bounding_radius(self) -> float:
         """Radius of the smallest origin-centred disk covering the area."""
         if self.kind == "disk":
@@ -199,16 +216,13 @@ def sample_listening_grid(area: ListeningArea) -> PointSet:
     raster is centred on the origin so the centre itself is a node.
     """
     s = area.spacing
+    ny, nx = area.raster_shape
     if area.kind == "rectangle":
-        nx = int(np.floor((area.xmax - area.xmin) / s + _TOL)) + 1
-        ny = int(np.floor((area.ymax - area.ymin) / s + _TOL)) + 1
         xs = area.xmin + s * np.arange(nx)
         ys = area.ymin + s * np.arange(ny)
-        inside = None
     else:
-        n_half = int(np.floor(area.radius / s + _TOL))
+        n_half = nx // 2
         xs = ys = s * np.arange(-n_half, n_half + 1)
-        nx = ny = len(xs)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     iy, ix = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
@@ -220,7 +234,7 @@ def sample_listening_grid(area: ListeningArea) -> PointSet:
 
 
 def sample_control_points(area: ListeningArea, target_count: int,
-                          clearance_from: ArrayGeometry | None = None) -> PointSet:
+                          clearance_from: ArrayGeometry) -> PointSet:
     """Coarse cell-centred grid with at most target_count points.
 
     Rectangle grids use an aspect-matched nx x ny layout; disk grids use
@@ -232,8 +246,6 @@ def sample_control_points(area: ListeningArea, target_count: int,
         raise ValueError("target_count must be >= 1")
 
     def _trim(pts):
-        if clearance_from is None:
-            return pts
         d = np.linalg.norm(
             pts[:, None, :] - clearance_from.positions[None, :, :], axis=-1)
         return pts[np.min(d, axis=1) > MIN_CLEARANCE]

@@ -28,10 +28,6 @@ class PMOperator:
     g_cp: np.ndarray                 # (I, L_active)
     c_cp: np.ndarray                 # (L_active, I)
 
-    @property
-    def n_control(self) -> int:
-        return self.g_cp.shape[0]
-
 
 def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
                         omega: float, c: float, *,
@@ -73,31 +69,13 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     return d.T / array.active_count
 
 
-def _regularized_normal_factor(array: ArrayGeometry, cp: PointSet,
-                               omega: float, lam: float, c: float) -> tuple:
-    """Green's matrix G (I, L_active) from the active loudspeakers to the
-    control points, and the Cholesky factor of G^H G + lam I shared by
-    the regularized least-squares fits."""
-    if len(cp) == 0:
-        raise ValueError("control point set must be non-empty")
-    if array.active_count < 1:
-        raise ValueError("array has no active loudspeakers")
-    g = green_matrix(cp.points, array.active_positions, omega, c)
-    a = g.conj().T @ g + lam * np.eye(array.active_count)
-    return g, sla.cho_factor(a)
-
-
-def mr_linear_filter_bank(array: ArrayGeometry, cp: PointSet,
-                          directions: np.ndarray, omega: float, lam: float,
-                          c: float) -> np.ndarray:
+def mr_linear_filter_bank(op: PMOperator, cp: PointSet, directions: np.ndarray,
+                          omega: float, c: float) -> np.ndarray:
     """Plane-wave filters for a linear array, one column per direction
-    of `directions` (N,), fitted in the regularized least-squares sense
-    at the control points, (L_active, N)."""
-    if array.family != "linear":
-        raise ValueError("linear filter bank needs a linear array")
-    g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
-    targets = plane_wave_field(cp.points, directions, omega, c)   # (I, N)
-    return sla.cho_solve(cho, g.conj().T @ targets)
+    of `directions` (N,), (L_active, N): the pressure-matching operator
+    `op` of the control points `cp` applied to each plane wave's field
+    there, i.e. its regularized least-squares fit."""
+    return op.c_cp @ plane_wave_field(cp.points, directions, omega, c)
 
 
 def linear_window(array: ArrayGeometry) -> tuple:
@@ -122,10 +100,11 @@ def linear_window(array: ArrayGeometry) -> tuple:
 
 
 def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
-                      cp: PointSet, omega: float, lam: float, c: float, *,
+                      cp: PointSet, op: PMOperator, omega: float, c: float, *,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a linear array at one
-    frequency, (L, S); the sources share one filter bank.
+    frequency, (L, S); the sources share one filter bank, built from the
+    array's pressure-matching operator `op` at the control points `cp`.
 
     Samples N = 2M+1 directions at the midpoints of N equal parts of the
     admissible window [t_min, t_max], so a single direction would land on
@@ -138,7 +117,7 @@ def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
     n = 2 * M + 1
     width = t_max - t_min
     directions = t_min + (np.arange(n) + 0.5) * width / n
-    bank = mr_linear_filter_bank(array, cp, directions, omega, lam, c)
+    bank = mr_linear_filter_bank(op, cp, directions, omega, c)
     phi = herglotz_point_source(directions, omega, sources, M, c)
     d = (bank @ phi[..., None])[..., 0]
     return width / (2 * np.pi * n) * d.T
@@ -146,14 +125,15 @@ def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
 
 def pm_operator(array: ArrayGeometry, cp: PointSet, omega: float, lam: float,
                 c: float) -> PMOperator:
-    """Build the pressure-matching operator for one frequency."""
-    g, cho = _regularized_normal_factor(array, cp, omega, lam, c)
-    return PMOperator(g_cp=g, c_cp=sla.cho_solve(cho, g.conj().T))
-
-
-def pm_driving(op: PMOperator, p_cp: np.ndarray) -> np.ndarray:
-    """Driving signals d = C_cp p_cp; cost O(I L) per frequency."""
-    p = np.asarray(p_cp, dtype=np.complex128).reshape(-1)
-    if len(p) != op.n_control:
-        raise ValueError("control pressure length must equal the operator's I")
-    return op.c_cp @ p
+    """Build the pressure-matching operator for one frequency: Green's
+    matrix G (I, L_active) from the active loudspeakers to the control
+    points, and C solved from the Cholesky factor of G^H G + lam I.
+    Driving signals for control pressures p_cp are C @ p_cp."""
+    if len(cp) == 0:
+        raise ValueError("control point set must be non-empty")
+    if array.active_count < 1:
+        raise ValueError("array has no active loudspeakers")
+    g = green_matrix(cp.points, array.active_positions, omega, c)
+    a = g.conj().T @ g + lam * np.eye(array.active_count)
+    return PMOperator(g_cp=g, c_cp=sla.cho_solve(sla.cho_factor(a),
+                                                 g.conj().T))

@@ -280,6 +280,7 @@ def _desk_record():
 
 # -- criterion 7: overfit-one smoke test ----------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_overfit_single_record():
     t0 = time.time()
     rec, g = _desk_record()
@@ -298,6 +299,7 @@ def test_criterion_07_overfit_single_record():
 
 # -- criterion 8: desk-scale end to end ------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_end_to_end(tmp_path):
     t0 = time.time()
     cfg = desk_config("circular")
@@ -348,6 +350,7 @@ def _hashes(out: Path, patterns):
     return found
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(tmp_path):
     t0 = time.time()
     # full desk-scale pipeline twice with the classical methods: covers

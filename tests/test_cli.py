@@ -204,6 +204,14 @@ def _one_error_line(out) -> str:
     ('{"family": "linear", "n_train_linear": -3}', "'n_train_linear'"),
     ('{"family": "linear", "n_test_linear": 0}', "'n_test_linear'"),
     ('{"family": "linear", "n_test_linear": 121}', "'n_test_linear'"),
+    # control cells finer than the listening spacing, from either side
+    ('{"listening_spacing": 3}',
+     "'control_target' = 72 and 'listening_spacing'"),
+    ('{"listening_radius": 0.001}',
+     "'control_target' = 72 and 'listening_spacing'"),
+    # a listening raster past the grid budget, refused before any file
+    ('{"listening_spacing": 1e-6, "methods": ["mr", "pm"]}',
+     "'listening_spacing'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -225,7 +233,8 @@ def _one_error_line(out) -> str:
         "linear-test-shift-negative", "linear-val-zero-cnn",
         "linear-val-negative", "linear-train-zero-cnn",
         "linear-train-negative", "linear-test-zero",
-        "linear-test-above-train-val"])
+        "linear-test-above-train-val", "control-cells-below-spacing",
+        "control-cells-in-tiny-disk", "listening-raster-over-budget"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from sfsynth.config import (
     full_config,
     load_config,
 )
+from sfsynth.geometry import MAX_RASTER_POINTS
 
 
 def test_full_circular_defaults():
@@ -185,6 +187,30 @@ def test_mr_listening_radius():
     lin = desk_config("linear")
     # bounding radius of the rectangle's corners from the origin
     assert lin.mr_listening_radius() == pytest.approx((1.2 ** 2 + 1) ** 0.5)
+
+
+def test_listening_raster_budget_is_arithmetic():
+    # the budget counts the raster from the area and spacing: refusing a
+    # 1600001 x 1600001 raster (2.6e12 points) allocates almost nothing
+    from dataclasses import replace
+    cfg = full_config()
+    ny, nx = cfg.listening_area().raster_shape
+    assert (ny, nx) == (101, 101)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="'listening_spacing'"):
+            replace(desk_config(), listening_spacing=1e-6).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the edge: 1023 x 1023 raster points pass, 1025 x 1025 do not; a
+    # spacing whose ratio overflows is refused by the same key
+    assert 1023 ** 2 <= MAX_RASTER_POINTS < 1025 ** 2
+    replace(cfg, listening_spacing=1 / 511).validate()
+    for spacing in (1 / 512, 5e-324):
+        with pytest.raises(ValueError, match="'listening_spacing'"):
+            replace(cfg, listening_spacing=spacing).validate()
 
 
 def _package_signatures():

@@ -20,7 +20,11 @@ from sfsynth.geometry import (
     make_circular_array,
     sample_control_points,
 )
-from sfsynth.renderers import mr_circular_driving, mr_linear_driving
+from sfsynth.renderers import (
+    mr_circular_driving,
+    mr_linear_driving,
+    pm_operator,
+)
 
 
 def test_circular_full_scale_counts():
@@ -159,7 +163,8 @@ def _reference_records(array, sources, cp, fg, lam, radius):
                 d[:, ki] = mr_circular_driving(array, [src], omega, fg.c,
                                                listening_radius=radius)[:, 0]
             else:
-                d[:, ki] = mr_linear_driving(array, [src], cp, omega, lam,
+                op = pm_operator(array, cp, omega, lam, fg.c)
+                d[:, ki] = mr_linear_driving(array, [src], cp, op, omega,
                                              fg.c,
                                              listening_radius=radius)[:, 0]
             p[:, ki] = green_matrix(cp.points, src.position[None, :],

@@ -73,6 +73,28 @@ def test_no_checkpoint_without_cnn(tmp_path):
     assert not (tmp_path / "checkpoint.sfsm").exists()
 
 
+@pytest.mark.parametrize("family", ["circular", "linear"])
+def test_test_driving_pm_equals_per_source_products(family):
+    # the sweep's PM signals, one stacked product per frequency, are each
+    # test source's own C_cp @ p_cp, byte for byte
+    from sfsynth.datasets import build_dataset
+    from sfsynth.renderers import pm_operator
+    cfg = (micro_config(methods=("mr", "pm")) if family == "circular" else
+           replace(desk_config("linear"), n_train_linear=4, n_val_linear=2,
+                   n_test_linear=6, methods=("mr", "pm")))
+    array, cp, freq = cfg.array(), cfg.control_points(), cfg.freq_grid()
+    dataset = build_dataset(array, cfg.source_split(), cp, freq, cfg.lam,
+                            cfg.mr_listening_radius())
+    ops = [pm_operator(array, cp, omega, cfg.lam, freq.c)
+           for omega in freq.angular]
+    pm = experiment._test_driving(("pm",), dataset, lambda: ops, None)["pm"]
+    assert pm.shape == (len(dataset.test), array.active_count, freq.k)
+    for si, rec in enumerate(dataset.test):
+        for ki, op in enumerate(ops):
+            alone = op.c_cp @ rec.pressures[:, ki]
+            assert pm[si, :, ki].tobytes() == alone.tobytes(), (si, ki)
+
+
 def test_render_field_validates_source_inside(micro_run):
     cfg, out, _ = micro_run
     with pytest.raises(ValueError):

@@ -75,14 +75,14 @@ def test_dataset_bytes_pinned(tmp_path):
 
 def test_linear_dataset_bytes_pinned(tmp_path):
     # the same for the linear family (4 train, 2 val, 2 test sources,
-    # 4 frequencies), whose MR input comes from the least-squares
-    # plane-wave filters and their windowed superposition
+    # 4 frequencies), whose MR input is the pressure-matching operator
+    # applied to plane-wave targets, superposed over the window
     path = _dataset_file(replace(desk_config("linear"), n_train_linear=4,
                                  n_val_linear=2, n_test_linear=2,
                                  freq_count=4), tmp_path)
     assert path.stat().st_size == 41_328
     assert sha256_file(path) == \
-        "e0b1fbb9cc8be103f07564eec20bb2925d62f08d5edc1df4f98de73306db8949"
+        "e0e1f10720772a14b31de813f696ec86944f06871fc8b77403a8bc134e546f89"
 
 
 def test_checkpoint_forward_identical(tmp_path):

@@ -14,6 +14,9 @@ from sfsynth.geometry import (
     sample_listening_grid,
 )
 
+# an array well outside every area sampled below: it trims no control point
+FAR_ARRAY = make_linear_array(2, 1.0, 10.0)
+
 
 def test_circular_array_symmetry():
     arr = make_circular_array(4, 1.0)
@@ -137,7 +140,7 @@ def test_listening_grid_tiny_rectangle():
 
 def test_control_points_rectangle_aspect():
     area = ListeningArea.rectangle(-1, 1, -1, 1, 0.02)
-    cp = sample_control_points(area, 660)
+    cp = sample_control_points(area, 660, clearance_from=FAR_ARRAY)
     # square area: floor(sqrt(660)) = 25 columns, 26 rows
     assert len(cp) == 650
     assert np.all(np.abs(cp.points) < 1.0)       # strictly inside
@@ -145,7 +148,7 @@ def test_control_points_rectangle_aspect():
 
 def test_control_points_disk():
     area = ListeningArea.disk(1.0, 0.02)
-    cp = sample_control_points(area, 276)
+    cp = sample_control_points(area, 276, clearance_from=FAR_ARRAY)
     assert 0 < len(cp) <= 276
     # independent oracle: densest cell-centred n x n raster within target
     best = 0
@@ -161,7 +164,7 @@ def test_control_points_disk():
 
 def test_control_points_single():
     area = ListeningArea.rectangle(-1, 1, -1, 1, 0.02)
-    cp = sample_control_points(area, 1)
+    cp = sample_control_points(area, 1, clearance_from=FAR_ARRAY)
     assert len(cp) == 1
     assert np.allclose(cp.points[0], [0.0, 0.0], atol=1e-12)
 
@@ -178,7 +181,7 @@ def test_control_points_clearance():
 def test_control_points_exceed_resolution():
     area = ListeningArea.rectangle(-1, 1, -1, 1, 0.5)
     with pytest.raises(ValueError):
-        sample_control_points(area, 10000)
+        sample_control_points(area, 10000, clearance_from=FAR_ARRAY)
 
 
 def test_point_set_rejects_duplicates():

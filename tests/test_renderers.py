@@ -28,7 +28,6 @@ from sfsynth.renderers import (
     mr_circular_driving,
     mr_linear_driving,
     mr_linear_filter_bank,
-    pm_driving,
     pm_operator,
 )
 
@@ -36,10 +35,9 @@ C = 343.0
 OMEGA_500 = 2 * np.pi * 500
 
 
-def one_direction_filter(arr, cp, theta, omega, lam):
+def one_direction_filter(op, cp, theta, omega):
     """Least-squares filter for the single plane-wave direction theta."""
-    return mr_linear_filter_bank(arr, cp, np.array([theta]), omega, lam,
-                                 C)[:, 0]
+    return mr_linear_filter_bank(op, cp, np.array([theta]), omega, C)[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +163,10 @@ def test_mr_linear_scalar_normal_equation():
     # I = 1, L = 1, lam = 0: h = conj(g) p / |g|^2
     arr = make_linear_array(1, 0.1, 1.0)
     rect = ListeningArea.rectangle(-1.2, 0.8, -1.0, 1.0, 0.02)
-    cp = sample_control_points(rect, 1)
+    cp = sample_control_points(rect, 1, clearance_from=arr)
     theta = 0.3
-    h = one_direction_filter(arr, cp, theta, OMEGA_500, lam=0.0)
+    op = pm_operator(arr, cp, OMEGA_500, 0.0, C)
+    h = one_direction_filter(op, cp, theta, OMEGA_500)
     g = green_matrix(cp.points, arr.positions, OMEGA_500, C)[0, 0]
     p = plane_wave_field(cp.points[:1], theta, OMEGA_500, C)[0]
     assert h[0] == pytest.approx(np.conj(g) * p / abs(g) ** 2, rel=1e-12)
@@ -175,7 +174,8 @@ def test_mr_linear_scalar_normal_equation():
 
 def test_mr_linear_large_lam_shrinks_filters(linear_setup):
     arr, rect, cp, _ = linear_setup
-    h = one_direction_filter(arr, cp, 0.0, OMEGA_500, lam=1e9)
+    op = pm_operator(arr, cp, OMEGA_500, 1e9, C)
+    h = one_direction_filter(op, cp, 0.0, OMEGA_500)
     assert np.max(np.abs(h)) < 1e-6
 
 
@@ -189,7 +189,8 @@ def test_mr_linear_fit_residual():
     t_min, t_max = linear_window(arr)
     n = 2 * truncation_order(OMEGA_500, rect.bounding_radius, C) + 1
     directions = t_min + (np.arange(n) + 0.5) * (t_max - t_min) / n
-    bank = mr_linear_filter_bank(arr, cp, directions, OMEGA_500, lam=1e-6, c=C)
+    op = pm_operator(arr, cp, OMEGA_500, 1e-6, C)
+    bank = mr_linear_filter_bank(op, cp, directions, OMEGA_500, C)
     g = green_matrix(cp.points, arr.active_positions, OMEGA_500, C)
     mid = n // 2
     tgt = plane_wave_field(cp.points, directions[mid], OMEGA_500, C)
@@ -205,7 +206,8 @@ def test_mr_linear_reproduction(linear_setup):
     # reference run: -14.8 dB for this source; contract level -10 dB
     arr, rect, cp, grid = linear_setup
     src = Source(position=np.array([2.0, 0.5]))
-    d = mr_linear_driving(arr, [src], cp, OMEGA_500, lam=1e-2, c=C,
+    op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
+    d = mr_linear_driving(arr, [src], cp, op, OMEGA_500, C,
                           listening_radius=rect.bounding_radius)[:, 0]
     p_hat = green_matrix(grid.points, arr.active_positions, OMEGA_500, C) @ d
     assert nre(p_hat, _gt_field(grid.points, src, OMEGA_500)) <= -10.0
@@ -230,13 +232,13 @@ def test_mr_linear_matches_bruteforce_sum():
         phi = [_density_by_order_sum(theta_n, omega, src, M)
                for theta_n in thetas]
         for arr in (full, decimate_array(full, 8, seed=3)):
-            d = mr_linear_driving(arr, [src], cp, omega, 1e-2, C,
+            op = pm_operator(arr, cp, omega, 1e-2, C)
+            d = mr_linear_driving(arr, [src], cp, op, omega, C,
                                   listening_radius=rect.bounding_radius)[:, 0]
             assert len(d) == arr.active_count
             acc = np.zeros(arr.active_count, dtype=complex)
             for theta_n, phi_n in zip(thetas, phi):
-                acc += phi_n * one_direction_filter(arr, cp, theta_n, omega,
-                                                    1e-2)
+                acc += phi_n * one_direction_filter(op, cp, theta_n, omega)
             ref = width / (2 * np.pi * N) * acc
             for l in range(arr.active_count):
                 assert d[l] == pytest.approx(ref[l], rel=1e-10), (f, l)
@@ -275,27 +277,6 @@ def test_pm_large_lam_asymptotics():
     assert np.allclose(op.c_cp, op.g_cp.conj().T / lam, rtol=1e-6)
 
 
-def test_pm_driving_scalar_formula():
-    g = np.array([[0.3 - 0.2j]])
-    lam = 0.05
-    import sfsynth.renderers as rd
-    op = rd.PMOperator(g_cp=g, c_cp=g.conj().T / (abs(g[0, 0]) ** 2 + lam))
-    p = np.array([1.0 + 1.0j])
-    d = pm_driving(op, p)
-    assert d[0] == pytest.approx(np.conj(g[0, 0]) * p[0]
-                                 / (abs(g[0, 0]) ** 2 + lam))
-
-
-def test_pm_driving_zero_and_mismatch():
-    arr = make_circular_array(8, 1.0)
-    area = ListeningArea.disk(0.8, 0.04)
-    cp = sample_control_points(area, 40, clearance_from=arr)
-    op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
-    assert np.all(pm_driving(op, np.zeros(op.n_control)) == 0)
-    with pytest.raises(ValueError):
-        pm_driving(op, np.zeros(op.n_control + 1))
-
-
 def test_pm_synthetic_residuals():
     # criterion-level check: in-range targets, well-conditioned G
     rng = np.random.default_rng(5)
@@ -318,7 +299,7 @@ def test_pm_acoustic_control_residual():
     src = Source(position=np.array([2.0, 0.0]))
     op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
     p_cp = _gt_field(cp.points, src, OMEGA_500)
-    d = pm_driving(op, p_cp)
+    d = op.c_cp @ p_cp
     res = np.linalg.norm(op.g_cp @ d - p_cp) / np.linalg.norm(p_cp)
     assert res <= 0.1
 
@@ -352,7 +333,8 @@ def test_mr_circular_batch_equals_one_source_calls():
         "mr_circular_driving": lambda srcs, omega: mr_circular_driving(
             circ, srcs, omega, C, listening_radius=1.0),
         "mr_linear_driving": lambda srcs, omega: mr_linear_driving(
-            lin, srcs, cp, omega, 1e-2, C, listening_radius=1.0),
+            lin, srcs, cp, pm_operator(lin, cp, omega, 1e-2, C), omega, C,
+            listening_radius=1.0),
         "herglotz_point_source": lambda srcs, omega: herglotz_point_source(
             np.linspace(0, 2 * np.pi, 29), omega, srcs, 12, C).T,
     }
