@@ -41,8 +41,8 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
-    best_val_loss: float
+    params: ModelParams              # the best epoch's, upcast to float64
+    best_val_loss: float             # evaluate_loss of params (float64)
     best_epoch: int
     epochs_run: int
     history: list                    # (train_loss, val_loss) per epoch
@@ -169,7 +169,10 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
 
     Deterministic for a fixed cfg.seed: the initialization and the
     per-epoch shuffles come from independent child streams of the seed.
-    Returns the parameters of the best validation epoch.
+    The network and Adam run in float32 (the float64 initialization
+    draws, cast); the loss, its gradient and the propagation stay
+    float64.  Returns the parameters of the best validation epoch,
+    upcast exactly to float64, and their float64 validation loss.
     """
     if len(train_records) == 0 or len(val_records) == 0:
         raise ValueError("need non-empty train and validation splits")
@@ -177,7 +180,7 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
     rows, cols = np.asarray(train_records[0].tensor).shape
     seq = np.random.SeedSequence(cfg.seed)
     s_init, s_shuffle = seq.spawn(2)
-    params = init_params(rows, cols, seed=s_init)
+    params = init_params(rows, cols, seed=s_init).astype(np.float32)
     flat = params.flat()
     opt = Adam(flat, lr=cfg.learning_rate)
     shuffler = np.random.default_rng(s_shuffle)
@@ -206,13 +209,15 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = params.copy()
+            best_params = params.astype(np.float64)
             since_improve = 0
         else:
             since_improve += 1
             if since_improve > cfg.patience:
                 break
-    return TrainResult(params=best_params, best_val_loss=float(best_val),
+    return TrainResult(params=best_params,
+                       best_val_loss=evaluate_loss(best_params, val_records,
+                                                   g_stack, cfg),
                        best_epoch=best_epoch, epochs_run=len(history),
                        history=history)
 

@@ -149,10 +149,13 @@ class ExperimentConfig:
                                          self.control_target,
                                          clearance_from=self.full_array())
         except ValueError as exc:
+            disk = (f" in the disk of 'listening_radius' = "
+                    f"{self.listening_radius!r}"
+                    if self.family == "circular" else "")
             raise ValueError(
                 f"config keys 'control_target' = {self.control_target!r} and "
                 f"'listening_spacing' = {self.listening_spacing!r} give no "
-                f"control points: {exc}") from None
+                f"control points{disk}: {exc}") from None
 
     def check_source(self, position, what="source position") -> np.ndarray:
         """`position` as a (2,) array; ValueError naming `what` unless a

@@ -1,7 +1,10 @@
 """Convolutional compensator network: layer specification, shape solver,
 forward/backward passes and the Adam optimizer.
 
-Everything runs in float64 numpy.  Feature maps use the layout
+The network computes in the dtype of its parameters: forward and
+backward cast their input to it, and Adam's moments follow it.  Training
+runs float32 parameters (the loss around the network stays float64);
+every other caller runs float64.  Feature maps use the layout
 (channels, height, width, batch): the batch axis sits innermost so the
 im2col gather and the column/weight matmuls stay contiguous.
 """
@@ -119,12 +122,18 @@ class ModelParams:
     def param_count(self) -> int:
         return sum(p.size for p in self.flat())
 
-    def copy(self) -> "ModelParams":
+    @property
+    def dtype(self) -> np.dtype:
+        return self.kernels[0].dtype
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every parameter array cast to dtype."""
         return ModelParams(
             rows=self.rows, cols=self.cols,
-            kernels=[k.copy() for k in self.kernels],
-            biases=[b.copy() for b in self.biases],
-            slopes=[None if s is None else s.copy() for s in self.slopes])
+            kernels=[k.astype(dtype) for k in self.kernels],
+            biases=[b.astype(dtype) for b in self.biases],
+            slopes=[None if s is None else s.astype(dtype)
+                    for s in self.slopes])
 
 
 def init_params(rows: int, cols: int, seed,
@@ -151,7 +160,7 @@ def _im2col(x: np.ndarray, kh, kw, sh, sw):
     c, h, w, b = x.shape
     ho = (h - kh) // sh + 1
     wo = (w - kw) // sw + 1
-    cols = np.empty((c, kh, kw, ho, wo, b))
+    cols = np.empty((c, kh, kw, ho, wo, b), dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
             cols[:, u, v] = x[:, u:u + sh * ho:sh, v:v + sw * wo:sw, :]
@@ -159,7 +168,7 @@ def _im2col(x: np.ndarray, kh, kw, sh, sw):
 
 
 def _col2im(cols, c, h, w, b, kh, kw, sh, sw, ho, wo):
-    out = np.zeros((c, h, w, b))
+    out = np.zeros((c, h, w, b), dtype=cols.dtype)
     cc = cols.reshape(c, kh, kw, ho, wo, b)
     for u in range(kh):
         for v in range(kw):
@@ -170,15 +179,15 @@ def _col2im(cols, c, h, w, b, kh, kw, sh, sw, ho, wo):
 def forward(params: ModelParams, x: np.ndarray):
     """Run the network on x of shape (1, rows, cols, batch).
 
-    Returns (output, cache); the cache feeds backward().  The encoder
-    convolutions are unpadded; the transposed layers crop their padding
-    from the full-size output.
+    Returns (output, cache) in the parameter dtype, to which x is cast;
+    the cache feeds backward().  The encoder convolutions are unpadded;
+    the transposed layers crop their padding from the full-size output.
     """
     if x.ndim != 4 or x.shape[0] != 1 or x.shape[1:3] != (params.rows, params.cols):
         raise ValueError(
             f"input must have shape (1, {params.rows}, {params.cols}, batch)")
     caches = []
-    cur = x
+    cur = x.astype(params.dtype, copy=False)
     for i, sp in enumerate(params.layers):
         if sp.kind == "conv":
             cols, ho, wo = _im2col(cur, sp.kh, sp.kw, sp.sh, sp.sw)
@@ -210,13 +219,14 @@ def forward(params: ModelParams, x: np.ndarray):
 
 def backward(params: ModelParams, gout: np.ndarray, caches) -> list:
     """Gradients of a scalar loss with respect to every parameter, given
-    the loss gradient at the network output.  Order matches flat()."""
+    the loss gradient at the network output, which is cast to the
+    parameter dtype.  Order matches flat()."""
     layers = params.layers
     n = len(layers)
     gk = [None] * n
     gb = [None] * n
     gs = [None] * n
-    g = gout
+    g = gout.astype(params.dtype, copy=False)
     for i in range(n - 1, -1, -1):
         sp = layers[i]
         if i == SKIP_DST:
@@ -252,7 +262,8 @@ def backward(params: ModelParams, gout: np.ndarray, caches) -> list:
 
 
 class Adam:
-    """Adam with bias correction; operates in place on a parameter list."""
+    """Adam with bias correction; operates in place on a parameter list.
+    The moments take the dtype of the parameters."""
 
     def __init__(self, params: list, lr: float):
         self.lr = lr

@@ -209,6 +209,7 @@ def _one_error_line(out) -> str:
      "'control_target' = 72 and 'listening_spacing'"),
     ('{"listening_radius": 0.001}',
      "'control_target' = 72 and 'listening_spacing'"),
+    ('{"listening_radius": 0.001}', "'listening_radius' = 0.001"),
     # a listening raster past the grid budget, refused before any file
     ('{"listening_spacing": 1e-6, "methods": ["mr", "pm"]}',
      "'listening_spacing'"),
@@ -234,7 +235,8 @@ def _one_error_line(out) -> str:
         "linear-val-negative", "linear-train-zero-cnn",
         "linear-train-negative", "linear-test-zero",
         "linear-test-above-train-val", "control-cells-below-spacing",
-        "control-cells-in-tiny-disk", "listening-raster-over-budget"])
+        "control-cells-in-tiny-disk", "control-cells-name-disk-radius",
+        "listening-raster-over-budget"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text

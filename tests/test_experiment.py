@@ -273,6 +273,25 @@ def test_manifest_with_stale_keys_is_reused(micro_run, tmp_path, monkeypatch):
     assert again.to_json() == manifest.to_json()
 
 
+def test_resumed_sweep_from_checkpoint_writes_same_metrics(
+        micro_run, tmp_path, monkeypatch):
+    # the first run sweeps with the parameters training returned, a
+    # resumed run with those loaded from the checkpoint; the two must be
+    # the same numbers
+    cfg, out, manifest = micro_run
+    assert _paths(manifest, "checkpoint")
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    before = {p.name: p.read_bytes() for p in tmp_path.glob("metrics_*.csv")}
+    assert len(before) == 4
+    for name in before:
+        (tmp_path / name).unlink()
+    calls = _count_stage_calls(monkeypatch)
+    run_experiment(cfg, tmp_path)
+    assert calls == ["metric_samples"]
+    assert {p.name: p.read_bytes()
+            for p in tmp_path.glob("metrics_*.csv")} == before
+
+
 def test_failed_sweep_records_no_metrics(tmp_path, monkeypatch):
     # the sweep fails after writing its first CSV; the manifest keeps the
     # finished stages and no entry of the failed one

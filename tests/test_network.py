@@ -168,7 +168,7 @@ def test_backward_is_adjoint_of_complex_step_derivative():
     grads = backward(p, v, caches)
     u = [rng.normal(size=a.shape) for a in p.flat()]
     h = 1e-30
-    pc = p.copy()
+    pc = p.astype(np.float64)
     for i in range(len(pc.layers)):
         pc.kernels[i] = pc.kernels[i] + 0j
         pc.biases[i] = pc.biases[i] + 0j
@@ -184,6 +184,61 @@ def test_backward_is_adjoint_of_complex_step_derivative():
     vjp = sum(float(np.sum(g * du)) for g, du in zip(grads, u))
     rel = abs(jvp - vjp) / max(abs(jvp), abs(vjp))
     assert rel <= 1e-10, f"<v, J u> = {jvp!r}, <J^T v, u> = {vjp!r}, rel {rel:.2e}"
+
+
+def test_float32_backward_is_adjoint_of_float64_complex_step_derivative():
+    # the dot-product test above for the float32 network that training
+    # runs: float32 parameters, input and cotangent, and the PReLU masks
+    # of the float32 forward.  The reference is the float64 complex-step
+    # J u at the same values, upcast (exactly).  Bound, set before the
+    # first run: each of the 14 GEMM/scatter stages (7 forward, 7
+    # backward) rounds sums of at most 480 terms (a kernel gradient over
+    # 16 x 15 pixels x 2 samples); with float32's unit round-off
+    # u = 2^-24 = 6e-8 and random rounding, a stage adds about
+    # sqrt(480) u = 1.3e-6 relative and the chain about 14 times that,
+    # 1.8e-5; 1e-4 leaves a factor of 5.  This draw agrees to 7.4e-7
+    p = small_params(seed=8).astype(np.float32)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(1, 16, 15, 2)).astype(np.float32)
+    v = rng.normal(size=(1, 16, 15, 2)).astype(np.float32)
+    _, caches = forward(p, x)
+    grads = backward(p, v, caches)
+    assert all(g.dtype == np.float32 for g in grads)
+    u = [rng.normal(size=a.shape) for a in p.flat()]
+    h = 1e-30
+    pc = p.astype(np.complex128)
+    for a, du in zip(pc.flat(), u):
+        a += 1j * h * du
+    jvp = 0.0
+    for j in range(x.shape[-1]):
+        masks = [c["neg"][..., j] if "neg" in c else None for c in caches]
+        y = _reference_forward(pc, x[..., j], masks)
+        jvp += float(np.sum(v[..., j] * y.imag)) / h
+    vjp = sum(float(np.sum(g * du)) for g, du in zip(grads, u))
+    rel = abs(jvp - vjp) / max(abs(jvp), abs(vjp))
+    assert rel <= 1e-4, f"<v, J u> = {jvp!r}, <J^T v, u> = {vjp!r}, rel {rel:.2e}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_network_computes_in_parameter_dtype(dtype):
+    # a stray float64 constant, np.pad or np.where would promote a
+    # float32 network to float64 without failing anything else
+    p = small_params(seed=3).astype(dtype)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(1, 16, 15, 2))
+    y, caches = forward(p, x)
+    grads = backward(p, rng.normal(size=y.shape), caches)
+    opt = Adam(p.flat(), lr=1e-3)
+    opt.step(p.flat(), grads)
+    arrays = {"output": y}
+    for i, cache in enumerate(caches):
+        arrays.update({f"cache {i} {k}": a for k, a in cache.items()
+                       if isinstance(a, np.ndarray) and a.dtype != bool})
+    for name, group in (("gradient", grads), ("parameter", p.flat()),
+                        ("Adam m", opt.m), ("Adam v", opt.v)):
+        arrays.update({f"{name} {i}": a for i, a in enumerate(group)})
+    wrong = {name: a.dtype for name, a in arrays.items() if a.dtype != dtype}
+    assert not wrong, wrong
 
 
 def _numeric_grad(p, x, wmask, arr, idx, h=1e-5):
