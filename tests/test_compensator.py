@@ -304,6 +304,9 @@ def test_trained_parameters_bytes_pinned():
                   batch_size=2, seed=5)
     r = train_compensator(recs[:2], recs[2:], cfg, g)
     assert (r.best_epoch, r.epochs_run) == (2, 3)
+    # float64 arrays holding float32 values, as the checkpoint stores them
+    assert all(p.dtype == np.float64 and np.array_equal(p, p.astype(np.float32))
+               for p in r.params.flat())
     digest = hashlib.sha256()
     for p in r.params.flat():
         digest.update(np.ascontiguousarray(p).tobytes())
