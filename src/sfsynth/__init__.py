@@ -53,6 +53,7 @@ from .renderers import (
     mr_circular_driving,
     mr_linear_driving,
     pm_operator,
+    pm_operators,
 )
 
 __version__ = "0.1.0"

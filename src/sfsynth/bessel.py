@@ -28,15 +28,17 @@ No external special-function library is used.  The evaluation scheme:
   per distinct argument and gather them back to the batch.
 
 Accuracy target is 1e-10 relative on the complex Hankel value for
-m <= 60, 1e-3 <= x <= 100; the test fixtures pin this against an
-independent high-precision series oracle, whose worst case here is
-5.2e-14.
+m <= MAX_VERIFIED_ORDER (60), 1e-3 <= x <= 100; the test fixtures pin
+this against an independent high-precision series oracle, whose worst
+case here is 5.2e-14.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# the largest order the series oracle of the test fixtures verifies
+MAX_VERIFIED_ORDER = 60
 # switch point between the Chebyshev tables and the asymptotic expansion
 SERIES_CUTOFF = 16.0
 # the tables: interval width, degree of each interval's expansion, and

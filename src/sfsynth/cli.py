@@ -10,6 +10,7 @@ from pathlib import Path
 from . import fileio
 from .config import METHODS, ExperimentConfig, load_config
 from .experiment import StageError, render_field, run_experiment
+from .renderers import pm_operators
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -45,8 +46,9 @@ def _cmd_render(args) -> int:
     source = tuple(float(v) for v in args.source.split(","))
     if len(source) != 2:
         raise ValueError("--source expects 'x,y'")
-    written = render_field(cfg, args.out, [args.method], source,
-                           args.frequency)
+    written = render_field(cfg, args.out, [args.method], source, args.frequency,
+                           pm_operators(cfg.array(), cfg.control_points(),
+                                        cfg.freq_grid(), cfg.lam))
     for rel in written:
         print(rel)
     return 0

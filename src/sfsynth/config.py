@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .acoustics import FrequencyGrid
+from .acoustics import FrequencyGrid, truncation_order
+from .bessel import MAX_VERIFIED_ORDER
 from .compensator import TrainConfig
 from .datasets import SourceSplit, gen_sources_circular, gen_sources_linear
 from .geometry import (
@@ -160,7 +161,8 @@ class ExperimentConfig:
     def check_source(self, position, what="source position") -> np.ndarray:
         """`position` as a (2,) array; ValueError naming `what` unless a
         source there can be rendered: finite, outside the listening area
-        and, for a circular array, outside the array radius."""
+        and beyond the array: outside its radius (circular) or past its
+        plane x = array_x0 (linear)."""
         pos = np.asarray(position, dtype=np.float64).reshape(2)
         if not np.all(np.isfinite(pos)):
             raise ValueError(f"{what} {pos.tolist()} is not finite")
@@ -168,6 +170,9 @@ class ExperimentConfig:
             raise ValueError(f"{what} lies inside the listening area")
         if self.family == "circular" and np.hypot(*pos) <= self.array_radius:
             raise ValueError(f"{what} lies inside the array radius")
+        if self.family == "linear" and pos[0] <= self.array_x0:
+            raise ValueError(f"{what} does not lie past the array plane "
+                             f"x = array_x0 = {self.array_x0!r}")
         return pos
 
     def mr_listening_radius(self) -> float:
@@ -235,7 +240,20 @@ class ExperimentConfig:
         if self.freq_count < 1:
             raise ValueError("config key 'freq_count' must be at least 1, "
                              f"got {self.freq_count!r}")
-        self.freq_grid()
+        # the MR truncation order peaks at the top grid frequency; the
+        # Bessel functions are verified up to MAX_VERIFIED_ORDER
+        grid = self.freq_grid()
+        try:
+            order = truncation_order(float(grid.angular[-1]),
+                                     self.mr_listening_radius(), grid.c)
+        except OverflowError:        # k * radius is not finite
+            order = math.inf
+        if order > MAX_VERIFIED_ORDER:
+            raise ValueError(
+                "config keys 'freq_start', 'freq_step', 'freq_count' and "
+                f"'speed_of_sound' ask for modal order M = {order} at the top "
+                f"grid frequency {grid.frequencies[-1]:.6g} Hz, past the "
+                f"largest verified Bessel order {MAX_VERIFIED_ORDER}")
         for key in ("n_radius_bins", "control_target"):
             value = getattr(self, key)
             if value < 1:

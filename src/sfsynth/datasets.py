@@ -10,7 +10,7 @@ import numpy as np
 from .acoustics import FrequencyGrid, Source, green_matrix
 from .compensator import pack_driving
 from .geometry import ArrayGeometry, PointSet
-from .renderers import mr_circular_driving, mr_linear_driving, pm_operator
+from .renderers import mr_circular_driving, mr_linear_driving
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,12 @@ def gen_sources_linear(n_train: int, n_val: int, n_test: int,
 
 
 def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
-                      cp: PointSet, lam: float,
+                      cp: PointSet, operators,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of every source at every grid
     frequency, (S, L_active, K); one MR call per frequency for all
-    sources.  A linear array's filters come from the pressure-matching
-    operator with regularization `lam`, built once per frequency."""
+    sources.  A linear array's filters come from `operators[ki]`, the
+    pressure-matching operator of grid frequency ki (`pm_operators`)."""
     out = np.empty((len(sources), array.active_count, freq_grid.k),
                    dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
@@ -152,8 +152,8 @@ def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
             d = mr_circular_driving(array, sources, omega, freq_grid.c,
                                     listening_radius=listening_radius)
         else:
-            op = pm_operator(array, cp, omega, lam, freq_grid.c)
-            d = mr_linear_driving(array, sources, cp, op, omega, freq_grid.c,
+            d = mr_linear_driving(array, sources, cp, operators[ki], omega,
+                                  freq_grid.c,
                                   listening_radius=listening_radius)
         out[:, :, ki] = d.T
     return out
@@ -172,7 +172,7 @@ def control_pressures(sources, cp: PointSet,
 
 
 def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
-                  freq_grid: FrequencyGrid, lam: float,
+                  freq_grid: FrequencyGrid, operators,
                   listening_radius: float) -> Dataset:
     """Per-source packed MR tensors and control pressures for every split.
 
@@ -181,7 +181,7 @@ def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
     byte-reproducible.
     """
     def build(sources):
-        return (mr_driving_matrix(array, sources, freq_grid, cp, lam,
+        return (mr_driving_matrix(array, sources, freq_grid, cp, operators,
                                   listening_radius),
                 control_pressures(sources, cp, freq_grid))
 

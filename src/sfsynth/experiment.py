@@ -3,7 +3,6 @@ field rendering, with a content-hashed artifact manifest."""
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from .evaluation import (
     sweep,
 )
 from .network import ModelParams
-from .renderers import pm_operator
+from .renderers import pm_operators
 
 
 class StageError(RuntimeError):
@@ -101,7 +100,7 @@ def _field_paths(freq: FrequencyGrid, methods, frequency: float) -> list:
 def _test_driving(methods, dataset: Dataset, operators,
                   params: ModelParams | None) -> dict:
     """Per-method (S, L_active, K) driving arrays for the test sources;
-    operators() returns the per-frequency PM operators."""
+    `operators` holds the PM operator of each grid frequency."""
     recs = dataset.test
     mr = np.stack([unpack_driving(r.tensor) for r in recs])
     out = {}
@@ -111,7 +110,7 @@ def _test_driving(methods, dataset: Dataset, operators,
         p = np.stack([r.pressures for r in recs])           # (S, I, K)
         # one stacked product per frequency keeps each source's bits
         out["pm"] = np.stack([(op.c_cp @ p[:, :, ki, None])[..., 0]
-                              for ki, op in enumerate(operators())], axis=-1)
+                              for ki, op in enumerate(operators)], axis=-1)
     if "cnn" in methods:
         out["cnn"] = compensate(mr, params)
     return out
@@ -152,12 +151,13 @@ def _load_trained_checkpoint(cfg: ExperimentConfig, out_dir: Path) -> ModelParam
 
 
 def render_field(cfg: ExperimentConfig, out_dir, methods,
-                 source_pos, frequency: float,
+                 source_pos, frequency: float, operators,
                  params: ModelParams | None = None) -> list:
     """Write the ground-truth field once and, for each method, its field
     (real part) and pointwise error map, as CSV plus graymaps.  The
     ground truth, the grid Green's matrix and the MR signals are computed
-    once for all methods.  Without `params`, a cnn render loads the
+    once for all methods; `operators` holds the PM operator of each grid
+    frequency (`pm_operators`).  Without `params`, a cnn render loads the
     directory's checkpoint, which its manifest must record for this
     config.  Returns the relative paths written."""
     if isinstance(methods, str):
@@ -182,14 +182,14 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
     driving = {}
     if "pm" in methods:
         p_cp = green_matrix(cp.points, pos[None, :], omega, freq.c)[:, 0]
-        driving["pm"] = pm_operator(array, cp, omega, cfg.lam,
-                                    freq.c).c_cp @ p_cp
+        driving["pm"] = operators[ki].c_cp @ p_cp
     if "mr" in methods or "cnn" in methods:
         # the CNN maps all K; MR alone needs the rendered frequency only
-        freqs, col = (freq, ki) if "cnn" in methods else (
-            FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c), 0)
-        mr = mr_driving_matrix(array, [Source(position=pos)], freqs, cp,
-                               cfg.lam, cfg.mr_listening_radius())
+        freqs, ops, col = (freq, operators, ki) if "cnn" in methods else (
+            FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c),
+            operators[ki:ki + 1], 0)
+        mr = mr_driving_matrix(array, [Source(position=pos)], freqs, cp, ops,
+                               cfg.mr_listening_radius())
         driving["mr"] = mr[0, :, col]
         if "cnn" in methods:
             driving["cnn"] = compensate(mr, params)[0, :, col]
@@ -230,9 +230,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                          f"got {list(cfg.methods)}")
     stages = ALL_STAGES[:ALL_STAGES.index(until) + 1]
     # built before anything is written: a geometry or source split that
-    # the config cannot give leaves no files behind
+    # the config cannot give leaves no files behind.  Every stage shares
+    # the per-frequency G_cp and PM operators
     array, cp, freq = cfg.array(), cfg.control_points(), cfg.freq_grid()
     split = cfg.source_split()
+    operators = pm_operators(array, cp, freq, cfg.lam)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
@@ -256,14 +258,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         return result
 
     def build():
-        dataset = build_dataset(array, split, cp, freq, cfg.lam,
+        dataset = build_dataset(array, split, cp, freq, operators,
                                 cfg.mr_listening_radius())
         fileio.save_dataset(out_dir / "dataset.sfsx", dataset,
                             header_extra={"config_hash": chash})
         return dataset
 
     def train():
-        g_stack = np.stack([op.g_cp for op in operators()])
+        g_stack = np.stack([op.g_cp for op in operators])
         params = train_compensator(dataset.train, dataset.val,
                                    cfg.train_config(), g_stack).params
         fileio.save_checkpoint(out_dir / CHECKPOINT_PATHS[0], params)
@@ -288,11 +290,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
               lambda: fileio.write_text(out_dir / "config.json", cfg.to_json()))
         dataset = stage("dataset", "dataset", ["dataset.sfsx"], build,
                         lambda: fileio.load_dataset(out_dir / "dataset.sfsx")[0])
-        # per-frequency G_cp and PM operators, built on first use and
-        # shared by the train and sweep stages
-        operators = functools.cache(lambda: [
-            pm_operator(array, cp, omega, cfg.lam, freq.c)
-            for omega in freq.angular])
         params = None
         if "cnn" in cfg.methods and "train" in stages:
             params = stage("train", "checkpoint", CHECKPOINT_PATHS, train,
@@ -305,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                   _field_paths(freq, cfg.methods, cfg.fig_frequency),
                   lambda: render_field(cfg, out_dir, cfg.methods,
                                        cfg.fig_source, cfg.fig_frequency,
-                                       params=params))
+                                       operators, params=params))
     finally:
         fileio.write_text(out_dir / MANIFEST, manifest.to_json())
     return manifest

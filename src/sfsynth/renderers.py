@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .acoustics import (
+    FrequencyGrid,
     Source,
     green_matrix,
     herglotz_point_source,
@@ -137,3 +138,10 @@ def pm_operator(array: ArrayGeometry, cp: PointSet, omega: float, lam: float,
     a = g.conj().T @ g + lam * np.eye(array.active_count)
     return PMOperator(g_cp=g, c_cp=sla.cho_solve(sla.cho_factor(a),
                                                  g.conj().T))
+
+
+def pm_operators(array: ArrayGeometry, cp: PointSet, freq_grid: FrequencyGrid,
+                 lam: float) -> list[PMOperator]:
+    """`pm_operator` at every grid frequency, in grid order."""
+    return [pm_operator(array, cp, omega, lam, freq_grid.c)
+            for omega in freq_grid.angular]

@@ -269,13 +269,13 @@ def _desk_record():
 
     from sfsynth.compensator import pack_driving
     from sfsynth.datasets import control_pressures, mr_driving_matrix
-    d = mr_driving_matrix(arr, [src], freq, cp, cfg.lam,
+    from sfsynth.renderers import pm_operators
+    ops = pm_operators(arr, cp, freq, cfg.lam)
+    d = mr_driving_matrix(arr, [src], freq, cp, ops,
                           cfg.mr_listening_radius())[0]
     rec = SimpleNamespace(tensor=pack_driving(d),
                           pressures=control_pressures([src], cp, freq)[0])
-    g = np.stack([green_matrix(cp.points, arr.active_positions, omega,
-                               freq.c) for omega in freq.angular])
-    return rec, g
+    return rec, np.stack([op.g_cp for op in ops])
 
 
 # -- criterion 7: overfit-one smoke test ----------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfsynth.bessel import (
+    MAX_VERIFIED_ORDER,
     bessel_j_orders,
     bessel_y_orders,
     hankel2_orders,
@@ -34,6 +35,12 @@ ORACLE = load_oracle()
 
 def test_fixture_size():
     assert len(ORACLE) >= 500
+
+
+def test_oracle_reaches_the_verified_order():
+    # MAX_VERIFIED_ORDER, the bound configs are held to, is the largest
+    # order the oracle samples
+    assert max(m for m, *_ in ORACLE) == MAX_VERIFIED_ORDER
 
 
 def test_hankel2_matches_oracle_complex_relative():

@@ -107,6 +107,16 @@ def test_render_inside_source_fails(micro_cfg_file, tmp_path):
     assert "listening area" in out.stderr
 
 
+def test_render_linear_source_on_listening_side_fails(tmp_path):
+    # outside the listening rectangle but short of the array plane: MR
+    # cannot render it, so it is refused before any field is written
+    out = run_cli("render", "--scale", "desk", "--family", "linear",
+                  "--out", str(tmp_path), "--method", "mr",
+                  "--source=-2,0", "--frequency", "300")
+    assert "array plane x = array_x0 = 1.0" in _one_error_line(out)
+    assert not (tmp_path / "fields").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--frequency", "nan"),
                                         ("--frequency", "inf"),
                                         ("--source", "nan,0.5")])
@@ -213,6 +223,13 @@ def _one_error_line(out) -> str:
     # a listening raster past the grid budget, refused before any file
     ('{"listening_spacing": 1e-6, "methods": ["mr", "pm"]}',
      "'listening_spacing'"),
+    # a linear fig_source short of the array plane, outside the listening
+    # rectangle
+    ('{"family": "linear", "fig_source": [0.9, 0.0]}', "'fig_source'"),
+    # MR orders past the verified Bessel orders at the top grid frequency
+    ('{"freq_step": 1e6}', "'freq_step'"),
+    ('{"speed_of_sound": 1e-3}', "'speed_of_sound'"),
+    ('{"freq_start": 1e6}', "'freq_start'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -236,7 +253,9 @@ def _one_error_line(out) -> str:
         "linear-train-negative", "linear-test-zero",
         "linear-test-above-train-val", "control-cells-below-spacing",
         "control-cells-in-tiny-disk", "control-cells-name-disk-radius",
-        "listening-raster-over-budget"])
+        "listening-raster-over-budget", "linear-fig-source-before-array-plane",
+        "freq-step-past-verified-order", "speed-of-sound-past-verified-order",
+        "freq-start-past-verified-order"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text

@@ -189,6 +189,53 @@ def test_mr_listening_radius():
     assert lin.mr_listening_radius() == pytest.approx((1.2 ** 2 + 1) ** 0.5)
 
 
+def test_linear_source_must_lie_past_the_array_plane():
+    # a linear array radiates into x < array_x0: a source on that side,
+    # outside the listening rectangle, has no MR rendering
+    lin = desk_config("linear")
+    for position in ((-2.0, 0.0), (0.9, 0.0), (lin.array_x0, 0.5)):
+        with pytest.raises(ValueError, match="array plane x = array_x0"):
+            lin.check_source(position)
+    lin.check_source((1.08, 1.10))
+    from dataclasses import replace
+    with pytest.raises(ValueError, match="'fig_source'.*array plane"):
+        replace(lin, fig_source=(0.9, 0.0)).validate()
+
+
+@pytest.mark.parametrize("family,changes,order", [
+    ("circular", {"freq_step": 1e6}, "M = 278850"),
+    ("circular", {"speed_of_sound": 1e-3}, "M = 2514098"),
+    ("circular", {"freq_start": 1e6}, "M = 19925"),
+    ("linear", {"freq_count": 200}, "M = 180"),
+    ("circular", {"speed_of_sound": 5e-324}, "M = inf"),
+], ids=["freq-step", "speed-of-sound", "freq-start", "linear-freq-count",
+        "speed-of-sound-subnormal"])
+def test_order_past_the_bessel_oracle_refused(family, changes, order):
+    # the MR truncation order at the top grid frequency may not pass the
+    # largest order the Bessel oracle verifies; the error names the four
+    # keys that set it
+    from dataclasses import replace
+    with pytest.raises(ValueError, match="'freq_start', 'freq_step', "
+                                         "'freq_count' and 'speed_of_sound'"
+                                         f" ask for modal order {order}"):
+        replace(desk_config(family), **changes).validate()
+
+
+def test_presets_stay_within_the_verified_order():
+    from sfsynth.acoustics import truncation_order
+    from sfsynth.bessel import MAX_VERIFIED_ORDER
+    assert MAX_VERIFIED_ORDER == 60
+    for maker, family, order in ((desk_config, "circular", 8),
+                                 (desk_config, "linear", 15),
+                                 (full_config, "circular", 37),
+                                 (full_config, "linear", 58)):
+        cfg = maker(family)
+        cfg.validate()
+        freq = cfg.freq_grid()
+        assert truncation_order(freq.angular[-1], cfg.mr_listening_radius(),
+                                freq.c) == order
+
+
 def test_listening_raster_budget_is_arithmetic():
     # the budget counts the raster from the area and spacing: refusing a
     # 1600001 x 1600001 raster (2.6e12 points) allocates almost nothing

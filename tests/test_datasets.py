@@ -24,6 +24,7 @@ from sfsynth.renderers import (
     mr_circular_driving,
     mr_linear_driving,
     pm_operator,
+    pm_operators,
 )
 
 
@@ -118,7 +119,8 @@ def small_dataset():
                                clearance_from=arr)
     fg = FrequencyGrid.uniform(46.0, 23.0, 15, 343.0)
     split = gen_sources_circular(2, 3, (1.6, 2.4), 0.05, seed=8, val_count=2, n_test=None)
-    ds = build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
+    ds = build_dataset(arr, split, cp, fg, pm_operators(arr, cp, fg, 1e-2),
+                       listening_radius=0.8)
     return arr, cp, fg, split, ds
 
 
@@ -145,7 +147,8 @@ def test_dataset_pressures_match_unit_monopole(small_dataset):
 
 def test_dataset_rebuild_identical(small_dataset):
     arr, cp, fg, split, ds = small_dataset
-    ds2 = build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
+    ds2 = build_dataset(arr, split, cp, fg, pm_operators(arr, cp, fg, 1e-2),
+                        listening_radius=0.8)
     for a, b in zip(ds.all_records, ds2.all_records):
         assert np.array_equal(a.tensor, b.tensor)
         assert np.array_equal(a.pressures, b.pressures)
@@ -174,7 +177,8 @@ def _reference_records(array, sources, cp, fg, lam, radius):
 
 
 def _assert_matches_reference(array, split, cp, fg, lam, radius):
-    ds = build_dataset(array, split, cp, fg, lam, radius)
+    ds = build_dataset(array, split, cp, fg,
+                       pm_operators(array, cp, fg, lam), radius)
     ref = _reference_records(array, split.all_sources, cp, fg, lam, radius)
     assert len(ds.all_records) == len(ref)
     for rec, (tensor, pressures) in zip(ds.all_records, ref):
@@ -204,7 +208,8 @@ def test_source_inside_array_names_the_source(small_dataset):
     with pytest.raises(RuntimeError,
                        match=rf"^dataset build failed for source {sid} at "
                              rf"\[0\.0, 0\.9\]$") as info:
-        build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
+        build_dataset(arr, split, cp, fg, pm_operators(arr, cp, fg, 1e-2),
+                      listening_radius=0.8)
     assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -220,5 +225,6 @@ def test_non_geometry_error_propagates_without_retry(small_dataset,
 
     monkeypatch.setattr(datasets, "control_pressures", no_memory)
     with pytest.raises(MemoryError):
-        build_dataset(arr, split, cp, fg, lam=1e-2, listening_radius=0.8)
+        build_dataset(arr, split, cp, fg, pm_operators(arr, cp, fg, 1e-2),
+                      listening_radius=0.8)
     assert calls == [len(split.all_sources)]

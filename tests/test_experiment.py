@@ -16,10 +16,16 @@ from sfsynth.config import desk_config
 from sfsynth.experiment import ArtifactManifest, render_field, run_experiment
 from sfsynth.fileio import sha256_file
 from sfsynth.network import init_params
+from sfsynth.renderers import pm_operators
 
 
 def _paths(manifest, role):
     return [f["path"] for f in manifest.files if f["role"] == role]
+
+
+def _operators(cfg):
+    return pm_operators(cfg.array(), cfg.control_points(), cfg.freq_grid(),
+                        cfg.lam)
 
 
 def micro_config(**overrides):
@@ -30,6 +36,11 @@ def micro_config(**overrides):
         cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
+
+
+def linear_micro_config():
+    return replace(desk_config("linear"), n_train_linear=4, n_val_linear=2,
+                   n_test_linear=6, methods=("mr", "pm"))
 
 
 @pytest.fixture(scope="module")
@@ -78,16 +89,13 @@ def test_test_driving_pm_equals_per_source_products(family):
     # the sweep's PM signals, one stacked product per frequency, are each
     # test source's own C_cp @ p_cp, byte for byte
     from sfsynth.datasets import build_dataset
-    from sfsynth.renderers import pm_operator
     cfg = (micro_config(methods=("mr", "pm")) if family == "circular" else
-           replace(desk_config("linear"), n_train_linear=4, n_val_linear=2,
-                   n_test_linear=6, methods=("mr", "pm")))
+           linear_micro_config())
     array, cp, freq = cfg.array(), cfg.control_points(), cfg.freq_grid()
-    dataset = build_dataset(array, cfg.source_split(), cp, freq, cfg.lam,
+    ops = pm_operators(array, cp, freq, cfg.lam)
+    dataset = build_dataset(array, cfg.source_split(), cp, freq, ops,
                             cfg.mr_listening_radius())
-    ops = [pm_operator(array, cp, omega, cfg.lam, freq.c)
-           for omega in freq.angular]
-    pm = experiment._test_driving(("pm",), dataset, lambda: ops, None)["pm"]
+    pm = experiment._test_driving(("pm",), dataset, ops, None)["pm"]
     assert pm.shape == (len(dataset.test), array.active_count, freq.k)
     for si, rec in enumerate(dataset.test):
         for ki, op in enumerate(ops):
@@ -95,16 +103,33 @@ def test_test_driving_pm_equals_per_source_products(family):
             assert pm[si, :, ki].tobytes() == alone.tobytes(), (si, ki)
 
 
+@pytest.mark.parametrize("family", ["circular", "linear"])
+def test_run_factorizes_each_frequency_once(tmp_path, monkeypatch, family):
+    # a run builds the PM operator of each grid frequency once, and the
+    # dataset (linear MR), training, sweep and render all share it: one
+    # Cholesky factorization per grid frequency
+    import scipy.linalg
+    cfg = micro_config() if family == "circular" else linear_micro_config()
+    assert ("cnn" in cfg.methods) == (family == "circular")
+    calls = []
+    real = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    run_experiment(cfg, tmp_path)
+    assert len(calls) == cfg.freq_count
+
+
 def test_render_field_validates_source_inside(micro_run):
     cfg, out, _ = micro_run
     with pytest.raises(ValueError):
-        render_field(cfg, out, ["pm"], (0.1, 0.1), 200.0)
+        render_field(cfg, out, ["pm"], (0.1, 0.1), 200.0, _operators(cfg))
 
 
 def test_render_field_missing_checkpoint(tmp_path):
     cfg = micro_config()
     with pytest.raises(FileNotFoundError):
-        render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0)
+        render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0,
+                     _operators(cfg))
 
 
 @pytest.mark.parametrize("tamper,match", [
@@ -120,7 +145,8 @@ def test_render_field_checks_checkpoint_against_manifest(micro_run, tmp_path,
         (tmp_path / name).write_bytes((Path(out) / name).read_bytes())
     tamper(tmp_path)
     with pytest.raises(ValueError, match=match):
-        render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0)
+        render_field(cfg, tmp_path, ["cnn"], (2.0, 0.5), 200.0,
+                     _operators(cfg))
     assert not (tmp_path / "fields").exists()
 
 
@@ -128,7 +154,7 @@ def test_render_field_rejects_bare_method_string(micro_run, tmp_path):
     # a string is one name, never a sequence of one-letter methods
     cfg, _, _ = micro_run
     with pytest.raises(ValueError, match="list of names"):
-        render_field(cfg, tmp_path, "mr", (2.0, 0.5), 200.0)
+        render_field(cfg, tmp_path, "mr", (2.0, 0.5), 200.0, _operators(cfg))
     assert not (tmp_path / "fields").exists()
 
 
@@ -138,7 +164,8 @@ def test_render_field_rejects_non_finite_frequency(micro_run, tmp_path,
     # argmin over NaN would pick the first grid frequency
     cfg, _, _ = micro_run
     with pytest.raises(ValueError, match="finite"):
-        render_field(cfg, tmp_path, ["mr"], (2.0, 0.5), frequency)
+        render_field(cfg, tmp_path, ["mr"], (2.0, 0.5), frequency,
+                     _operators(cfg))
     assert not (tmp_path / "fields").exists()
 
 
@@ -147,17 +174,18 @@ def test_render_all_methods_in_one_pass(micro_run, tmp_path, monkeypatch):
     # the bytes a single-method call writes
     cfg, out, _ = micro_run
     params = fileio.load_checkpoint(Path(out) / "checkpoint.sfsm")
+    ops = _operators(cfg)
     single, joint = tmp_path / "single", tmp_path / "joint"
     for method in cfg.methods:
         render_field(cfg, single, [method], cfg.fig_source, cfg.fig_frequency,
-                     params=params)
+                     ops, params=params)
     names = []
     real = fileio.write_field_csv
     monkeypatch.setattr(fileio, "write_field_csv",
                         lambda path, *a: names.append(Path(path).name)
                         or real(path, *a))
     written = render_field(cfg, joint, list(cfg.methods), cfg.fig_source,
-                           cfg.fig_frequency, params=params)
+                           cfg.fig_frequency, ops, params=params)
     assert len(cfg.methods) == 3
     assert sum(name.startswith("gt_real") for name in names) == 1
     assert len(written) == len(set(written)) == 2 * (1 + 2 * 3)

@@ -22,6 +22,7 @@ from sfsynth.fileio import (
     write_pgm,
 )
 from sfsynth.network import init_params
+from sfsynth.renderers import pm_operators
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -54,8 +55,10 @@ def test_checkpoint_bytes_pinned(tmp_path):
 
 
 def _dataset_file(cfg, tmp_path):
-    ds = build_dataset(cfg.array(), cfg.source_split(), cfg.control_points(),
-                       cfg.freq_grid(), cfg.lam, cfg.mr_listening_radius())
+    array, cp, freq = cfg.array(), cfg.control_points(), cfg.freq_grid()
+    ds = build_dataset(array, cfg.source_split(), cp, freq,
+                       pm_operators(array, cp, freq, cfg.lam),
+                       cfg.mr_listening_radius())
     path = tmp_path / "d.sfsx"
     save_dataset(path, ds)
     return path
@@ -83,6 +86,50 @@ def test_linear_dataset_bytes_pinned(tmp_path):
     assert path.stat().st_size == 41_328
     assert sha256_file(path) == \
         "e0e1f10720772a14b31de813f696ec86944f06871fc8b77403a8bc134e546f89"
+
+
+# the metric and field bytes of a linear mr/pm run of the config above
+LINEAR_RUN_SHA256 = {
+    "fields/gt_real_f115.csv":
+        "bcf440ca8a0d1ab335d940fd61cf4f42707232b6947751511f4387e5f3aefe1a",
+    "fields/gt_real_f115.pgm":
+        "d8293852181c04e2027d1c7024a13be0b97b860e16c36e76953cb341e4681e32",
+    "fields/mr_nre_f115.csv":
+        "a7895f15813710f496ecb642a126a680bfcdd09de8424484e672f6cc648ef131",
+    "fields/mr_nre_f115.pgm":
+        "aad5f765c7c233e393e37ce76eff784497addce7b66a3745fe372a15a019c1ef",
+    "fields/mr_real_f115.csv":
+        "20f500e03f70571b663d308476b0440b7eed5c9ebae6e9dad7e057c8931b1ee1",
+    "fields/mr_real_f115.pgm":
+        "cf0ceadd71b6a4e4eac8bd02e9755a2ed3769310373d421c02a7bb54836e665c",
+    "fields/pm_nre_f115.csv":
+        "97a76d76c3690e8c51ebc32318a927b8c715a113292bceefbf383af6130eb1a4",
+    "fields/pm_nre_f115.pgm":
+        "0516346ec373f4f143d1dbb140939916509f8c2127627dcfcf2eefe024a5381c",
+    "fields/pm_real_f115.csv":
+        "680600533a10ddfe111e709a1cbed90dc3e03f7e49945356cfc5b8c1719a7a48",
+    "fields/pm_real_f115.pgm":
+        "061bc61058216987b93945b8b8957b7d559534c335e22ae7fad7d8e1cacc42d1",
+    "metrics_nre_frequency.csv":
+        "a150ac05dfd599774b90896d8df0a7faade0106160e701cdfbaa60be37d5ceb3",
+    "metrics_ssim_frequency.csv":
+        "97009f0c8775bddca3ae735bc229150c9dde487a2b8e5f27bcf92ff6184576c1",
+}
+
+
+def test_linear_run_metric_and_field_bytes_pinned(tmp_path):
+    # the sweep and the render of that config; a change here changes the
+    # metrics and fields every linear run writes
+    from sfsynth.experiment import run_experiment
+    cfg = replace(desk_config("linear"), n_train_linear=4, n_val_linear=2,
+                  n_test_linear=2, freq_count=4, methods=("mr", "pm"))
+    run_experiment(cfg, tmp_path)
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for pattern in ("metrics_*.csv", "fields/*")
+                     for p in tmp_path.glob(pattern))
+    assert written == sorted(LINEAR_RUN_SHA256)
+    for rel, digest in LINEAR_RUN_SHA256.items():
+        assert sha256_file(tmp_path / rel) == digest, rel
 
 
 def test_checkpoint_forward_identical(tmp_path):

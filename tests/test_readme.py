@@ -32,6 +32,7 @@ PROMISED = (
     "bessel.hankel2_orders", "bessel.hankel2_sym_range",
     "acoustics.herglotz_coefficients", "acoustics.herglotz_point_source",
     "renderers.mr_circular_driving", "renderers.mr_linear_driving",
+    "renderers.pm_operators",
     "datasets.mr_driving_matrix", "datasets.control_pressures",
     "compensator.compensate", "fileio.ArtifactFormatError",
 )
