@@ -14,14 +14,6 @@ from .bessel import hankel2_sym_range, hankel2_zero
 
 # points closer than this to a source are treated as coincident
 _SINGULARITY_EPS = 1e-12
-# entries per Bessel call in green_matrix.  Under tracemalloc, one
-# hankel2_zero call on 2^20 arguments peaks at 58 bytes per entry when
-# every argument is <= 16 (the table sums, the log and the result; the
-# Clenshaw buffers are per block of arguments) and at 114 when every one
-# is above 16 (the asymptotic expansion's temporaries), result included;
-# so a full-scale grid to every test source (~2.5e7 entries) would need
-# up to ~2.9 GB in one call
-GREEN_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,15 +28,20 @@ class FrequencyGrid:
         object.__setattr__(self, "frequencies", f)
         if f.ndim != 1 or len(f) == 0:
             raise ValueError("frequencies must be a non-empty 1D array")
-        if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-            raise ValueError("frequencies must be positive and increasing")
-        if self.c <= 0:
-            raise ValueError("speed of sound must be positive")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.angular).all()
+        if not (finite and np.all(f > 0) and np.all(np.diff(f) > 0)):
+            raise ValueError("frequencies must be positive, increasing and "
+                             "finite in rad/s")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("speed of sound must be positive and finite")
 
     @classmethod
     def uniform(cls, start: float, step: float, count: int,
                 c: float) -> "FrequencyGrid":
-        return cls(frequencies=start + step * np.arange(count), c=c)
+        # a grid past the floating-point range is refused, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(frequencies=start + step * np.arange(count), c=c)
 
     @property
     def angular(self) -> np.ndarray:
@@ -83,8 +80,8 @@ def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
                  c: float) -> np.ndarray:
     """Matrix of Green's-function values, shape (n_points, n_sources).
 
-    The Hankel function is evaluated GREEN_CHUNK_ENTRIES entries at a
-    time, so memory stays bounded for any matrix size.
+    Needs 24 bytes per entry: the distances, scaled in place, and the
+    complex result (hankel2_zero bounds its own temporaries).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     srcs = np.atleast_2d(np.asarray(sources, dtype=np.float64))
@@ -98,11 +95,8 @@ def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
     d = np.sqrt(d, out=d).ravel()
     if np.any(d < _SINGULARITY_EPS):
         raise ValueError("a field point coincides with a source position")
-    k = omega / c
-    g = np.empty(d.size, dtype=np.complex128)
-    for lo in range(0, d.size, GREEN_CHUNK_ENTRIES):
-        chunk = slice(lo, lo + GREEN_CHUNK_ENTRIES)
-        g[chunk] = hankel2_zero(k * d[chunk])
+    d *= omega / c
+    g = hankel2_zero(d)
     g *= 0.25j
     return g.reshape(len(pts), len(srcs))
 

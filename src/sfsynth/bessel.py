@@ -17,9 +17,9 @@ No external special-function library is used.  The evaluation scheme:
   over its nodes, is the closer of the two to the true value.
 * orders 0 and 1, x > 16: Hankel's large-argument expansion, whose
   smallest term is ~exp(-2x) < 1.3e-14.
-* Each order-0/1 value depends on its argument alone, not on the rest
-  of the batch.  hankel2_zero (the Green's function) evaluates order 0
-  alone; jy01 adds order 1 for the Y recurrence.
+* Orders 0 and 1 run _BLOCK arguments at a time, each value from its
+  argument alone; hankel2_zero (the Green's function, order 0) needs its
+  16-byte result per argument and <= 4.5 MB a block; jy01 adds order 1.
 * J_m for m >= 2: Miller's downward recurrence normalised with
   J_0 + 2*sum J_2k = 1 (stable for every m, x in range).
 * Y_m for m >= 2: upward recurrence from Y_0, Y_1 (Y is the dominant
@@ -41,6 +41,9 @@ import numpy as np
 MAX_VERIFIED_ORDER = 60
 # switch point between the Chebyshev tables and the asymptotic expansion
 SERIES_CUTOFF = 16.0
+# arguments per block of orders 0 and 1; a block costs ~180 numpy calls, so
+# the desk-linear sweep ran 14 % slower at 2048, 2 % at 8192, none at 16384
+_BLOCK = 16384
 # the tables: interval width, degree of each interval's expansion, and
 # the Chebyshev points per interval at which the series is sampled
 # (more points than coefficients average the series' rounding)
@@ -110,19 +113,13 @@ def _chebyshev_tables() -> np.ndarray:
 # order 0 reads J0 and S0 from a contiguous copy
 _TABLE = _chebyshev_tables()
 _TABLE_ORDER0 = np.ascontiguousarray(_TABLE[..., :2])
-# arguments per Clenshaw pass: its gathered coefficients and buffers
-# stay in cache, and their memory does not grow with the batch
-_TABLE_BLOCK = 2048
 
 
 def _tables(x: np.ndarray, order1: bool) -> list:
     """[J0, Y0] (and J1, Y1 when order1) from the tables for arguments in
     (0, SERIES_CUTOFF]; each value depends on its argument alone."""
     table = _TABLE if order1 else _TABLE_ORDER0
-    sums = np.empty((len(x), table.shape[2]))
-    for lo in range(0, len(x), _TABLE_BLOCK):
-        block = slice(lo, lo + _TABLE_BLOCK)
-        _clenshaw(table, x[block], sums[block])
+    sums = _clenshaw(table, x)
     # ln(x/2) + gamma without forming x/2, which underflows for the
     # smallest subnormal argument
     ln_g = np.log(x)
@@ -136,37 +133,37 @@ def _tables(x: np.ndarray, order1: bool) -> list:
     return out
 
 
-def _clenshaw(table: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Sum every function of the table at x into out, (len(x), functions),
-    by Clenshaw's recurrence b_k = c_k + 2t b_(k+1) - b_(k+2), k = n..1,
+def _clenshaw(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every function of the table at x, (len(x), functions), by
+    Clenshaw's recurrence b_k = c_k + 2t b_(k+1) - b_(k+2), k = n..1,
     then f = c_0 + t b_1 - b_2 (c_0 holds half the constant term)."""
     # each argument's interval and local variable t in [-1, 1]
     s = x * (2 / TABLE_WIDTH)
     i = np.minimum((0.5 * s).astype(np.intp), table.shape[1] - 1)
-    t2 = np.empty_like(out)
+    t2 = np.empty((len(x), table.shape[2]))
     t2[:] = (s - (2 * i + 1))[:, None]
     t2 += t2
     c = np.take(table, i, axis=1)
     # b_(k+1) and b_(k+2) rotate through c's top row and one buffer
     b1 = c[-1]
-    b2 = np.zeros_like(out)
-    tmp = np.empty_like(out)
+    b2 = np.zeros_like(t2)
+    tmp = np.empty_like(t2)
     for k in range(len(table) - 2, 0, -1):
         np.multiply(t2, b1, out=tmp)
         np.subtract(c[k], b2, out=b2)
         b2 += tmp
         b1, b2 = b2, b1
-    np.multiply(t2, b1, out=out)
+    out = t2 * b1
     out *= 0.5
     out -= b2
     out += c[0]
+    return out
 
 
 def _asymptotic(x: np.ndarray, order1: bool) -> list:
     """[J0, Y0] (and J1, Y1 when order1) by Hankel's expansion; x above
     SERIES_CUTOFF."""
     amp = np.sqrt(2.0 / (np.pi * x))
-    scratch = np.empty_like(x)
     res = []
     for n in ((0, 1) if order1 else (0,)):
         mu = 4.0 * n * n
@@ -177,7 +174,7 @@ def _asymptotic(x: np.ndarray, order1: bool) -> list:
         # shrink (k < 2x), and no value depends on the other arguments
         for k in range(1, 31):
             term *= mu - (2 * k - 1) ** 2
-            term /= np.multiply(k * 8.0, x, out=scratch)
+            term /= k * 8.0 * x
             # odd terms go to q, even ones to p; signs +, -, -, + from k = 1
             acc = q if k % 2 == 1 else p
             if k % 4 < 2:
@@ -190,31 +187,35 @@ def _asymptotic(x: np.ndarray, order1: bool) -> list:
     return res
 
 
-def _jy(x: np.ndarray, order1: bool) -> list:
-    """[J0, Y0] (and J1, Y1 when order1) for validated arguments, the
-    tables at or below SERIES_CUTOFF and the expansion above it."""
-    out = [np.empty_like(x) for _ in range(4 if order1 else 2)]
-    lo = x <= SERIES_CUTOFF
-    for part, evaluate in ((lo, _tables), (~lo, _asymptotic)):
-        if part.any():
-            for dst, src in zip(out, evaluate(x[part], order1)):
-                dst[part] = src
-    return out
+def _blocks(x: np.ndarray, order1: bool):
+    """Yield (slice, [J0, Y0] (and J1, Y1 when order1)) for each _BLOCK
+    of the validated arguments, the tables at or below SERIES_CUTOFF and
+    the expansion above it."""
+    for lo in range(0, len(x), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        xb = x[block]
+        out = [np.empty_like(xb) for _ in range(4 if order1 else 2)]
+        low = xb <= SERIES_CUTOFF
+        for part, evaluate in ((low, _tables), (~low, _asymptotic)):
+            if part.any():
+                for dst, src in zip(out, evaluate(xb[part], order1)):
+                    dst[part] = src
+        yield block, out
 
 
 def jy01(x) -> tuple:
-    """Vectorized (J0, Y0, J1, Y1) for x > 0.
-
-    Each value depends on its argument alone: a batch gives the bits of
-    the calls on its arguments one by one.  At or below SERIES_CUTOFF
-    the values come from the Chebyshev tables of the module docstring,
-    within ~1e-15 relative (complex H0, H1) of the long-double series
-    below x = 10 and 3e-13 near 16; within 5.2e-14 of the oracle.
+    """Vectorized (J0, Y0, J1, Y1) for x > 0, by the scheme and to the
+    accuracy of the module docstring; a batch gives the bits of the calls
+    on its arguments one by one.
 
     Raises ValueError on non-positive arguments (Y has a log singularity
     at zero).
     """
-    return tuple(_jy(_arguments(x), order1=True))
+    x = _arguments(x)
+    out = np.empty((4, len(x)))
+    for block, values in _blocks(x, order1=True):
+        out[:, block] = values
+    return tuple(out)
 
 
 def hankel2_zero(x) -> np.ndarray:
@@ -224,12 +225,18 @@ def hankel2_zero(x) -> np.ndarray:
     result has the bits of jy01's J0 - j Y0 and the same accuracy; each
     value depends on its argument alone.
     """
-    j0, y0 = _jy(_arguments(x), order1=False)
-    return j0 - 1j * y0
+    x = _arguments(x)
+    h = np.empty(len(x), dtype=np.complex128)
+    for block, (j0, y0) in _blocks(x, order1=False):
+        h[block] = j0 - 1j * y0
+    return h
 
 
-def _arguments(x) -> np.ndarray:
-    """x as a 1-D float64 array of positive finite arguments."""
+def _arguments(x, m_max: int = 0) -> np.ndarray:
+    """x as a 1-D float64 array of positive finite arguments; the order
+    functions pass their highest order m_max, which must be >= 0."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.ndim != 1:
         raise ValueError("Bessel arguments must be a scalar or a 1-D array")
@@ -247,7 +254,7 @@ def bessel_j_orders(m_max: int, x) -> np.ndarray:
     renormalisations, so every row equals the scalar call bit for bit.
     """
     scalar = np.ndim(x) == 0
-    x = _arguments(x)
+    x = _arguments(x, m_max)
     base = np.maximum(m_max, np.ceil(x).astype(np.int64))
     start = base + 1 + np.ceil(np.sqrt(MILLER_ACC * (base + 1))).astype(np.int64)
     start += start % 2
@@ -290,7 +297,7 @@ def bessel_y_orders(m_max: int, x) -> np.ndarray:
     in ascending order, so through it that is the smallest of them.
     """
     scalar = np.ndim(x) == 0
-    x = _arguments(x)
+    x = _arguments(x, m_max)
     _, y0, _, y1 = jy01(x)
     out = np.empty((len(x), m_max + 1))
     out[:, 0] = y0
@@ -311,11 +318,9 @@ def bessel_y_orders(m_max: int, x) -> np.ndarray:
 def hankel2_orders(m_max: int, x) -> np.ndarray:
     """H_0^(2)(x) .. H_m_max^(2)(x); x is a scalar or a 1-D array (one
     row per argument, each distinct argument evaluated once)."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
     scalar = np.ndim(x) == 0
     # one J row and one Y row per distinct argument, gathered back
-    distinct, where = np.unique(_arguments(x), return_inverse=True)
+    distinct, where = np.unique(_arguments(x, m_max), return_inverse=True)
     h = bessel_j_orders(m_max, distinct) - 1j * bessel_y_orders(m_max, distinct)
     return h[where[0]] if scalar else h[where]
 

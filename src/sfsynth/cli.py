@@ -73,10 +73,10 @@ def _cmd_inspect(args) -> int:
             tpath = out / f"record{args.record}_tensor.csv"
             ppath = out / f"record{args.record}_pressures.csv"
             rows = [",".join(repr(float(v)) for v in row) for row in rec.tensor]
-            tpath.write_text("\n".join(rows) + "\n")
+            fileio.write_text(tpath, "\n".join(rows) + "\n")
             lines = [",".join(f"{v.real!r}{v.imag:+}j" for v in row)
                      for row in rec.pressures]
-            ppath.write_text("\n".join(lines) + "\n")
+            fileio.write_text(ppath, "\n".join(lines) + "\n")
             print(f"source {rec.source_id} at {rec.source.position.tolist()}")
             print(f"wrote {tpath} and {ppath}")
     elif magic == fileio.MAGIC_MODEL:

@@ -240,9 +240,14 @@ class ExperimentConfig:
         if self.freq_count < 1:
             raise ValueError("config key 'freq_count' must be at least 1, "
                              f"got {self.freq_count!r}")
+        try:
+            grid = self.freq_grid()
+        except ValueError as exc:
+            raise ValueError("config keys 'freq_start', 'freq_step' and "
+                             f"'freq_count' give no frequency grid: {exc}"
+                             ) from None
         # the MR truncation order peaks at the top grid frequency; the
         # Bessel functions are verified up to MAX_VERIFIED_ORDER
-        grid = self.freq_grid()
         try:
             order = truncation_order(float(grid.angular[-1]),
                                      self.mr_listening_radius(), grid.c)

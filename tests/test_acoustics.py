@@ -1,6 +1,8 @@
 """Field primitives: Green's function, plane waves, the point-source
 plane-wave density and its reconstruction identity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,23 @@ def test_frequency_grid():
         FrequencyGrid(frequencies=np.array([100.0, 50.0]), c=C)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FrequencyGrid(np.array([1.0, np.inf]), c=C),
+    lambda: FrequencyGrid(np.array([1.0, np.nan]), c=C),
+    lambda: FrequencyGrid(np.array([1.0, 2.0]), c=float("nan")),
+    lambda: FrequencyGrid(np.array([1.0, 2.0]), c=float("inf")),
+    lambda: FrequencyGrid.uniform(46.0, 1e308, 15, c=C),
+    lambda: FrequencyGrid.uniform(46.0, 1e307, 15, c=C),
+], ids=["inf-frequency", "nan-frequency", "nan-c", "inf-c",
+        "uniform-overflows", "angular-overflows"])
+def test_frequency_grid_refuses_non_finite(build):
+    # refused with one ValueError, and without a numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_green_matrix_matches_scalar():
     # reference: the 2D Green's function entry by entry, from the same
     # order-0 Hankel evaluation green_matrix uses
@@ -180,19 +199,22 @@ def test_green_matrix_matches_scalar():
             assert abs(g[i, j] - ref) <= 1e-14 * abs(ref)
 
 
-def test_green_matrix_chunks_match_one_call(monkeypatch):
-    import sfsynth.acoustics as acoustics
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-0.5, 0.5, (5, 2))
-    srcs = rng.uniform(1.5, 3.0, (4, 2))
-    # low frequency: series-range arguments; high: asymptotic range
-    for omega in (2 * np.pi * 200, 2 * np.pi * 1400):
-        whole = green_matrix(pts, srcs, omega, C)
-        monkeypatch.setattr(acoustics, "GREEN_CHUNK_ENTRIES", 7)
-        chunked = green_matrix(pts, srcs, omega, C)
-        monkeypatch.undo()
-        assert chunked.shape == (5, 4)
-        assert np.array_equal(chunked, whole)
+@pytest.mark.parametrize("frequency", [100.0, 1472.0])
+def test_green_matrix_memory_is_distances_plus_result(frequency):
+    # 2^20 entries, every argument below 16 at 100 Hz and above 16 at the
+    # top grid frequency: the distances (8 bytes per entry, scaled in
+    # place) and the complex result (16) plus the Bessel layer's one block
+    import tracemalloc
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.0, 1.0, (1024, 2))
+    srcs = rng.uniform(1.5, 3.5, (1024, 2))
+    tracemalloc.start()
+    try:
+        g = green_matrix(pts, srcs, 2 * np.pi * frequency, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.size <= 32, f"{peak / g.size:.1f} bytes per entry"
 
 
 def test_source_polar():

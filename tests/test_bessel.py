@@ -141,16 +141,35 @@ def test_each_value_depends_on_its_argument_alone(series_xs, asymptotic_xs,
             assert got[i:i + 1].tobytes() == want.tobytes(), xi
 
 
-def test_batches_longer_than_a_table_block_keep_the_bits():
-    # the tables are summed a block of arguments at a time; a batch of
-    # several blocks gives the bits of short calls on its pieces
-    from sfsynth.bessel import _TABLE_BLOCK
-    x = np.random.default_rng(4).uniform(1e-3, 20.0, 2 * _TABLE_BLOCK + 5)
+def test_batches_longer_than_a_block_keep_the_bits():
+    # orders 0 and 1 run a block of arguments at a time, the tables and
+    # the expansion alike; a batch of several blocks, on both sides of
+    # the cutoff, gives the bits of short calls on its pieces
+    from sfsynth.bessel import _BLOCK
+    x = np.random.default_rng(4).uniform(1e-3, 100.0, 3 * _BLOCK + 5)
+    assert 0.1 < np.mean(x <= 16.0) < 0.9
     pieces = np.array_split(x, 37)
     assert hankel2_zero(x).tobytes() == b"".join(
         hankel2_zero(p).tobytes() for p in pieces)
     for got, *want in zip(jy01(x), *(jy01(p) for p in pieces)):
         assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize("low,high", [(1e-3, 16.0), (16.001, 100.0)],
+                         ids=["tables", "expansion"])
+def test_order_zero_memory_is_the_result_plus_one_block(low, high):
+    # 2^20 arguments on one side of the cutoff: the peak is the 16-byte
+    # result per argument and one block's temporaries, not temporaries
+    # per argument
+    import tracemalloc
+    x = np.random.default_rng(6).uniform(low, high, 1 << 20)
+    tracemalloc.start()
+    try:
+        hankel2_zero(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(x) <= 24, f"{peak / len(x):.1f} bytes per argument"
 
 
 def test_tables_match_long_double_series():
@@ -200,6 +219,14 @@ def test_domain_errors():
         hankel2_orders(0, -1.0)
     with pytest.raises(ValueError):
         jy01(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("orders", [bessel_j_orders, bessel_y_orders,
+                                    hankel2_orders, hankel2_sym_range])
+def test_negative_order_refused(orders):
+    for x in (1.0, np.array([0.5, 20.0]), np.array([])):
+        with pytest.raises(ValueError, match="m_max must be >= 0"):
+            orders(-1, x)
 
 
 def test_overflow_reported_not_inf():

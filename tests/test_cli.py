@@ -230,6 +230,9 @@ def _one_error_line(out) -> str:
     ('{"freq_step": 1e6}', "'freq_step'"),
     ('{"speed_of_sound": 1e-3}', "'speed_of_sound'"),
     ('{"freq_start": 1e6}', "'freq_start'"),
+    # a grid past the floating-point range, in Hz or in rad/s
+    ('{"freq_step": 1e308}', "'freq_step'"),
+    ('{"freq_step": 1e307}', "'freq_step'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -255,7 +258,8 @@ def _one_error_line(out) -> str:
         "control-cells-in-tiny-disk", "control-cells-name-disk-radius",
         "listening-raster-over-budget", "linear-fig-source-before-array-plane",
         "freq-step-past-verified-order", "speed-of-sound-past-verified-order",
-        "freq-start-past-verified-order"])
+        "freq-start-past-verified-order", "freq-step-overflows-hz",
+        "freq-step-overflows-rad-per-s"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text
@@ -329,6 +333,22 @@ def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
     bad.write_bytes(mangle((artifacts / name).read_bytes()))
     out = run_cli("inspect", str(bad))
     assert str(bad) in _one_error_line(out)
+
+
+def test_inspect_record_leaves_no_partial_csv(artifacts, tmp_path,
+                                             monkeypatch):
+    # the record dump goes through fileio's atomic writer: when the final
+    # rename fails, neither a CSV nor its temporary file is left
+    from sfsynth import cli
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    dump = tmp_path / "dump"
+    assert cli.main(["inspect", str(artifacts / "dataset.sfsx"), "--record",
+                     "0", "--out", str(dump)]) == 1
+    assert list(dump.iterdir()) == []
 
 
 def test_render_cnn_with_checkpoint_of_other_geometry(artifacts, tmp_path):
