@@ -256,7 +256,7 @@ class ExperimentConfig:
         if order > MAX_VERIFIED_ORDER:
             raise ValueError(
                 "config keys 'freq_start', 'freq_step', 'freq_count' and "
-                f"'speed_of_sound' ask for modal order M = {order} at the top "
+                f"'speed_of_sound' ask for modal order M = {order:.3g} at the top "
                 f"grid frequency {grid.frequencies[-1]:.6g} Hz, past the "
                 f"largest verified Bessel order {MAX_VERIFIED_ORDER}")
         for key in ("n_radius_bins", "control_target"):

@@ -76,7 +76,7 @@ class ArtifactManifest:
             for f in entries)
 
 
-CHECKPOINT_PATHS = ["checkpoint.sfsm", "checkpoint.sfsm.json"]
+CHECKPOINT = "checkpoint.sfsm"
 
 
 def _metric_paths(cfg: ExperimentConfig) -> dict:
@@ -130,7 +130,7 @@ def _load_trained_checkpoint(cfg: ExperimentConfig, out_dir: Path) -> ModelParam
     """Load <out_dir>/checkpoint.sfsm after checking that the directory's
     manifest was written for this config and still records the train
     stage's files with their current hashes."""
-    ckpt = out_dir / CHECKPOINT_PATHS[0]
+    ckpt = out_dir / CHECKPOINT
     if not ckpt.exists():
         raise FileNotFoundError(
             f"no checkpoint at {ckpt}; train the model first "
@@ -145,7 +145,7 @@ def _load_trained_checkpoint(cfg: ExperimentConfig, out_dir: Path) -> ModelParam
         raise ValueError(f"{ckpt} was trained for another config (manifest "
                          f"config_hash {manifest.config_hash[:12]}, this "
                          f"config {chash[:12]})")
-    if not manifest.fresh(out_dir, "checkpoint", CHECKPOINT_PATHS):
+    if not manifest.fresh(out_dir, "checkpoint", [CHECKPOINT]):
         raise ValueError(f"{ckpt} is not the checkpoint {man_path} records")
     return fileio.load_checkpoint(ckpt)
 
@@ -268,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         g_stack = np.stack([op.g_cp for op in operators])
         params = train_compensator(dataset.train, dataset.val,
                                    cfg.train_config(), g_stack).params
-        fileio.save_checkpoint(out_dir / CHECKPOINT_PATHS[0], params)
+        fileio.save_checkpoint(out_dir / CHECKPOINT, params)
         return params
 
     def evaluate():
@@ -292,9 +292,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                         lambda: fileio.load_dataset(out_dir / "dataset.sfsx")[0])
         params = None
         if "cnn" in cfg.methods and "train" in stages:
-            params = stage("train", "checkpoint", CHECKPOINT_PATHS, train,
-                           lambda: fileio.load_checkpoint(
-                               out_dir / CHECKPOINT_PATHS[0]))
+            params = stage("train", "checkpoint", [CHECKPOINT], train,
+                           lambda: fileio.load_checkpoint(out_dir / CHECKPOINT))
         if "sweep" in stages:
             stage("sweep", "metrics", list(_metric_paths(cfg)), evaluate)
         if "render" in stages:

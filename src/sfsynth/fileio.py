@@ -1,8 +1,9 @@
 """Binary artifact formats (model checkpoints, datasets) and the CSV /
 graymap exporters.
 
-All binary layouts are little-endian.  Floats are written as IEEE 754
-float64; complex matrices go row-major with interleaved (re, im).
+Both binaries are little-endian: magic, version, a length-prefixed JSON
+header, then the payload.  Floats are IEEE 754 float64; complex matrices
+go row-major with interleaved (re, im).
 Both loaders read through one bounded reader, so every malformed file
 raises ArtifactFormatError with the path and the byte offset.  Every
 writer goes through atomic_open, so a process that dies mid-write never
@@ -24,27 +25,12 @@ import numpy as np
 from .acoustics import FrequencyGrid, Source
 from .config import METHODS
 from .datasets import Dataset, DatasetRecord
-from .network import (
-    COMPENSATOR_CHANNELS,
-    SKIP_DST,
-    SKIP_SRC,
-    ModelParams,
-    compensator_layers,
-)
+from .network import SKIP_DST, SKIP_SRC, ModelParams, compensator_layers
 
 MAGIC_MODEL = b"SFSM"
 MAGIC_DATASET = b"SFSX"
-FORMAT_VERSION = 1
-
-_KINDS = ("conv", "tconv")
-_ACTS = ("prelu", "linear")
-# one layer table entry; kind and act are stored as indices into _KINDS
-# and _ACTS
-_FIELDS = ("kind", "act", "in_ch", "out_ch", "kh", "kw", "sh", "sw", "ph",
-           "pw", "oph", "opw")
-_LAYER = struct.Struct("<BBIIIIIIIIII")
-_N_LAYERS = len(COMPENSATOR_CHANNELS)
-_DATASET_DIMS = ("l_active", "k", "i_cp", "n_train", "n_val", "n_test")
+MODEL_VERSION = 2
+DATASET_VERSION = 1
 
 
 class ArtifactFormatError(ValueError):
@@ -61,14 +47,14 @@ class _Reader:
     magic and version on entry; every failure raises ArtifactFormatError
     at the offset where reading stopped."""
 
-    def __init__(self, fh, path, magic: bytes, kind: str):
+    def __init__(self, fh, path, magic: bytes, version: int, kind: str):
         self.fh, self.path, self.offset = fh, path, 0
         self.size = os.fstat(fh.fileno()).st_size
         if self.take(4, "magic") != magic:
             self.fail(f"not a {kind} file", 0)
-        (version,) = self.unpack("<I", "version")
-        if version != FORMAT_VERSION:
-            self.fail(f"unsupported version {version}", 4)
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            self.fail(f"unsupported version {found}", 4)
 
     def fail(self, what: str, offset: int | None = None):
         raise ArtifactFormatError(self.path,
@@ -83,6 +69,28 @@ class _Reader:
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def header(self) -> dict:
+        """The length-prefixed JSON object whose offset bad_header names."""
+        (hlen,) = self.unpack("<I", "header length")
+        self.header_at = self.offset
+        blob = self.take(hlen, "header")
+        try:
+            header = json.loads(blob.decode())
+        except ValueError as exc:         # includes UnicodeDecodeError
+            self.bad_header(repr(exc))
+        if not isinstance(header, dict):
+            self.bad_header("not a JSON object")
+        return header
+
+    def bad_header(self, what: str):
+        self.fail(f"bad header ({what})", self.header_at)
+
+    def count(self, value, what: str) -> int:
+        """`value` if it is a non-negative integer, which a bool is not."""
+        if type(value) is not int or value < 0:
+            self.bad_header(f"{what} {value!r} is not a non-negative integer")
+        return value
 
     def floats(self, shape: tuple, what: str) -> np.ndarray:
         raw = self.take(8 * math.prod(shape), what)
@@ -130,79 +138,77 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _dumps(header: dict) -> str:
+    return json.dumps(header, sort_keys=True)
+
+
+def _write_header(fh, magic: bytes, version: int, header: dict) -> None:
+    """Magic, version and the length-prefixed JSON header."""
+    blob = _dumps(header).encode()
+    fh.write(magic)
+    fh.write(struct.pack("<II", version, len(blob)))
+    fh.write(blob)
+
+
 # -- model checkpoints -------------------------------------------------------
 
-def _table_rows(layers: list) -> list:
-    """The stored layer table, one tuple of _FIELDS per layer: the
-    activation is fixed by position (PReLU, linear on the last layer) and
-    the output padding (oph, opw) is always zero."""
-    return [(sp.kind, _ACTS[i == len(layers) - 1], sp.in_ch, sp.out_ch,
-             sp.kh, sp.kw, sp.sh, sp.sw, sp.ph, sp.pw, 0, 0)
-            for i, sp in enumerate(layers)]
-
-
-def _table_bytes(layers: list) -> bytes:
-    """Layer count followed by the packed table entries."""
-    return struct.pack("<I", len(layers)) + b"".join(
-        _LAYER.pack(_KINDS.index(kind), _ACTS.index(act), *rest)
-        for kind, act, *rest in _table_rows(layers))
+def _model_header(rows: int, cols: int, layers: list) -> dict:
+    """The SFSM header of the compensator chain `layers` for a (rows, cols)
+    input.  Only the last layer is linear and has no slope; no layer has
+    output padding."""
+    last = len(layers) - 1
+    return {
+        "format": "sfs-model", "l_active": rows // 2, "k": cols,
+        "skip_src": SKIP_SRC, "skip_dst": SKIP_DST,
+        "param_count": sum(math.prod(sp.kernel_shape()) + 2 * sp.out_ch
+                           for sp in layers) - layers[last].out_ch,
+        "layers": [{"kind": sp.kind, "act": "linear" if i == last else "prelu",
+                    "in_ch": sp.in_ch, "out_ch": sp.out_ch,
+                    "kh": sp.kh, "kw": sp.kw, "sh": sp.sh, "sw": sp.sw,
+                    "ph": sp.ph, "pw": sp.pw, "oph": 0, "opw": 0}
+                   for i, sp in enumerate(layers)],
+    }
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Binary checkpoint plus a JSON sidecar mirroring the layer table."""
-    path = Path(path)
-    l_active, k = params.rows // 2, params.cols
-    layers = params.layers
+    """The _model_header, then the float64 blobs in declaration order."""
     with atomic_open(path) as fh:
-        fh.write(MAGIC_MODEL)
-        fh.write(struct.pack("<IIIii", FORMAT_VERSION, l_active, k,
-                             SKIP_SRC, SKIP_DST))
-        fh.write(_table_bytes(layers))
+        _write_header(fh, MAGIC_MODEL, MODEL_VERSION,
+                      _model_header(params.rows, params.cols, params.layers))
         for p in params.flat():
             fh.write(p.astype("<f8").tobytes())
-    sidecar = {
-        "format": "sfs-model", "version": FORMAT_VERSION,
-        "l_active": l_active, "k": k,
-        "skip_src": SKIP_SRC, "skip_dst": SKIP_DST,
-        "param_count": params.param_count(),
-        "layers": [dict(zip(_FIELDS, row)) for row in _table_rows(layers)],
-    }
-    write_text(path.with_suffix(path.suffix + ".json"),
-               json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint whose layer table is the compensator chain for
-    its input size, with the channel counts the table names."""
+    """Read a checkpoint whose header is the _model_header of the
+    compensator chain for its input size and channel counts."""
     with open(path, "rb") as fh:
-        r = _Reader(fh, path, MAGIC_MODEL, "model checkpoint")
-        l_active, k, *skip = r.unpack("<IIii", "header")
-        if tuple(skip) != (SKIP_SRC, SKIP_DST):
-            r.fail(f"skip layers {tuple(skip)} are not "
-                   f"({SKIP_SRC}, {SKIP_DST})", 16)
-        # the layer count is compared with the table; failures name the
-        # offset of the first entry
-        at, rows = r.offset + 4, 2 * l_active
-        table = r.take(4 + _N_LAYERS * _LAYER.size, "layer table")
-        channels = tuple(_LAYER.unpack_from(table, 4 + i * _LAYER.size)[3]
-                         for i in range(_N_LAYERS - 1)) + (1,)
+        r = _Reader(fh, path, MAGIC_MODEL, MODEL_VERSION, "model checkpoint")
+        header = r.header()
+        l_active, k = (r.count(header.get(key), key) for key in ("l_active", "k"))
+        try:
+            out_ch = [layer["out_ch"] for layer in header["layers"][:-1]]
+        except (KeyError, TypeError) as exc:
+            r.bad_header(f"layer table {exc!r}")
+        # the output layer's one channel is checked with the whole header
+        channels = tuple(r.count(c, "out_ch") for c in out_ch) + (1,)
+        rows = 2 * l_active
         try:
             layers = compensator_layers(rows, k, channels)
         except ValueError as exc:
-            r.fail(f"layer table: {exc}", at)
-        if table != _table_bytes(layers):
-            r.fail(f"layer table is not the compensator chain for a "
-                   f"{rows}x{k} input with channels {channels}", at)
-        # kernel, bias and slope per layer; the linear last layer has one
-        # output channel and no slope
-        r.expect_size(r.offset + 8 * (sum(
-            math.prod(sp.kernel_shape()) + 2 * sp.out_ch for sp in layers) - 1))
+            r.bad_header(str(exc))
+        # compared as JSON text, in which true is not 1
+        want = _model_header(rows, k, layers)
+        if _dumps(header) != _dumps(want):
+            r.bad_header(f"not that of the {rows}x{k} compensator chain with "
+                         f"channels {channels}")
+        r.expect_size(r.offset + 8 * want["param_count"])
         kernels, biases, slopes = [], [], []
         for i, sp in enumerate(layers):
             kernels.append(r.floats(sp.kernel_shape(), f"layer {i} kernel"))
             biases.append(r.floats((sp.out_ch,), f"layer {i} bias"))
             slopes.append(r.floats((sp.out_ch,), f"layer {i} slope")
-                          if i < _N_LAYERS - 1 else None)
+                          if i < len(layers) - 1 else None)
     return ModelParams(rows=rows, cols=k, kernels=kernels, biases=biases,
                        slopes=slopes)
 
@@ -224,7 +230,7 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
     _record_dtype in split order (train, val, test; source id
     ascending)."""
     header = {
-        "format": "sfs-dataset", "version": FORMAT_VERSION,
+        "format": "sfs-dataset", "version": DATASET_VERSION,
         "l_active": ds.l_active, "k": ds.freq_grid.k, "i_cp": ds.n_control,
         "n_train": len(ds.train), "n_val": len(ds.val), "n_test": len(ds.test),
         "frequencies": [repr(float(f)) for f in ds.freq_grid.frequencies],
@@ -233,13 +239,10 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
     }
     if header_extra:
         header.update(header_extra)
-    blob = json.dumps(header, sort_keys=True).encode()
     rec_dtype = _record_dtype(ds.l_active, ds.freq_grid.k, ds.n_control)
     shapes = (rec_dtype["tensor"].shape, rec_dtype["pressures"].shape)
     with atomic_open(path) as fh:
-        fh.write(MAGIC_DATASET)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
-        fh.write(blob)
+        _write_header(fh, MAGIC_DATASET, DATASET_VERSION, header)
         # one record in memory at a time
         for rec in ds.all_records:
             # numpy would broadcast a one-row array into the record
@@ -253,28 +256,22 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
 def load_dataset(path) -> tuple:
     """Returns (Dataset, header dict)."""
     with open(path, "rb") as fh:
-        r = _Reader(fh, path, MAGIC_DATASET, "dataset")
-        (hlen,) = r.unpack("<I", "header length")
-        at = r.offset
-        blob = r.take(hlen, "header")
+        r = _Reader(fh, path, MAGIC_DATASET, DATASET_VERSION, "dataset")
+        header = r.header()
+        l, k, i_cp, *counts, seed = (r.count(header.get(key), key) for key in (
+            "l_active", "k", "i_cp", "n_train", "n_val", "n_test", "source_seed"))
         try:
-            header = json.loads(blob.decode())
-            l, k, i_cp, *counts = (header[key] for key in _DATASET_DIMS)
-            seed = header["source_seed"]
             freq = FrequencyGrid(
                 frequencies=np.array([float(f) for f in header["frequencies"]]),
                 c=float(header["c"]))
         except (ValueError, KeyError, TypeError) as exc:
-            r.fail(f"bad header ({exc!r})", at)
-        if not all(isinstance(v, int) and v >= 0 for v in [l, k, i_cp, *counts]) \
-                or freq.k != k:
-            r.fail("bad header (dimensions)", at)
-        if not (isinstance(seed, int) and seed >= 0):
-            r.fail(f"bad header (source_seed {seed!r})", at)
+            r.bad_header(repr(exc))
+        if freq.k != k:
+            r.bad_header(f"{freq.k} frequencies for k {k}")
         try:
             rec_dtype = _record_dtype(l, k, i_cp)
         except ValueError:
-            r.fail("bad header (record size)", at)
+            r.bad_header("record size")
         r.expect_size(r.offset + sum(counts) * rec_dtype.itemsize)
         data = np.fromfile(fh, rec_dtype, sum(counts))
     # the records' arrays are views into that one buffer

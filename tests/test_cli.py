@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +234,8 @@ def _one_error_line(out) -> str:
     # a grid past the floating-point range, in Hz or in rad/s
     ('{"freq_step": 1e308}', "'freq_step'"),
     ('{"freq_step": 1e307}', "'freq_step'"),
+    # a finite order of 300 digits, printed to three significant digits
+    ('{"freq_step": 1e300}', "'freq_step'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -259,7 +262,7 @@ def _one_error_line(out) -> str:
         "listening-raster-over-budget", "linear-fig-source-before-array-plane",
         "freq-step-past-verified-order", "speed-of-sound-past-verified-order",
         "freq-start-past-verified-order", "freq-step-overflows-hz",
-        "freq-step-overflows-rad-per-s"])
+        "freq-step-overflows-rad-per-s", "freq-step-huge-order"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text
@@ -267,7 +270,11 @@ def test_malformed_config_one_error_line(tmp_path, text, named):
     bad.write_text(text)
     out = run_cli("gen-dataset", "--config", str(bad), "--scale", "desk",
                   "--out", str(tmp_path / "x"), *extra)
-    assert named in _one_error_line(out)
+    line = _one_error_line(out)
+    assert named in line
+    # one readable line: the longest message of these cases is ~200
+    # characters
+    assert len(line) <= 240
     assert not (tmp_path / "x").exists()
 
 
@@ -302,27 +309,41 @@ def artifacts(tmp_path_factory):
     return d
 
 
-def _with_kind_byte(raw):
-    # first layer table entry starts after magic, version, L, K, skip, count
-    return raw[:28] + bytes([7]) + raw[29:]
+def _with_header(raw, edit):
+    # rewrite the length-prefixed JSON header that follows magic and version
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+def _with_kind(raw):
+    return _with_header(raw, lambda h: h["layers"][0].update(kind="pool"))
 
 
 def _with_halved_first_layer(raw):
     # layer 0 keeps half its 128 output channels and layer 1 still expects
-    # all: its out_ch (byte 34) and its kernel, bias and slope blobs (after
-    # the 7-entry table) shrink together, so the file size fits the table
-    # and the channel chain does not
-    at, kernel, vector = 28 + 7 * 46, 128 * 9 * 8, 128 * 8
+    # all: its out_ch, the parameter count and its kernel, bias and slope
+    # blobs (after the header) shrink together, so the file size fits the
+    # header and the channel chain does not
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    at, kernel, vector = 12 + hlen, 128 * 9 * 8, 128 * 8
     blobs = [raw[at:at + kernel], raw[at + kernel:at + kernel + vector],
              raw[at + kernel + vector:at + kernel + 2 * vector]]
-    return (raw[:34] + (64).to_bytes(4, "little") + raw[38:at]
+
+    def halve(header):
+        header["layers"][0]["out_ch"] = 64
+        header["param_count"] -= (kernel + 2 * vector) // 16
+
+    return (_with_header(raw[:at], halve)
             + b"".join(blob[:len(blob) // 2] for blob in blobs)
             + raw[at + kernel + 2 * vector:])
 
 
 @pytest.mark.parametrize("name,mangle", [
     ("checkpoint.sfsm", lambda raw: raw[:100]),
-    ("checkpoint.sfsm", _with_kind_byte),
+    ("checkpoint.sfsm", _with_kind),
     ("dataset.sfsx", lambda raw: raw[:len(raw) // 2]),
     ("dataset.sfsx", lambda raw: raw[:20]),
     ("checkpoint.sfsm", _with_halved_first_layer),
@@ -333,6 +354,15 @@ def test_inspect_malformed_artifact(artifacts, tmp_path, name, mangle):
     bad.write_bytes(mangle((artifacts / name).read_bytes()))
     out = run_cli("inspect", str(bad))
     assert str(bad) in _one_error_line(out)
+
+
+def test_inspect_version_1_checkpoint(artifacts, tmp_path):
+    # version 1 packed the layer table into structs; it is refused, not read
+    raw = (artifacts / "checkpoint.sfsm").read_bytes()
+    bad = tmp_path / "checkpoint.sfsm"
+    bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    line = _one_error_line(run_cli("inspect", str(bad)))
+    assert f"{bad}: unsupported version 1 at byte 4" in line
 
 
 def test_inspect_record_leaves_no_partial_csv(artifacts, tmp_path,
@@ -359,16 +389,14 @@ def test_render_cnn_with_checkpoint_of_other_geometry(artifacts, tmp_path):
     from sfsynth.config import load_config
     from sfsynth.experiment import ArtifactManifest
     from sfsynth.fileio import sha256_file
-    for name in ("checkpoint.sfsm", "checkpoint.sfsm.json"):
-        (tmp_path / name).write_bytes((artifacts / name).read_bytes())
+    ckpt = tmp_path / "checkpoint.sfsm"
+    ckpt.write_bytes((artifacts / ckpt.name).read_bytes())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(MICRO, n_remove=6)))
     (tmp_path / "manifest.json").write_text(ArtifactManifest(
         config_hash=load_config(cfg, scale="desk").config_hash(),
-        files=[{"path": name, "role": "checkpoint",
-                "sha256": sha256_file(tmp_path / name)}
-               for name in ("checkpoint.sfsm", "checkpoint.sfsm.json")]
-    ).to_json())
+        files=[{"path": ckpt.name, "role": "checkpoint",
+                "sha256": sha256_file(ckpt)}]).to_json())
     out = run_cli("render", "--config", str(cfg), "--scale", "desk",
                   "--out", str(tmp_path), "--method", "cnn",
                   "--source", "2.0,0.5", "--frequency", "200")

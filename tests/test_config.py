@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import tracemalloc
 
 import pytest
@@ -203,9 +204,9 @@ def test_linear_source_must_lie_past_the_array_plane():
 
 
 @pytest.mark.parametrize("family,changes,order", [
-    ("circular", {"freq_step": 1e6}, "M = 278850"),
-    ("circular", {"speed_of_sound": 1e-3}, "M = 2514098"),
-    ("circular", {"freq_start": 1e6}, "M = 19925"),
+    ("circular", {"freq_step": 1e6}, "M = 2.79e+05"),
+    ("circular", {"speed_of_sound": 1e-3}, "M = 2.51e+06"),
+    ("circular", {"freq_start": 1e6}, "M = 1.99e+04"),
     ("linear", {"freq_count": 200}, "M = 180"),
     ("circular", {"speed_of_sound": 5e-324}, "M = inf"),
 ], ids=["freq-step", "speed-of-sound", "freq-start", "linear-freq-count",
@@ -213,11 +214,12 @@ def test_linear_source_must_lie_past_the_array_plane():
 def test_order_past_the_bessel_oracle_refused(family, changes, order):
     # the MR truncation order at the top grid frequency may not pass the
     # largest order the Bessel oracle verifies; the error names the four
-    # keys that set it
+    # keys that set it, and the order to three significant digits
     from dataclasses import replace
     with pytest.raises(ValueError, match="'freq_start', 'freq_step', "
                                          "'freq_count' and 'speed_of_sound'"
-                                         f" ask for modal order {order}"):
+                                         f" ask for modal order "
+                                         f"{re.escape(order)}"):
         replace(desk_config(family), **changes).validate()
 
 

@@ -141,7 +141,7 @@ def test_render_field_missing_checkpoint(tmp_path):
 def test_render_field_checks_checkpoint_against_manifest(micro_run, tmp_path,
                                                         tamper, match):
     cfg, out, _ = micro_run
-    for name in ("checkpoint.sfsm", "checkpoint.sfsm.json", "manifest.json"):
+    for name in ("checkpoint.sfsm", "manifest.json"):
         (tmp_path / name).write_bytes((Path(out) / name).read_bytes())
     tamper(tmp_path)
     with pytest.raises(ValueError, match=match):
@@ -299,6 +299,26 @@ def test_manifest_with_stale_keys_is_reused(micro_run, tmp_path, monkeypatch):
     again = run_experiment(cfg, tmp_path)
     assert calls == []
     assert again.to_json() == manifest.to_json()
+
+
+def test_two_file_checkpoint_role_retrains(micro_run, tmp_path, monkeypatch):
+    # a directory written with SFSM version 1 records the checkpoint role
+    # as the checkpoint and its JSON sidecar.  That is not today's one
+    # path, so the run trains again; the stray sidecar is left in place
+    cfg, out, _ = micro_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    sidecar = tmp_path / "checkpoint.sfsm.json"
+    sidecar.write_text("{}\n")
+    old = json.loads((tmp_path / "manifest.json").read_text())
+    old["files"] = [f for f in old["files"] if f["path"] != sidecar.name] + [
+        {"path": sidecar.name, "role": "checkpoint",
+         "sha256": sha256_file(sidecar)}]
+    (tmp_path / "manifest.json").write_text(json.dumps(old))
+    calls = _count_stage_calls(monkeypatch)
+    again = run_experiment(cfg, tmp_path)
+    assert calls == ["train_compensator"]
+    assert _paths(again, "checkpoint") == ["checkpoint.sfsm"]
+    assert sidecar.exists()
 
 
 def test_resumed_sweep_from_checkpoint_writes_same_metrics(

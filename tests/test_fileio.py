@@ -1,5 +1,6 @@
 """Binary formats and text/image exporters."""
 
+import hashlib
 import json
 import struct
 from dataclasses import replace
@@ -25,33 +26,45 @@ from sfsynth.network import init_params
 from sfsynth.renderers import pm_operators
 
 
+def _header(raw: bytes) -> dict:
+    # the length-prefixed JSON header that follows magic and version
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + hlen])
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = init_params(16, 15, seed=5)
     path = tmp_path / "m.sfsm"
     save_checkpoint(path, params)
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"SFSM"
+    raw = path.read_bytes()
+    assert raw[:8] == b"SFSM" + struct.pack("<I", 2)
+    header = _header(raw)
+    assert header["param_count"] == params.param_count()
+    assert len(header["layers"]) == 7
+    assert header["layers"][0]["out_ch"] == 128
+    # the header is the whole table: no sidecar beside the checkpoint
+    assert [p.name for p in tmp_path.iterdir()] == ["m.sfsm"]
     back = load_checkpoint(path)
     assert back.rows == 16 and back.cols == 15
     assert len(back.layers) == 7
     for a, b in zip(params.flat(), back.flat()):
         assert np.array_equal(a, b)
-    sidecar = json.loads((tmp_path / "m.sfsm.json").read_text())
-    assert sidecar["param_count"] == params.param_count()
-    assert len(sidecar["layers"]) == 7
-    assert sidecar["layers"][0]["out_ch"] == 128
 
 
 def test_checkpoint_bytes_pinned(tmp_path):
-    # the checkpoint and sidecar bytes of a fixed initialization; a change
-    # here changes every checkpoint the pipeline writes
+    # the checkpoint bytes of a fixed initialization; a change here
+    # changes every checkpoint the pipeline writes.  The parameter blobs
+    # after the header are the bytes version 1 wrote after its 322-byte
+    # header and packed layer table
     path = tmp_path / "m.sfsm"
     save_checkpoint(path, init_params(16, 15, seed=0))
-    assert path.stat().st_size == 25_207_114
+    raw = path.read_bytes()
+    assert len(raw) == 25_207_877
     assert sha256_file(path) == \
-        "5b110a5c674b721baaaae07aeb178524c6aecfceaed2f5b2ee21fca77a6b4492"
-    assert sha256_file(tmp_path / "m.sfsm.json") == \
-        "5d3e0171dbcad7f7bb70c6c3cadc2cf60df056776b3776ebf2b5821329525522"
+        "9a7acd9e4c2eed2b51d87d2f6f29b9ebe889e2cb32dc441bbf249b8ef9ebded9"
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    assert hashlib.sha256(raw[12 + hlen:]).hexdigest() == \
+        "e87b96e988de76771ecf6bc0e46b6debf4588bdffacfcd1ee3e0ab8d35847b06"
 
 
 def _dataset_file(cfg, tmp_path):
@@ -210,10 +223,11 @@ def saved(tmp_path):
 
 @pytest.mark.parametrize("offset,data,offset_seen", [
     (0, b"NOPE", 0),                     # magic
-    (4, b"\x02", 4),                     # version
-    (28, b"\x07", 28),                   # first layer's kind byte
-    (29, b"\x05", 28),                   # first layer's activation byte
-    (16, b"\x09", 16),                   # skip source layer index
+    pytest.param(4, b"\x03", 4, id="version-3"),
+    # version 1 packed the layer table into structs
+    pytest.param(4, b"\x01", 4, id="version-1"),
+    pytest.param(8, b"\xff\xff", 12, id="header-length-past-the-file"),
+    pytest.param(12, b"[", 12, id="header-not-json"),
 ])
 def test_checkpoint_header_corruption(saved, tmp_path, offset, data,
                                       offset_seen):
@@ -224,21 +238,47 @@ def test_checkpoint_header_corruption(saved, tmp_path, offset, data,
     assert str(bad) in str(info.value)
 
 
-@pytest.mark.parametrize("offset,data,match,offset_seen", [
-    (16, b"\x00", "skip layers", 16),                  # skip pair (0, 3)
-    (16, b"\xff" * 8, "skip layers", 16),              # skip absent (-1, -1)
-    (34, (64).to_bytes(4, "little"), "layer table", 28),   # layer 0 out_ch
-    (8, (9).to_bytes(4, "little"), "layer table", 28),     # L for another table
-    (62, (1).to_bytes(4, "little"), "layer table", 28),    # layer 0 oph
-], ids=["skip-pair", "skip-absent", "out-channels", "input-rows",
-        "output-padding"])
-def test_checkpoint_layer_table_checked(saved, tmp_path, offset, data, match,
-                                        offset_seen):
-    # the skip pair sits at byte 16, the layer table starts at byte 28
-    bad = _corrupt(saved[0], tmp_path / "bad.sfsm", offset, data)
+def _layer0(**changes):
+    return lambda h: h["layers"][0].update(changes)
+
+
+CHAIN = "not that of the 16x15 compensator chain"
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h.update(skip_src=0), CHAIN),
+    (lambda h: [h.pop("skip_src"), h.pop("skip_dst")], CHAIN),
+    (lambda h: h.update(skip_src=9), CHAIN),
+    (_layer0(kind="pool"), CHAIN),
+    (_layer0(act="linear"), CHAIN),
+    # layer 0 narrower than layer 1's input; the chain derived from the
+    # channel counts has layer 1 take 64
+    (_layer0(out_ch=64), "16x15 compensator chain with channels \\(64, "),
+    (lambda h: h.update(l_active=9), "18x15 compensator chain"),
+    (_layer0(oph=1), CHAIN),
+    (lambda h: h.update(l_active=1), "too small"),
+    (lambda h: h.update(l_active=True), "l_active True"),
+    # JSON true is not the output layer's stride 1
+    (lambda h: h["layers"][6].update(sw=True), CHAIN),
+    (lambda h: h["layers"][0].pop("out_ch"), "layer table"),
+    (lambda h: h.update(layers="conv"), "layer table"),
+    (lambda h: h["layers"].pop(), "seven channel counts"),
+    (lambda h: h.update(param_count=h["param_count"] - 1), CHAIN),
+    (lambda h: h.update(format="sfs-dataset"), CHAIN),
+    (lambda h: h.update(version=2), CHAIN),
+], ids=["skip-pair", "skip-absent", "skip-source", "kind", "activation",
+        "out-channels", "input-rows", "output-padding", "input-too-small",
+        "boolean-count", "boolean-stride", "channels-absent",
+        "table-not-a-list", "six-layers", "param-count", "format",
+        "extra-key"])
+def test_checkpoint_layer_table_checked(saved, tmp_path, edit, match):
+    # the header must be the one save_checkpoint writes for the chain its
+    # l_active, k and channel counts derive; every fault names the header
+    bad = _with_header(saved[0], tmp_path / "bad.sfsm", edit)
     with pytest.raises(ArtifactFormatError, match=match) as info:
         load_checkpoint(bad)
-    assert info.value.offset == offset_seen
+    assert info.value.offset == 12
+    assert str(bad) in str(info.value)
 
 
 @pytest.mark.parametrize("which,load", [(0, load_checkpoint), (1, load_dataset)],
@@ -262,7 +302,7 @@ def _with_header(src, dst, edit):
     # rewrite the length-prefixed JSON header that follows magic and version
     raw = src.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen])
+    header = _header(raw)
     edit(header)
     blob = json.dumps(header, sort_keys=True).encode()
     dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
@@ -277,6 +317,28 @@ def _with_header(src, dst, edit):
 def test_dataset_header_source_seed_checked(saved, tmp_path, edit):
     bad = _with_header(saved[1], tmp_path / "bad.sfsx", edit)
     with pytest.raises(ArtifactFormatError, match="bad header") as info:
+        load_dataset(bad)
+    assert info.value.offset == 12
+
+
+@pytest.mark.parametrize("which,load", [(0, load_checkpoint), (1, load_dataset)],
+                         ids=["checkpoint", "dataset"])
+def test_header_not_a_json_object(saved, tmp_path, which, load):
+    raw = saved[which].read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    bad = tmp_path / "bad"
+    bad.write_bytes(raw[:8] + struct.pack("<I", 2) + b"[]" + raw[12 + hlen:])
+    with pytest.raises(ArtifactFormatError, match="JSON object") as info:
+        load(bad)
+    assert info.value.offset == 12
+
+
+def test_dataset_header_boolean_counts_rejected(saved, tmp_path):
+    # JSON true is not the count 1, although Python's bool is an int: the
+    # toy dataset's one val and one test record would otherwise load
+    bad = _with_header(saved[1], tmp_path / "bad.sfsx",
+                       lambda h: h.update(n_val=True, n_test=True))
+    with pytest.raises(ArtifactFormatError, match="n_val True") as info:
         load_dataset(bad)
     assert info.value.offset == 12
 

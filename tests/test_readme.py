@@ -2,7 +2,9 @@
 it promises exists."""
 
 import importlib
+import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,17 @@ def test_readme_promised_name_resolves(dotted):
     module, name = dotted.split(".")
     assert re.search(rf"`(\w+\.)?{name}\b", README.read_text())
     assert callable(getattr(importlib.import_module(f"sfsynth.{module}"), name))
+
+
+def test_readme_names_every_checkpoint_header_key(tmp_path):
+    from sfsynth.fileio import save_checkpoint
+    from sfsynth.network import init_params
+    section = README.read_text().split("\n## File formats\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    path = tmp_path / "m.sfsm"
+    save_checkpoint(path, init_params(16, 15, seed=0, channels=(1,) * 7))
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    keys = set(header) | {key for layer in header["layers"] for key in layer}
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
