@@ -82,7 +82,8 @@ def _cmd_inspect(args) -> int:
     elif magic == fileio.MAGIC_MODEL:
         params = fileio.load_checkpoint(path)
         print(f"model checkpoint: input {params.rows}x{params.cols}, "
-              f"{len(params.layers)} layers, {params.param_count()} parameters")
+              f"{len(params.layers)} layers, {params.param_count()} "
+              f"{params.dtype} parameters")
         for i, sp in enumerate(params.layers):
             act = "linear" if params.slopes[i] is None else "prelu"
             print(f"  layer {i}: {sp.kind} {sp.in_ch}->{sp.out_ch} "

@@ -41,8 +41,8 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    params: ModelParams              # the best epoch's, upcast to float64
-    best_val_loss: float             # evaluate_loss of params (float64)
+    params: ModelParams              # the best epoch's, float32 as trained
+    best_val_loss: float             # evaluate_loss of params
     best_epoch: int
     epochs_run: int
     history: list                    # (train_loss, val_loss) per epoch
@@ -171,8 +171,8 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
     per-epoch shuffles come from independent child streams of the seed.
     The network and Adam run in float32 (the float64 initialization
     draws, cast); the loss, its gradient and the propagation stay
-    float64.  Returns the parameters of the best validation epoch,
-    upcast exactly to float64, and their float64 validation loss.
+    float64.  Returns a float32 copy of the parameters of the best
+    validation epoch and the validation loss that epoch measured.
     """
     if len(train_records) == 0 or len(val_records) == 0:
         raise ValueError("need non-empty train and validation splits")
@@ -209,22 +209,22 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = params.astype(np.float64)
+            best_params = params.astype(np.float32)
             since_improve = 0
         else:
             since_improve += 1
             if since_improve > cfg.patience:
                 break
-    return TrainResult(params=best_params,
-                       best_val_loss=evaluate_loss(best_params, val_records,
-                                                   g_stack, cfg),
+    return TrainResult(params=best_params, best_val_loss=best_val,
                        best_epoch=best_epoch, epochs_run=len(history),
                        history=history)
 
 
 def compensate(d_mr: np.ndarray, params: ModelParams) -> np.ndarray:
     """Apply the trained network to the model-based driving signals of S
-    sources in one batched pass: (S, L, K) complex in, (S, L, K) out."""
+    sources in one batched pass: (S, L, K) complex in, (S, L, K) out.
+    The network runs in the parameters' dtype, float32 for a trained
+    model; the result is complex128."""
     d = np.asarray(d_mr)
     l_active, k = params.rows // 2, params.cols
     if d.ndim != 3 or d.shape[1:] != (l_active, k):

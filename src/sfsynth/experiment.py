@@ -217,7 +217,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     the train stage runs only when "cnn" is among the methods.
 
     A stage whose files the previous manifest records for this config,
-    exactly and with unchanged hashes, is loaded instead of recomputed.
+    exactly and with unchanged hashes, is loaded instead of recomputed,
+    unless its loader refuses a file's format (an older version).
     A stage's files are recorded only once it has finished; when a stage
     fails, the manifest of the finished stages is written and
     StageError raised.  Idempotent for a fixed config."""
@@ -245,11 +246,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         prev = ArtifactManifest(config_hash=chash, files=[])
     manifest = ArtifactManifest(config_hash=chash, files=[])
 
+    def reuse(compute, load):
+        try:
+            return load()
+        except fileio.ArtifactFormatError:
+            # unchanged since it was written, in a format version this
+            # code no longer reads
+            return compute()
+
     def stage(name, role, paths, compute, load=lambda: None):
         """Load a stage when `prev` still holds its `paths`, else compute
         it; record `paths` once it has finished."""
         try:
-            result = load() if prev.fresh(out_dir, role, paths) else compute()
+            result = (reuse(compute, load) if prev.fresh(out_dir, role, paths)
+                      else compute())
             manifest.files += [{"path": rel, "role": role,
                                 "sha256": fileio.sha256_file(out_dir / rel)}
                                for rel in paths]

@@ -2,8 +2,9 @@
 graymap exporters.
 
 Both binaries are little-endian: magic, version, a length-prefixed JSON
-header, then the payload.  Floats are IEEE 754 float64; complex matrices
-go row-major with interleaved (re, im).
+header, then the payload.  Dataset floats are IEEE 754 float64; complex
+matrices go row-major with interleaved (re, im).  Checkpoint parameters
+keep their own dtype, float32 or float64, which the header names.
 Both loaders read through one bounded reader, so every malformed file
 raises ArtifactFormatError with the path and the byte offset.  Every
 writer goes through atomic_open, so a process that dies mid-write never
@@ -29,8 +30,10 @@ from .network import SKIP_DST, SKIP_SRC, ModelParams, compensator_layers
 
 MAGIC_MODEL = b"SFSM"
 MAGIC_DATASET = b"SFSX"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 DATASET_VERSION = 1
+# the parameter dtypes a checkpoint may hold, as numpy spells them
+PARAM_DTYPES = ("<f4", "<f8")
 
 
 class ArtifactFormatError(ValueError):
@@ -62,10 +65,13 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         data = self.fh.read(n)
-        if len(data) != n:
-            self.fail(f"short read of {what} ({len(data)} of {n} bytes)")
-        self.offset += n
+        self.advance(len(data), n, what)
         return data
+
+    def advance(self, got: int, n: int, what: str) -> None:
+        if got != n:
+            self.fail(f"short read of {what} ({got} of {n} bytes)")
+        self.offset += n
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -92,9 +98,12 @@ class _Reader:
             self.bad_header(f"{what} {value!r} is not a non-negative integer")
         return value
 
-    def floats(self, shape: tuple, what: str) -> np.ndarray:
-        raw = self.take(8 * math.prod(shape), what)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    def floats(self, shape: tuple, dtype: str, what: str) -> np.ndarray:
+        """An array read straight into its own buffer."""
+        out = np.empty(shape, dtype)
+        self.advance(self.fh.readinto(memoryview(out).cast("B")), out.nbytes,
+                     what)
+        return out
 
     def expect_size(self, total: int) -> None:
         if total != self.size:
@@ -152,13 +161,13 @@ def _write_header(fh, magic: bytes, version: int, header: dict) -> None:
 
 # -- model checkpoints -------------------------------------------------------
 
-def _model_header(rows: int, cols: int, layers: list) -> dict:
+def _model_header(rows: int, cols: int, layers: list, dtype: str) -> dict:
     """The SFSM header of the compensator chain `layers` for a (rows, cols)
-    input.  Only the last layer is linear and has no slope; no layer has
-    output padding."""
+    input, with parameters of `dtype`.  Only the last layer is linear and
+    has no slope; no layer has output padding."""
     last = len(layers) - 1
     return {
-        "format": "sfs-model", "l_active": rows // 2, "k": cols,
+        "format": "sfs-model", "dtype": dtype, "l_active": rows // 2, "k": cols,
         "skip_src": SKIP_SRC, "skip_dst": SKIP_DST,
         "param_count": sum(math.prod(sp.kernel_shape()) + 2 * sp.out_ch
                            for sp in layers) - layers[last].out_ch,
@@ -171,12 +180,19 @@ def _model_header(rows: int, cols: int, layers: list) -> dict:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """The _model_header, then the float64 blobs in declaration order."""
+    """The _model_header, then the parameter blobs in declaration order,
+    each written from its array's own buffer.  ValueError unless every
+    array has one of PARAM_DTYPES."""
+    dtype = params.dtype.str
+    flat = params.flat()
+    if dtype not in PARAM_DTYPES or any(p.dtype != params.dtype for p in flat):
+        raise ValueError(f"checkpoint parameters must share one dtype of "
+                         f"{PARAM_DTYPES}")
     with atomic_open(path) as fh:
-        _write_header(fh, MAGIC_MODEL, MODEL_VERSION,
-                      _model_header(params.rows, params.cols, params.layers))
-        for p in params.flat():
-            fh.write(p.astype("<f8").tobytes())
+        _write_header(fh, MAGIC_MODEL, MODEL_VERSION, _model_header(
+            params.rows, params.cols, params.layers, dtype))
+        for p in flat:
+            fh.write(np.ascontiguousarray(p).data)
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -186,6 +202,9 @@ def load_checkpoint(path) -> ModelParams:
         r = _Reader(fh, path, MAGIC_MODEL, MODEL_VERSION, "model checkpoint")
         header = r.header()
         l_active, k = (r.count(header.get(key), key) for key in ("l_active", "k"))
+        dtype = header.get("dtype")
+        if dtype not in PARAM_DTYPES:
+            r.bad_header(f"dtype {dtype!r} is not one of {PARAM_DTYPES}")
         try:
             out_ch = [layer["out_ch"] for layer in header["layers"][:-1]]
         except (KeyError, TypeError) as exc:
@@ -198,16 +217,17 @@ def load_checkpoint(path) -> ModelParams:
         except ValueError as exc:
             r.bad_header(str(exc))
         # compared as JSON text, in which true is not 1
-        want = _model_header(rows, k, layers)
+        want = _model_header(rows, k, layers, dtype)
         if _dumps(header) != _dumps(want):
             r.bad_header(f"not that of the {rows}x{k} compensator chain with "
                          f"channels {channels}")
-        r.expect_size(r.offset + 8 * want["param_count"])
+        r.expect_size(r.offset + np.dtype(dtype).itemsize * want["param_count"])
         kernels, biases, slopes = [], [], []
         for i, sp in enumerate(layers):
-            kernels.append(r.floats(sp.kernel_shape(), f"layer {i} kernel"))
-            biases.append(r.floats((sp.out_ch,), f"layer {i} bias"))
-            slopes.append(r.floats((sp.out_ch,), f"layer {i} slope")
+            kernels.append(r.floats(sp.kernel_shape(), dtype,
+                                    f"layer {i} kernel"))
+            biases.append(r.floats((sp.out_ch,), dtype, f"layer {i} bias"))
+            slopes.append(r.floats((sp.out_ch,), dtype, f"layer {i} slope")
                           if i < len(layers) - 1 else None)
     return ModelParams(rows=rows, cols=k, kernels=kernels, biases=biases,
                        slopes=slopes)

@@ -2,11 +2,13 @@
 forward/backward passes and the Adam optimizer.
 
 The network computes in the dtype of its parameters: forward and
-backward cast their input to it, and Adam's moments follow it.  Training
-runs float32 parameters (the loss around the network stays float64);
-every other caller runs float64.  Feature maps use the layout
-(channels, height, width, batch): the batch axis sits innermost so the
-im2col gather and the column/weight matmuls stay contiguous.
+backward cast their input to it, and Adam's moments follow it.  The
+trained model is float32 from training through its checkpoint to the
+sweep and render (the loss around the network stays float64);
+init_params draws float64, which the gradient checks run.  Feature maps
+use the layout (channels, height, width, batch): the batch axis sits
+innermost so the im2col gather and the column/weight matmuls stay
+contiguous.
 """
 
 from __future__ import annotations

@@ -98,6 +98,8 @@ def test_render_and_inspect(micro_cfg_file, tmp_path):
     out = run_cli("inspect", str(exp / "checkpoint.sfsm"))
     assert out.returncode == 0
     assert "7 layers" in out.stdout
+    # the trained model is saved in the dtype it was trained in
+    assert "float32 parameters" in out.stdout.splitlines()[0]
 
 
 def test_render_inside_source_fails(micro_cfg_file, tmp_path):
@@ -365,6 +367,19 @@ def test_inspect_version_1_checkpoint(artifacts, tmp_path):
     assert f"{bad}: unsupported version 1 at byte 4" in line
 
 
+def test_inspect_names_the_parameter_dtype(artifacts, tmp_path):
+    from sfsynth.fileio import load_checkpoint, save_checkpoint
+    ckpt = artifacts / "checkpoint.sfsm"
+    f32 = tmp_path / "f32.sfsm"
+    save_checkpoint(f32, load_checkpoint(ckpt).astype("<f4"))
+    for path, dtype in ((ckpt, "float64"), (f32, "float32")):
+        out = run_cli("inspect", str(path))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == (
+            f"model checkpoint: input 16x15, 7 layers, 3150849 {dtype} "
+            f"parameters")
+
+
 def test_inspect_record_leaves_no_partial_csv(artifacts, tmp_path,
                                              monkeypatch):
     # the record dump goes through fileio's atomic writer: when the final
@@ -401,6 +416,29 @@ def test_render_cnn_with_checkpoint_of_other_geometry(artifacts, tmp_path):
                   "--out", str(tmp_path), "--method", "cnn",
                   "--source", "2.0,0.5", "--frequency", "200")
     assert "trained geometry (S, 8, 15)" in _one_error_line(out)
+
+
+def test_render_cnn_refuses_version_2_checkpoint(artifacts, tmp_path):
+    # version 2 had no dtype key and float64 blobs.  Even when the
+    # manifest records it for this config, render refuses it; a run in
+    # the directory trains again
+    from sfsynth.config import load_config
+    from sfsynth.experiment import ArtifactManifest
+    from sfsynth.fileio import sha256_file
+    ckpt = tmp_path / "checkpoint.sfsm"
+    raw = _with_header((artifacts / ckpt.name).read_bytes(),
+                       lambda h: h.pop("dtype"))
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MICRO))
+    (tmp_path / "manifest.json").write_text(ArtifactManifest(
+        config_hash=load_config(cfg, scale="desk").config_hash(),
+        files=[{"path": ckpt.name, "role": "checkpoint",
+                "sha256": sha256_file(ckpt)}]).to_json())
+    out = run_cli("render", "--config", str(cfg), "--scale", "desk",
+                  "--out", str(tmp_path), "--method", "cnn",
+                  "--source", "2.0,0.5", "--frequency", "200")
+    assert f"{ckpt}: unsupported version 2 at byte 4" in _one_error_line(out)
 
 
 def test_render_cnn_refuses_checkpoint_of_other_seed(micro_cfg_file, tmp_path):

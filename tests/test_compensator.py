@@ -290,26 +290,25 @@ def test_best_epoch_parameters_returned():
     cfg = replace(W, learning_rate=1e-3, max_epochs=6, patience=6,
                   batch_size=2, seed=2)
     r = train_compensator(recs[:2], recs[2:], cfg, g)
-    val = evaluate_loss(r.params, recs[2:], g, cfg)
-    assert val == pytest.approx(r.best_val_loss, rel=1e-12)
+    # the loss the best epoch measured, not a recomputation of it
+    assert evaluate_loss(r.params, recs[2:], g, cfg) == r.best_val_loss
 
 
 def test_trained_parameters_bytes_pinned():
     # the parameters of the best epoch (2 of 3) after a short float32
-    # run, upcast to float64; the toy records involve no Bessel call, so
-    # only a change to the initialization, the shuffles, a training step
-    # or the training dtype moves this hash
+    # run; the toy records involve no Bessel call, so only a change to
+    # the initialization, the shuffles, a training step or the training
+    # dtype moves this hash.  It hashes the float64 upcast, which earlier
+    # versions returned, so the trained values are pinned across them
     recs, g = _toy_records(count=4, seed=13)
     cfg = replace(W, learning_rate=1e-3, max_epochs=3, patience=3,
                   batch_size=2, seed=5)
     r = train_compensator(recs[:2], recs[2:], cfg, g)
     assert (r.best_epoch, r.epochs_run) == (2, 3)
-    # float64 arrays holding float32 values, as the checkpoint stores them
-    assert all(p.dtype == np.float64 and np.array_equal(p, p.astype(np.float32))
-               for p in r.params.flat())
+    assert all(p.dtype == np.float32 for p in r.params.flat())
     digest = hashlib.sha256()
     for p in r.params.flat():
-        digest.update(np.ascontiguousarray(p).tobytes())
+        digest.update(p.astype(np.float64).tobytes())
     assert digest.hexdigest() == \
         "827cb2b9712df91939786953c8c023624c5d4f4957c7161cc835d50e71aca7d1"
 

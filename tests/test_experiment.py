@@ -5,6 +5,7 @@ import builtins
 import fnmatch
 import json
 import shutil
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -319,6 +320,36 @@ def test_two_file_checkpoint_role_retrains(micro_run, tmp_path, monkeypatch):
     assert calls == ["train_compensator"]
     assert _paths(again, "checkpoint") == ["checkpoint.sfsm"]
     assert sidecar.exists()
+
+
+def test_version_2_checkpoint_retrains(micro_run, tmp_path, monkeypatch):
+    # SFSM version 2 wrote the same values as float64 blobs under a header
+    # without its dtype key.  Such a checkpoint still matches its manifest
+    # hash, but load_checkpoint refuses its version, so the run trains
+    # again and writes what a fresh run writes
+    cfg, out, _ = micro_run
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    ckpt = tmp_path / experiment.CHECKPOINT
+    fresh = {p.name: p.read_bytes()
+             for p in [ckpt, *tmp_path.glob("metrics_*.csv")]}
+    fileio.save_checkpoint(ckpt, fileio.load_checkpoint(ckpt).astype("<f8"))
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    del header["dtype"]
+    blob = json.dumps(header, sort_keys=True).encode()
+    ckpt.write_bytes(b"SFSM" + struct.pack("<II", 2, len(blob)) + blob
+                     + raw[12 + hlen:])
+    old = json.loads((tmp_path / "manifest.json").read_text())
+    for f in old["files"]:
+        if f["path"] == ckpt.name:
+            f["sha256"] = sha256_file(ckpt)
+    (tmp_path / "manifest.json").write_text(json.dumps(old))
+    calls = _count_stage_calls(monkeypatch)
+    again = run_experiment(cfg, tmp_path)
+    assert calls == ["train_compensator"]
+    assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
+    assert again.to_json() == micro_run[2].to_json()
 
 
 def test_resumed_sweep_from_checkpoint_writes_same_metrics(

@@ -33,38 +33,57 @@ def _header(raw: bytes) -> dict:
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    params = init_params(16, 15, seed=5)
     path = tmp_path / "m.sfsm"
-    save_checkpoint(path, params)
-    raw = path.read_bytes()
-    assert raw[:8] == b"SFSM" + struct.pack("<I", 2)
-    header = _header(raw)
-    assert header["param_count"] == params.param_count()
-    assert len(header["layers"]) == 7
-    assert header["layers"][0]["out_ch"] == 128
-    # the header is the whole table: no sidecar beside the checkpoint
-    assert [p.name for p in tmp_path.iterdir()] == ["m.sfsm"]
-    back = load_checkpoint(path)
-    assert back.rows == 16 and back.cols == 15
-    assert len(back.layers) == 7
-    for a, b in zip(params.flat(), back.flat()):
-        assert np.array_equal(a, b)
+    for dtype in ("<f4", "<f8"):
+        params = init_params(16, 15, seed=5).astype(dtype)
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        assert raw[:8] == b"SFSM" + struct.pack("<I", 3)
+        header = _header(raw)
+        assert header["dtype"] == dtype
+        assert header["param_count"] == params.param_count()
+        assert len(header["layers"]) == 7
+        assert header["layers"][0]["out_ch"] == 128
+        # the header is the whole table: no sidecar beside the checkpoint
+        assert [p.name for p in tmp_path.iterdir()] == ["m.sfsm"]
+        back = load_checkpoint(path)
+        assert back.rows == 16 and back.cols == 15
+        assert len(back.layers) == 7
+        for a, b in zip(params.flat(), back.flat()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_checkpoint_bytes_pinned(tmp_path):
-    # the checkpoint bytes of a fixed initialization; a change here
-    # changes every checkpoint the pipeline writes.  The parameter blobs
-    # after the header are the bytes version 1 wrote after its 322-byte
-    # header and packed layer table
+    # the checkpoint bytes of a fixed initialization, in both parameter
+    # dtypes; a change here changes every checkpoint the pipeline writes.
+    # The float64 blobs after the header are the bytes versions 1 and 2
+    # wrote after their headers
     path = tmp_path / "m.sfsm"
-    save_checkpoint(path, init_params(16, 15, seed=0))
-    raw = path.read_bytes()
-    assert len(raw) == 25_207_877
-    assert sha256_file(path) == \
-        "9a7acd9e4c2eed2b51d87d2f6f29b9ebe889e2cb32dc441bbf249b8ef9ebded9"
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    assert hashlib.sha256(raw[12 + hlen:]).hexdigest() == \
-        "e87b96e988de76771ecf6bc0e46b6debf4588bdffacfcd1ee3e0ab8d35847b06"
+    params = init_params(16, 15, seed=0)
+    for p, size, digest, payload in (
+            (params, 25_207_893,
+             "42a37bb785bd01f00b86044b5aff3b6de11026b9078b43310156f5c8f2b3703a",
+             "e87b96e988de76771ecf6bc0e46b6debf4588bdffacfcd1ee3e0ab8d35847b06"),
+            (params.astype(np.float32), 12_604_497,
+             "50a9363720bbdfc0efcc4388e6cb526c7fdc9531ca01b37ea567907397afd8ea",
+             "314f4652d6c2f892666e1a168916739e48419aafe95e5b6d6bfd6a9f2ac86234")):
+        save_checkpoint(path, p)
+        raw = path.read_bytes()
+        assert len(raw) == size
+        assert sha256_file(path) == digest
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        assert hashlib.sha256(raw[12 + hlen:]).hexdigest() == payload
+
+
+def test_checkpoint_of_mixed_dtypes_refused(tmp_path):
+    # the header names one dtype for every blob
+    params = init_params(16, 15, seed=0)
+    params.biases[2] = params.biases[2].astype(np.float32)
+    with pytest.raises(ValueError, match="one of"):
+        save_checkpoint(tmp_path / "m.sfsm", params)
+    with pytest.raises(ValueError, match="one of"):
+        save_checkpoint(tmp_path / "m.sfsm", params.astype(np.float16))
+    assert list(tmp_path.iterdir()) == []
 
 
 def _dataset_file(cfg, tmp_path):
@@ -223,9 +242,11 @@ def saved(tmp_path):
 
 @pytest.mark.parametrize("offset,data,offset_seen", [
     (0, b"NOPE", 0),                     # magic
-    pytest.param(4, b"\x03", 4, id="version-3"),
+    pytest.param(4, b"\x04", 4, id="version-4"),
     # version 1 packed the layer table into structs
     pytest.param(4, b"\x01", 4, id="version-1"),
+    # version 2 had no dtype key and always float64 blobs
+    pytest.param(4, b"\x02", 4, id="version-2"),
     pytest.param(8, b"\xff\xff", 12, id="header-length-past-the-file"),
     pytest.param(12, b"[", 12, id="header-not-json"),
 ])
@@ -266,11 +287,17 @@ CHAIN = "not that of the 16x15 compensator chain"
     (lambda h: h.update(param_count=h["param_count"] - 1), CHAIN),
     (lambda h: h.update(format="sfs-dataset"), CHAIN),
     (lambda h: h.update(version=2), CHAIN),
+    (lambda h: h.pop("dtype"), "dtype None"),
+    (lambda h: h.update(dtype="<f2"), "dtype '<f2'"),
+    (lambda h: h.update(dtype=">f4"), "dtype '>f4'"),
+    (lambda h: h.update(dtype="float32"), "dtype 'float32'"),
+    (lambda h: h.update(dtype=True), "dtype True"),
 ], ids=["skip-pair", "skip-absent", "skip-source", "kind", "activation",
         "out-channels", "input-rows", "output-padding", "input-too-small",
         "boolean-count", "boolean-stride", "channels-absent",
         "table-not-a-list", "six-layers", "param-count", "format",
-        "extra-key"])
+        "extra-key", "dtype-absent", "dtype-half", "dtype-big-endian",
+        "dtype-name", "dtype-boolean"])
 def test_checkpoint_layer_table_checked(saved, tmp_path, edit, match):
     # the header must be the one save_checkpoint writes for the chain its
     # l_active, k and channel counts derive; every fault names the header
@@ -279,6 +306,14 @@ def test_checkpoint_layer_table_checked(saved, tmp_path, edit, match):
         load_checkpoint(bad)
     assert info.value.offset == 12
     assert str(bad) in str(info.value)
+
+
+def test_checkpoint_dtype_sizes_the_payload(saved, tmp_path):
+    # a float32 header over the float64 blobs implies half the file
+    bad = _with_header(saved[0], tmp_path / "bad.sfsm",
+                       lambda h: h.update(dtype="<f4"))
+    with pytest.raises(ArtifactFormatError, match="file size"):
+        load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("which,load", [(0, load_checkpoint), (1, load_dataset)],

@@ -121,11 +121,13 @@ def test_repeated_arguments_get_their_distinct_batch_bits(
 
 @st.composite
 def small_models(draw):
+    # float32 as training returns them, float64 as init_params draws them
     rows = 2 * draw(st.integers(8, 11))
     cols = draw(st.integers(15, 20))
     channels = tuple(draw(st.integers(1, 3)) for _ in range(6)) + (1,)
     return init_params(rows, cols, seed=draw(st.integers(0, 2 ** 16)),
-                       channels=channels)
+                       channels=channels).astype(
+                           draw(st.sampled_from(["<f4", "<f8"])))
 
 
 @st.composite
@@ -170,7 +172,7 @@ def test_checkpoint_roundtrip_random_shapes(params):
     assert (back.rows, back.cols) == (params.rows, params.cols)
     assert back.layers == params.layers
     for a, b in zip(params.flat(), back.flat()):
-        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @FAST
