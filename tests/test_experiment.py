@@ -327,7 +327,7 @@ def test_version_2_checkpoint_retrains(micro_run, tmp_path, monkeypatch):
     # without its dtype key.  Such a checkpoint still matches its manifest
     # hash, but load_checkpoint refuses its version, so the run trains
     # again and writes what a fresh run writes
-    cfg, out, _ = micro_run
+    cfg, out, manifest = micro_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     ckpt = tmp_path / experiment.CHECKPOINT
     fresh = {p.name: p.read_bytes()
@@ -349,7 +349,7 @@ def test_version_2_checkpoint_retrains(micro_run, tmp_path, monkeypatch):
     again = run_experiment(cfg, tmp_path)
     assert calls == ["train_compensator"]
     assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
-    assert again.to_json() == micro_run[2].to_json()
+    assert again.to_json() == manifest.to_json()
 
 
 def test_resumed_sweep_from_checkpoint_writes_same_metrics(

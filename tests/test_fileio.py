@@ -79,9 +79,9 @@ def test_checkpoint_of_mixed_dtypes_refused(tmp_path):
     # the header names one dtype for every blob
     params = init_params(16, 15, seed=0)
     params.biases[2] = params.biases[2].astype(np.float32)
-    with pytest.raises(ValueError, match="one of"):
+    with pytest.raises(ValueError, match="share one dtype"):
         save_checkpoint(tmp_path / "m.sfsm", params)
-    with pytest.raises(ValueError, match="one of"):
+    with pytest.raises(ValueError, match="share one dtype"):
         save_checkpoint(tmp_path / "m.sfsm", params.astype(np.float16))
     assert list(tmp_path.iterdir()) == []
 
