@@ -14,7 +14,8 @@ from .network import Adam, ModelParams, backward, forward, init_params
 @dataclass(frozen=True)
 class TrainConfig:
     """Adam, early-stopping and loss settings of one training run; the
-    pipeline builds it with ExperimentConfig.train_config()."""
+    pipeline builds it with ExperimentConfig.train_config().  It checks
+    nothing: ExperimentConfig.validate checks the settings."""
 
     learning_rate: float
     max_epochs: int
@@ -23,20 +24,6 @@ class TrainConfig:
     seed: int
     lambda_abs: float                # weight of the magnitude error
     lambda_phase: float              # weight of the wrapped phase error
-
-    def __post_init__(self):
-        for name, ok, what in (
-                ("learning_rate", self.learning_rate > 0, "positive"),
-                ("max_epochs", self.max_epochs >= 1, "at least 1"),
-                ("batch_size", self.batch_size >= 1, "at least 1"),
-                ("patience", self.patience >= 0, "non-negative"),
-                ("patience", self.patience <= self.max_epochs,
-                 "at most max_epochs"),
-                ("lambda_abs", self.lambda_abs >= 0, "non-negative"),
-                ("lambda_phase", self.lambda_phase >= 0, "non-negative")):
-            if not ok:
-                raise ValueError(f"training setting '{name}' must be {what}, "
-                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass

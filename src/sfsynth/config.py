@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,66 +53,82 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
-# the JSON values each field annotation accepts: (description, test)
-_JSON_TYPES = {
-    "int": ("an integer", _is_int),
-    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "float": ("a finite number", _is_number),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(
-        v, (list, tuple)) and all(isinstance(x, str) for x in v)),
-    "tuple[float, float]": ("two finite numbers", lambda v: isinstance(
-        v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
-}
+def _one_of(*values):
+    # by type too: True == 1 and 1.0 == 1, but neither is schema version 1
+    return (f"one of {list(values)}",
+            lambda v: any(type(v) is type(x) and v == x for x in values))
+
+
+# the domain of a config key, whatever the family: (description, test)
+_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
+_NON_NEGATIVE = ("a non-negative finite number",
+                 lambda v: _is_number(v) and v >= 0)
+_AT_LEAST_1 = ("an integer of at least 1", lambda v: _is_int(v) and v >= 1)
+_AT_LEAST_0 = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_NONE_OR_AT_LEAST_1 = ("null or an integer of at least 1",
+                       lambda v: v is None or _is_int(v) and v >= 1)
+_METHODS = (f"a non-empty list of distinct names from {list(METHODS)}",
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+            and all(isinstance(m, str) and m in METHODS for m in v)
+            and len(set(v)) == len(v))
+_POINT = ("two finite numbers", lambda v: isinstance(v, (list, tuple))
+          and len(v) == 2 and all(map(_is_number, v)))
+
+
+def _key(default, domain):
+    return field(default=default, metadata={"domain": domain})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    schema_version: int = SCHEMA_VERSION
-    family: str = "circular"
-    methods: tuple[str, ...] = METHODS
+    schema_version: int = _key(SCHEMA_VERSION, _one_of(SCHEMA_VERSION))
+    family: str = _key("circular", _one_of("circular", "linear"))
+    methods: tuple[str, ...] = _key(METHODS, _METHODS)
+    # seeds; --seed sets all three, and a negative one is refused by
+    # 'source_seed', checked first
+    source_seed: int = _key(11, _AT_LEAST_0)
+    decimation_seed: int = _key(97, _AT_LEAST_0)
+    train_seed: int = _key(3, _AT_LEAST_0)
     # array
-    n_loudspeakers: int = 64
-    array_radius: float = 1.0        # circular
-    array_spacing: float = 0.0625    # linear
-    array_x0: float = 1.0            # linear
-    n_remove: int = 32
-    decimation_seed: int = 97
+    n_loudspeakers: int = _key(64, _AT_LEAST_1)
+    array_radius: float = _key(1.0, _POSITIVE)        # circular
+    array_spacing: float = _key(0.0625, _POSITIVE)    # linear
+    array_x0: float = _key(1.0, _POSITIVE)            # linear
+    n_remove: int = _key(32, _AT_LEAST_0)
     # listening / control geometry
-    listening_spacing: float = 0.02
-    listening_radius: float = 1.0    # circular disk radius
-    control_target: int = 276
+    listening_spacing: float = _key(0.02, _POSITIVE)
+    listening_radius: float = _key(1.0, _POSITIVE)    # circular disk radius
+    control_target: int = _key(276, _AT_LEAST_1)
     # frequency grid
-    freq_start: float = 46.0
-    freq_step: float = 23.0
-    freq_count: int = 63
-    speed_of_sound: float = 343.0
+    freq_start: float = _key(46.0, _POSITIVE)
+    freq_step: float = _key(23.0, _POSITIVE)
+    freq_count: int = _key(63, _AT_LEAST_1)
+    speed_of_sound: float = _key(343.0, _POSITIVE)
     # least-squares regularization (pressure matching and linear filters)
-    lam: float = 1e-2
+    lam: float = _key(1e-2, _POSITIVE)
     # sources
-    source_seed: int = 11
-    test_shift: float = 0.05
-    n_radii: int = 20                # circular protocol
-    n_angles: int = 128
-    source_radius_min: float = 1.5
-    source_radius_max: float = 3.5
-    val_count: int = 512
-    n_test: int | None = None        # None: shift every train+val source
-    n_train_linear: int = 2000       # linear protocol
-    n_val_linear: int = 500
-    n_test_linear: int = 2500
+    test_shift: float = _key(0.05, _POSITIVE)
+    n_radii: int = _key(20, _AT_LEAST_1)              # circular protocol
+    n_angles: int = _key(128, _AT_LEAST_1)
+    source_radius_min: float = _key(1.5, _POSITIVE)
+    source_radius_max: float = _key(3.5, _POSITIVE)
+    val_count: int = _key(512, _AT_LEAST_1)
+    # None: shift every train+val source
+    n_test: int | None = _key(None, _NONE_OR_AT_LEAST_1)
+    n_train_linear: int = _key(2000, _AT_LEAST_0)     # linear protocol
+    n_val_linear: int = _key(500, _AT_LEAST_0)
+    n_test_linear: int = _key(2500, _AT_LEAST_1)
     # loss and training
-    lambda_abs: float = 25.0
-    lambda_phase: float = 1.0
-    learning_rate: float = 1e-4
-    max_epochs: int = 5000
-    patience: int = 100
-    batch_size: int = 32
-    train_seed: int = 3
+    lambda_abs: float = _key(25.0, _NON_NEGATIVE)
+    lambda_phase: float = _key(1.0, _NON_NEGATIVE)
+    learning_rate: float = _key(1e-4, _POSITIVE)
+    max_epochs: int = _key(5000, _AT_LEAST_1)
+    patience: int = _key(100, _AT_LEAST_0)
+    batch_size: int = _key(32, _AT_LEAST_1)
     # evaluation artifacts
-    n_radius_bins: int = 10
-    fig_frequency: float = 1007.0
-    fig_source: tuple[float, float] = (0.72, 1.37)
+    n_radius_bins: int = _key(10, _AT_LEAST_1)
+    fig_frequency: float = _key(1007.0, _POSITIVE)
+    fig_source: tuple[float, float] = _key((0.72, 1.37), _POINT)
 
     # -- derived objects -----------------------------------------------------
 
@@ -207,39 +223,20 @@ class ExperimentConfig:
     # -- validation / serialization ------------------------------------------
 
     def validate(self) -> None:
-        if self.family not in ("circular", "linear"):
-            raise ValueError(f"unknown family {self.family!r}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
-        if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise ValueError("config key 'methods' must name at least one "
-                             f"method, each once, got {list(self.methods)}")
-        lengths = (("array_radius", "listening_radius")
-                   if self.family == "circular"
-                   else ("array_spacing", "array_x0"))
-        for key in ("lam", "speed_of_sound", "freq_start", "freq_step",
-                    "listening_spacing", "test_shift", *lengths):
+        for key, what, test in _DOMAINS:
             value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"config key {key!r} must be a positive "
-                                 f"finite number, got {value!r}")
-        for key in ("source_seed", "decimation_seed", "train_seed"):
-            value = getattr(self, key)
-            if value < 0:
-                raise ValueError(f"config key {key!r} must be a non-negative "
-                                 f"integer, got {value!r}")
+            if not test(value):
+                raise ValueError(
+                    f"config key {key!r} must be {what}, got {value!r}")
+        # the cross-key checks
         if self.family == "linear" and self.n_loudspeakers < 2:
             raise ValueError("config key 'n_loudspeakers' must be at least 2 "
                              "for a linear array, got "
                              f"{self.n_loudspeakers!r}")
-        if not 0 <= self.n_remove < self.n_loudspeakers:
+        if not self.n_remove < self.n_loudspeakers:
             raise ValueError("config key 'n_remove' must be in [0, "
                              f"n_loudspeakers) = [0, {self.n_loudspeakers}), "
                              f"got {self.n_remove!r}")
-        if self.freq_count < 1:
-            raise ValueError("config key 'freq_count' must be at least 1, "
-                             f"got {self.freq_count!r}")
         try:
             grid = self.freq_grid()
         except ValueError as exc:
@@ -259,11 +256,6 @@ class ExperimentConfig:
                 f"'speed_of_sound' ask for modal order M = {order:.3g} at the top "
                 f"grid frequency {grid.frequencies[-1]:.6g} Hz, past the "
                 f"largest verified Bessel order {MAX_VERIFIED_ORDER}")
-        for key in ("n_radius_bins", "control_target"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"config key {key!r} must be at least 1, "
-                                 f"got {value!r}")
         l_active = self.n_loudspeakers - self.n_remove
         if "cnn" in self.methods:
             # the network's input is (2 * active loudspeakers) x freq_count
@@ -276,34 +268,32 @@ class ExperimentConfig:
                          else f"config key 'freq_count' is {self.freq_count}")
                 raise ValueError(f"{short}, too few for method 'cnn': "
                                  f"{exc}") from None
-        self.train_config()
-        # the source protocol's counts: (key, (least, why), (most, as
-        # formed)).  The sweep needs test sources; a linear split may leave
-        # train or validation empty unless method cnn needs them
-        one = (1, "")
+        if self.patience > self.max_epochs:
+            raise ValueError("config key 'patience' must be at most "
+                             f"max_epochs = {self.max_epochs}, got "
+                             f"{self.patience!r}")
+        # method cnn needs linear train and validation sources, the
+        # sweep's test sources come from them, and a circular pool splits
+        # in two
+        if self.family == "linear" and "cnn" in self.methods:
+            for key in ("n_train_linear", "n_val_linear"):
+                if getattr(self, key) < 1:
+                    raise ValueError(
+                        f"config key {key!r} must be at least 1 with method "
+                        f"'cnn', got {getattr(self, key)!r}")
         if self.family == "circular":
             pool = self.n_radii * self.n_angles
-            counts = (("n_radii", one, None), ("n_angles", one, None),
-                      ("val_count", one, (pool - 1, "n_radii * n_angles - 1")),
-                      ("n_test", one, (pool, "n_radii * n_angles")))
+            counts = (("val_count", pool - 1, "n_radii * n_angles - 1"),
+                      ("n_test", pool, "n_radii * n_angles"))
         else:
-            fit = ((1, " with method 'cnn'") if "cnn" in self.methods
-                   else (0, ""))
-            train_val = self.n_train_linear + self.n_val_linear
-            counts = (("n_train_linear", fit, None),
-                      ("n_val_linear", fit, None),
-                      ("n_test_linear", one,
-                       (train_val, "n_train_linear + n_val_linear")))
-        for key, (lo, why), hi in counts:
+            counts = (("n_test_linear",
+                       self.n_train_linear + self.n_val_linear,
+                       "n_train_linear + n_val_linear"),)
+        for key, most, formed in counts:
             value = getattr(self, key)
-            if value is None:            # n_test: every train+val source
-                continue
-            if value < lo:
-                raise ValueError(f"config key {key!r} must be at least "
-                                 f"{lo}{why}, got {value!r}")
-            if hi is not None and value > hi[0]:
+            if value is not None and value > most:
                 raise ValueError(f"config key {key!r} must be at most "
-                                 f"{hi[1]} = {hi[0]}, got {value!r}")
+                                 f"{formed} = {most}, got {value!r}")
         if self.family == "circular":
             for bound in ("listening_radius", "array_radius"):
                 if not self.source_radius_min > getattr(self, bound):
@@ -336,33 +326,20 @@ class ExperimentConfig:
 
     @classmethod
     def _check_json(cls, d) -> None:
-        """ValueError unless d is a dict of known keys whose values have
-        the JSON types of their fields; bool is neither an integer nor a
-        number.  Checks only, converts nothing."""
+        """ValueError unless d is a dict of known config keys; validate
+        checks their values."""
         if not isinstance(d, dict):
             raise ValueError(
                 f"config must be a JSON object, not {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        for key, value in d.items():
-            what, fits = _JSON_TYPES[cls.__dataclass_fields__[key].type]
-            if not fits(value):
-                raise ValueError(
-                    f"config key {key!r} must be {what}, got {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         cls._check_json(d)
-        d = dict(d)
-        version = d.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {version}")
-        if "methods" in d:
-            d["methods"] = tuple(d["methods"])
-        if "fig_source" in d:
-            d["fig_source"] = tuple(d["fig_source"])
-        return cls(**d)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in d.items()})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -374,6 +351,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+# (key, description, test) of every config key's domain
+_DOMAINS = [(f.name, *f.metadata["domain"]) for f in fields(ExperimentConfig)]
 
 
 def full_config(family: str = "circular") -> ExperimentConfig:
@@ -405,16 +386,20 @@ def load_config(path, scale: str | None = None,
     """Build a config from an optional JSON file over an optional preset.
 
     Keys present in the file override the preset; the file may be
-    partial.  The preset family comes from the explicit argument, else
-    the file, else circular.
+    partial.  The preset family comes from the explicit argument or the
+    file, which must agree, else circular.
     """
     overrides = {}
     if path is not None:
         with open(path) as fh:
             overrides = json.load(fh)
         ExperimentConfig._check_json(overrides)
+    family = family or overrides.get("family", "circular")
+    if overrides.get("family", family) != family:
+        raise ValueError(f"config key 'family' is {overrides['family']!r}, "
+                         f"but the family asked for is {family!r}")
     maker = desk_config if scale == "desk" else full_config
-    base = maker(family or overrides.get("family", "circular"))
+    base = maker(family)
     merged = base.to_dict()
     merged.update(overrides)
     cfg = ExperimentConfig.from_dict(merged)

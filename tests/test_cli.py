@@ -238,6 +238,8 @@ def _one_error_line(out) -> str:
     ('{"freq_step": 1e307}', "'freq_step'"),
     # a finite order of 300 digits, printed to three significant digits
     ('{"freq_step": 1e300}', "'freq_step'"),
+    # a file family other than the one --family asks for
+    (('{"family": "circular"}', "--family", "linear"), "'family'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
         "float-as-int", "methods-string", "methods-number", "fig-source-short",
         "family-number", "lam-negative", "lam-zero", "methods-empty",
@@ -264,7 +266,8 @@ def _one_error_line(out) -> str:
         "listening-raster-over-budget", "linear-fig-source-before-array-plane",
         "freq-step-past-verified-order", "speed-of-sound-past-verified-order",
         "freq-start-past-verified-order", "freq-step-overflows-hz",
-        "freq-step-overflows-rad-per-s", "freq-step-huge-order"])
+        "freq-step-overflows-rad-per-s", "freq-step-huge-order",
+        "family-disagrees-with-flag"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
     text, *extra = (text,) if isinstance(text, str) else text

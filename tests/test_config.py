@@ -6,6 +6,7 @@ import json
 import pkgutil
 import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 
@@ -119,7 +120,9 @@ def test_validation_failures():
     for methods in (cfg.methods, ("mr", "pm")):
         for key, value in (("learning_rate", 0.0), ("max_epochs", 0),
                            ("batch_size", 0), ("patience", cfg.max_epochs + 1),
-                           ("patience", -5), ("lambda_abs", -1.0)):
+                           ("patience", -5), ("lambda_abs", -1.0),
+                           ("learning_rate", float("inf")),
+                           ("lambda_abs", float("inf"))):
             with pytest.raises(ValueError, match=f"'{key}'"):
                 replace(cfg, methods=methods, **{key: value}).validate()
     # the speed of sound and the frequency grid are checked before a run
@@ -140,6 +143,9 @@ def test_validation_failures():
                              (cfg, "listening_radius", -1.0),
                              (cfg, "listening_spacing", 0.0),
                              (cfg, "control_target", 0),
+                             (cfg, "array_x0", -1.0),
+                             (cfg, "array_spacing", 0.0),
+                             (cfg, "fig_frequency", 0.0),
                              (lin, "array_spacing", 0.0),
                              (lin, "array_x0", -1.0),
                              (lin, "array_x0", 0.0),
@@ -174,12 +180,27 @@ def test_validation_failures():
              "n_val_linear"),
             (lin, {"n_test_linear": 0, "methods": ("mr", "pm")},
              "n_test_linear"),
-            (lin, {"n_test_linear": 121}, "n_test_linear")):
+            (lin, {"n_test_linear": 121}, "n_test_linear"),
+            (cfg, {"n_test_linear": 0}, "n_test_linear")):
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             replace(base, **changes).validate()
     # without cnn a linear split may leave validation empty
     replace(lin, n_val_linear=0, methods=("mr", "pm")).validate()
     replace(cfg, n_test=None).validate()
+
+
+@pytest.mark.parametrize("family", ["circular", "linear"])
+def test_every_key_has_a_domain(family):
+    # each field declares its domain in its metadata, and validate checks
+    # it whatever the family: no key takes a string, and no integer key
+    # a bool, schema_version included although True == 1
+    cfg = desk_config(family)
+    for f in fields(ExperimentConfig):
+        assert "domain" in f.metadata, f.name
+        integer = f.type in ("int", "int | None")
+        for value in ("x", True) if integer else ("x",):
+            with pytest.raises(ValueError, match=f"config key '{f.name}'"):
+                replace(cfg, **{f.name: value}).validate()
 
 
 def test_mr_listening_radius():
