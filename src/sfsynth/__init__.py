@@ -16,7 +16,6 @@ from .acoustics import (
 )
 from .bessel import hankel2_orders
 from .compensator import (
-    TrainConfig,
     TrainResult,
     TrainingDivergedError,
     compensate,

@@ -5,25 +5,14 @@ training loop."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .network import Adam, ModelParams, backward, forward, init_params
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Adam, early-stopping and loss settings of one training run; the
-    pipeline builds it with ExperimentConfig.train_config().  It checks
-    nothing: ExperimentConfig.validate checks the settings."""
-
-    learning_rate: float
-    max_epochs: int
-    patience: int
-    batch_size: int
-    seed: int
-    lambda_abs: float                # weight of the magnitude error
-    lambda_phase: float              # weight of the wrapped phase error
+if TYPE_CHECKING:        # config imports this module through datasets
+    from .config import ExperimentConfig
 
 
 @dataclass
@@ -80,7 +69,8 @@ def _wrap_phase(delta: np.ndarray) -> np.ndarray:
     return np.mod(delta + np.pi, 2 * np.pi) - np.pi
 
 
-def loss(p_pred: np.ndarray, p_gt: np.ndarray, cfg: TrainConfig) -> float:
+def loss(p_pred: np.ndarray, p_gt: np.ndarray,
+         cfg: ExperimentConfig) -> float:
     """Mean over entries of lambda_abs*| |p_gt|-|p_pred| | plus
     lambda_phase*|wrapped phase difference|, weights from cfg."""
     p_pred = np.asarray(p_pred)
@@ -93,7 +83,7 @@ def loss(p_pred: np.ndarray, p_gt: np.ndarray, cfg: TrainConfig) -> float:
 
 
 def loss_gradient(p_pred: np.ndarray, p_gt: np.ndarray,
-                  cfg: TrainConfig) -> np.ndarray:
+                  cfg: ExperimentConfig) -> np.ndarray:
     """Gradient of loss() with respect to p_pred, carried as the complex
     array dL/dRe + j dL/dIm.  Subgradient 0 at the |.| kinks."""
     if p_pred.shape != p_gt.shape:
@@ -122,7 +112,7 @@ def _stack_batch(records, idxs) -> np.ndarray:
 
 
 def _batch_loss_and_grads(params: ModelParams, records, idxs,
-                          g_stack: np.ndarray, cfg: TrainConfig,
+                          g_stack: np.ndarray, cfg: ExperimentConfig,
                           want_grads: bool):
     x = _stack_batch(records, idxs)
     y, cache = forward(params, x)
@@ -138,7 +128,7 @@ def _batch_loss_and_grads(params: ModelParams, records, idxs,
 
 
 def evaluate_loss(params: ModelParams, records, g_stack: np.ndarray,
-                  cfg: TrainConfig) -> float:
+                  cfg: ExperimentConfig) -> float:
     """Mean loss over records in batches of cfg.batch_size, weighted by
     record count."""
     total = 0.0
@@ -150,11 +140,11 @@ def evaluate_loss(params: ModelParams, records, g_stack: np.ndarray,
     return total / len(records)
 
 
-def train_compensator(train_records, val_records, cfg: TrainConfig,
+def train_compensator(train_records, val_records, cfg: ExperimentConfig,
                       g_stack: np.ndarray) -> TrainResult:
     """Adam training with early stopping on the validation loss.
 
-    Deterministic for a fixed cfg.seed: the initialization and the
+    Deterministic for a fixed cfg.train_seed: the initialization and the
     per-epoch shuffles come from independent child streams of the seed.
     The network and Adam run in float32 (the float64 initialization
     draws, cast); the loss, its gradient and the propagation stay
@@ -165,7 +155,7 @@ def train_compensator(train_records, val_records, cfg: TrainConfig,
         raise ValueError("need non-empty train and validation splits")
     g_stack = np.asarray(g_stack, dtype=np.complex128)
     rows, cols = np.asarray(train_records[0].tensor).shape
-    seq = np.random.SeedSequence(cfg.seed)
+    seq = np.random.SeedSequence(cfg.train_seed)
     s_init, s_shuffle = seq.spawn(2)
     params = init_params(rows, cols, seed=s_init).astype(np.float32)
     flat = params.flat()

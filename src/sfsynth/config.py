@@ -13,7 +13,6 @@ import numpy as np
 
 from .acoustics import FrequencyGrid, truncation_order
 from .bessel import MAX_VERIFIED_ORDER
-from .compensator import TrainConfig
 from .datasets import SourceSplit, gen_sources_circular, gen_sources_linear
 from .geometry import (
     MAX_RASTER_POINTS,
@@ -213,13 +212,6 @@ class ExperimentConfig:
             self.source_region_linear(), self.test_shift, self.source_seed,
             x0=self.array_x0)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(learning_rate=self.learning_rate,
-                           max_epochs=self.max_epochs, patience=self.patience,
-                           batch_size=self.batch_size, seed=self.train_seed,
-                           lambda_abs=self.lambda_abs,
-                           lambda_phase=self.lambda_phase)
-
     # -- validation / serialization ------------------------------------------
 
     def validate(self) -> None:
@@ -237,25 +229,29 @@ class ExperimentConfig:
             raise ValueError("config key 'n_remove' must be in [0, "
                              f"n_loudspeakers) = [0, {self.n_loudspeakers}), "
                              f"got {self.n_remove!r}")
+        # the MR truncation order peaks at the top grid frequency, formed
+        # as FrequencyGrid.uniform forms it, so that a long grid is refused
+        # before it is built; the Bessel functions are verified up to
+        # MAX_VERIFIED_ORDER
+        top = self.freq_start + self.freq_step * (self.freq_count - 1)
         try:
-            grid = self.freq_grid()
-        except ValueError as exc:
-            raise ValueError("config keys 'freq_start', 'freq_step' and "
-                             f"'freq_count' give no frequency grid: {exc}"
-                             ) from None
-        # the MR truncation order peaks at the top grid frequency; the
-        # Bessel functions are verified up to MAX_VERIFIED_ORDER
-        try:
-            order = truncation_order(float(grid.angular[-1]),
-                                     self.mr_listening_radius(), grid.c)
+            order = truncation_order(2 * math.pi * top,
+                                     self.mr_listening_radius(),
+                                     self.speed_of_sound)
         except OverflowError:        # k * radius is not finite
             order = math.inf
         if order > MAX_VERIFIED_ORDER:
             raise ValueError(
                 "config keys 'freq_start', 'freq_step', 'freq_count' and "
                 f"'speed_of_sound' ask for modal order M = {order:.3g} at the top "
-                f"grid frequency {grid.frequencies[-1]:.6g} Hz, past the "
+                f"grid frequency {top:.6g} Hz, past the "
                 f"largest verified Bessel order {MAX_VERIFIED_ORDER}")
+        try:
+            self.freq_grid()
+        except ValueError as exc:
+            raise ValueError("config keys 'freq_start', 'freq_step' and "
+                             f"'freq_count' give no frequency grid: {exc}"
+                             ) from None
         l_active = self.n_loudspeakers - self.n_remove
         if "cnn" in self.methods:
             # the network's input is (2 * active loudspeakers) x freq_count

@@ -13,7 +13,7 @@ from . import fileio
 from .acoustics import FrequencyGrid, Source, green_matrix
 from .compensator import compensate, train_compensator, unpack_driving
 from .config import ExperimentConfig
-from .datasets import Dataset, build_dataset, mr_driving_matrix
+from .datasets import build_dataset, control_pressures, mr_driving_matrix
 from .evaluation import (
     NRE_FLOOR_DB,
     SweepContext,
@@ -97,19 +97,17 @@ def _field_paths(freq: FrequencyGrid, methods, frequency: float) -> list:
             for ext in ("csv", "pgm")]
 
 
-def _test_driving(methods, dataset: Dataset, operators,
-                  params: ModelParams | None) -> dict:
-    """Per-method (S, L_active, K) driving arrays for the test sources;
-    `operators` holds the PM operator of each grid frequency."""
-    recs = dataset.test
-    mr = np.stack([unpack_driving(r.tensor) for r in recs])
+def _driving(methods, mr: np.ndarray, p_cp: np.ndarray, operators,
+             params: ModelParams | None) -> dict:
+    """Per-method (S, L_active, K) driving arrays of S sources from their
+    (S, L_active, K) MR signals and (S, I, K) control pressures;
+    `operators` holds the PM operator of each of the K frequencies."""
     out = {}
     if "mr" in methods:
         out["mr"] = mr
     if "pm" in methods:
-        p = np.stack([r.pressures for r in recs])           # (S, I, K)
         # one stacked product per frequency keeps each source's bits
-        out["pm"] = np.stack([(op.c_cp @ p[:, :, ki, None])[..., 0]
+        out["pm"] = np.stack([(op.c_cp @ p_cp[:, :, ki, None])[..., 0]
                               for ki, op in enumerate(operators)], axis=-1)
     if "cnn" in methods:
         out["cnn"] = compensate(mr, params)
@@ -178,26 +176,20 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
     if "cnn" in methods and params is None:
         params = _load_trained_checkpoint(cfg, out_dir)
 
+    # the CNN maps all K; the other methods need the rendered frequency only
+    freqs, ops, col = (freq, operators, ki) if "cnn" in methods else (
+        FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c),
+        operators[ki:ki + 1], 0)
+    src = [Source(position=pos)]
+    mr = mr_driving_matrix(array, src, freqs, cp, ops, cfg.mr_listening_radius())
+    driving = _driving(methods, mr, control_pressures(src, cp, freqs), ops,
+                       params)
     p_true = green_matrix(grid.points, pos[None, :], omega, freq.c)[:, 0]
-    driving = {}
-    if "pm" in methods:
-        p_cp = green_matrix(cp.points, pos[None, :], omega, freq.c)[:, 0]
-        driving["pm"] = operators[ki].c_cp @ p_cp
-    if "mr" in methods or "cnn" in methods:
-        # the CNN maps all K; MR alone needs the rendered frequency only
-        freqs, ops, col = (freq, operators, ki) if "cnn" in methods else (
-            FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c),
-            operators[ki:ki + 1], 0)
-        mr = mr_driving_matrix(array, [Source(position=pos)], freqs, cp, ops,
-                               cfg.mr_listening_radius())
-        driving["mr"] = mr[0, :, col]
-        if "cnn" in methods:
-            driving["cnn"] = compensate(mr, params)[0, :, col]
     g_grid = green_matrix(grid.points, array.active_positions, omega, freq.c)
 
     fields = [p_true]
     for method in methods:
-        p_hat = g_grid @ driving[method]
+        p_hat = g_grid @ driving[method][0, :, col]
         fields += [p_hat, _pointwise_nre_db(p_hat, p_true).astype(np.complex128)]
     written = _field_paths(freq, methods, frequency)
     (out_dir / "fields").mkdir(parents=True, exist_ok=True)
@@ -218,7 +210,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
 
     A stage whose files the previous manifest records for this config,
     exactly and with unchanged hashes, is loaded instead of recomputed,
-    unless its loader refuses a file's format (an older version).
+    unless its loader refuses a file's format (an older version) or an
+    earlier stage wrote a file whose bytes the manifest did not record.
     A stage's files are recorded only once it has finished; when a stage
     fails, the manifest of the finished stages is written and
     StageError raised.  Idempotent for a fixed config."""
@@ -245,6 +238,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     if prev is None or prev.config_hash != chash:
         prev = ArtifactManifest(config_hash=chash, files=[])
     manifest = ArtifactManifest(config_hash=chash, files=[])
+    recorded = {f["path"]: f["sha256"] for f in prev.files}
+    # set once a stage writes a path whose bytes `prev` did not record:
+    # the later stages are made from what it wrote, so none is loaded
+    changed = False
 
     def reuse(compute, load):
         try:
@@ -255,16 +252,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
             return compute()
 
     def stage(name, role, paths, compute, load=lambda: None):
-        """Load a stage when `prev` still holds its `paths`, else compute
-        it; record `paths` once it has finished."""
+        """Load a stage when `prev` still holds its `paths` and no earlier
+        stage changed a file, else compute it; record `paths` once it has
+        finished."""
+        nonlocal changed
         try:
-            result = (reuse(compute, load) if prev.fresh(out_dir, role, paths)
+            result = (reuse(compute, load)
+                      if not changed and prev.fresh(out_dir, role, paths)
                       else compute())
-            manifest.files += [{"path": rel, "role": role,
-                                "sha256": fileio.sha256_file(out_dir / rel)}
-                               for rel in paths]
+            files = [{"path": rel, "role": role,
+                      "sha256": fileio.sha256_file(out_dir / rel)}
+                     for rel in paths]
         except Exception as exc:
             raise StageError(name, exc) from exc
+        manifest.files += files
+        changed = changed or any(recorded.get(f["path"]) != f["sha256"]
+                                 for f in files)
         return result
 
     def build():
@@ -276,16 +279,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
 
     def train():
         g_stack = np.stack([op.g_cp for op in operators])
-        params = train_compensator(dataset.train, dataset.val,
-                                   cfg.train_config(), g_stack).params
+        params = train_compensator(dataset.train, dataset.val, cfg,
+                                   g_stack).params
         fileio.save_checkpoint(out_dir / CHECKPOINT, params)
         return params
 
     def evaluate():
-        driving = _test_driving(cfg.methods, dataset, operators, params)
+        recs = dataset.test
+        driving = _driving(cfg.methods,
+                           np.stack([unpack_driving(r.tensor) for r in recs]),
+                           np.stack([r.pressures for r in recs]), operators,
+                           params)
         ctx = SweepContext(array=array, points=cfg.listening_grid(),
                            freq_grid=freq,
-                           sources=[r.source for r in dataset.test],
+                           sources=[r.source for r in recs],
                            driving=driving)
         methods = list(driving)
         samples = metric_samples(ctx, methods)

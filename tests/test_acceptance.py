@@ -285,7 +285,7 @@ def test_criterion_07_overfit_single_record():
     t0 = time.time()
     rec, g = _desk_record()
     cfg = replace(W, learning_rate=1e-4, max_epochs=500, patience=500,
-                  batch_size=1, seed=7)
+                  batch_size=1, train_seed=7)
     result = train_compensator([rec], [rec], cfg, g)
     initial = result.history[0][0]
     final = result.history[-1][0]

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sfsynth.compensator import (
-    TrainConfig,
     TrainingDivergedError,
     compensate,
     evaluate_loss,
@@ -20,12 +19,13 @@ from sfsynth.compensator import (
     train_compensator,
     unpack_driving,
 )
+from sfsynth.config import desk_config
 from sfsynth.network import backward, forward, init_params
 
 # the paper's loss weights; each training test sets its own Adam and
 # early-stopping values
-W = TrainConfig(learning_rate=1e-4, max_epochs=5000, patience=100,
-                batch_size=32, seed=0, lambda_abs=25.0, lambda_phase=1.0)
+W = replace(desk_config(), learning_rate=1e-4, max_epochs=5000, patience=100,
+            batch_size=32, train_seed=0, lambda_abs=25.0, lambda_phase=1.0)
 
 
 # -- pack / unpack -------------------------------------------------------------
@@ -229,7 +229,7 @@ def _toy_records(rows=16, cols=15, n_cp=6, count=3, seed=8):
 def test_training_deterministic():
     recs, g = _toy_records()
     cfg = replace(W, learning_rate=1e-3, max_epochs=4, patience=4,
-                  batch_size=2, seed=123)
+                  batch_size=2, train_seed=123)
     r1 = train_compensator(recs[:2], recs[2:], cfg, g)
     r2 = train_compensator(recs[:2], recs[2:], cfg, g)
     assert r1.best_val_loss == r2.best_val_loss
@@ -241,7 +241,7 @@ def test_training_patience_zero_stops_on_first_regression():
     recs, g = _toy_records(seed=9)
     # a large step size makes the validation loss bounce within a few epochs
     cfg = replace(W, learning_rate=0.5, max_epochs=200, patience=0,
-                  batch_size=2, seed=0)
+                  batch_size=2, train_seed=0)
     r = train_compensator(recs[:2], recs[2:], cfg, g)
     vals = [v for _, v in r.history]
     assert r.epochs_run < cfg.max_epochs
@@ -278,7 +278,7 @@ def test_overfit_single_record_smoke():
     # training loss must collapse well below its starting value
     recs, g = _toy_records(count=1, seed=11)
     cfg = replace(W, learning_rate=1e-3, max_epochs=60, patience=60,
-                  batch_size=1, seed=1)
+                  batch_size=1, train_seed=1)
     r = train_compensator(recs, recs, cfg, g)
     first = r.history[0][0]
     last = r.history[-1][0]
@@ -288,7 +288,7 @@ def test_overfit_single_record_smoke():
 def test_best_epoch_parameters_returned():
     recs, g = _toy_records(count=4, seed=12)
     cfg = replace(W, learning_rate=1e-3, max_epochs=6, patience=6,
-                  batch_size=2, seed=2)
+                  batch_size=2, train_seed=2)
     r = train_compensator(recs[:2], recs[2:], cfg, g)
     # the loss the best epoch measured, not a recomputation of it
     assert evaluate_loss(r.params, recs[2:], g, cfg) == r.best_val_loss
@@ -302,7 +302,7 @@ def test_trained_parameters_bytes_pinned():
     # versions returned, so the trained values are pinned across them
     recs, g = _toy_records(count=4, seed=13)
     cfg = replace(W, learning_rate=1e-3, max_epochs=3, patience=3,
-                  batch_size=2, seed=5)
+                  batch_size=2, train_seed=5)
     r = train_compensator(recs[:2], recs[2:], cfg, g)
     assert (r.best_epoch, r.epochs_run) == (2, 3)
     assert all(p.dtype == np.float32 for p in r.params.flat())

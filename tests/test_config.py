@@ -11,7 +11,6 @@ from dataclasses import fields, replace
 import pytest
 
 import sfsynth
-from sfsynth.compensator import TrainConfig
 from sfsynth.config import (
     ExperimentConfig,
     desk_config,
@@ -259,6 +258,20 @@ def test_presets_stay_within_the_verified_order():
                                 freq.c) == order
 
 
+def test_modal_order_check_is_arithmetic():
+    # the order check reads the top grid frequency off the three keys:
+    # refusing a grid of 10**6 frequencies allocates almost nothing
+    cfg = replace(desk_config(), freq_count=10 ** 6, methods=("mr", "pm"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"modal order M = 4\.58e\+05"):
+            cfg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_listening_raster_budget_is_arithmetic():
     # the budget counts the raster from the area and spacing: refusing a
     # 1600001 x 1600001 raster (2.6e12 points) allocates almost nothing
@@ -303,10 +316,9 @@ def _package_signatures():
 
 def test_no_default_restates_a_config_value():
     # the config owns the speed of sound and every experiment setting,
-    # TrainConfig's `seed` (train_seed) included; a default elsewhere
-    # could drift from the value a run actually uses
-    owned = ({"c"} | set(ExperimentConfig.__dataclass_fields__)
-             | set(TrainConfig.__dataclass_fields__))
+    # the training seed (train_seed) included; a default elsewhere could
+    # drift from the value a run actually uses
+    owned = {"c", "seed"} | set(ExperimentConfig.__dataclass_fields__)
     found = sorted(f"{where}({p.name}=...)"
                    for where, sig in _package_signatures()
                    for p in sig.parameters.values()

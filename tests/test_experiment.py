@@ -96,7 +96,8 @@ def test_test_driving_pm_equals_per_source_products(family):
     ops = pm_operators(array, cp, freq, cfg.lam)
     dataset = build_dataset(array, cfg.source_split(), cp, freq, ops,
                             cfg.mr_listening_radius())
-    pm = experiment._test_driving(("pm",), dataset, ops, None)["pm"]
+    p_cp = np.stack([rec.pressures for rec in dataset.test])
+    pm = experiment._driving(("pm",), None, p_cp, ops, None)["pm"]
     assert pm.shape == (len(dataset.test), array.active_count, freq.k)
     for si, rec in enumerate(dataset.test):
         for ki, op in enumerate(ops):
@@ -326,7 +327,9 @@ def test_version_2_checkpoint_retrains(micro_run, tmp_path, monkeypatch):
     # SFSM version 2 wrote the same values as float64 blobs under a header
     # without its dtype key.  Such a checkpoint still matches its manifest
     # hash, but load_checkpoint refuses its version, so the run trains
-    # again and writes what a fresh run writes
+    # again and writes what a fresh run writes.  The retrained checkpoint
+    # has other bytes, so the sweep and render run again too: the metrics
+    # an older sweep left, matching their recorded hashes, are rewritten
     cfg, out, manifest = micro_run
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     ckpt = tmp_path / experiment.CHECKPOINT
@@ -340,14 +343,21 @@ def test_version_2_checkpoint_retrains(micro_run, tmp_path, monkeypatch):
     blob = json.dumps(header, sort_keys=True).encode()
     ckpt.write_bytes(b"SFSM" + struct.pack("<II", 2, len(blob)) + blob
                      + raw[12 + hlen:])
+    # a CNN value swept with the float64 parameters of version 2
+    stale = tmp_path / "metrics_nre_frequency.csv"
+    header, first, *rest = stale.read_text().splitlines(keepends=True)
+    assert header.split(",")[3] == "cnn"
+    row = first.split(",")
+    row[3] = repr(float(row[3]) + 4e-5)
+    stale.write_text("".join([header, ",".join(row), *rest]))
     old = json.loads((tmp_path / "manifest.json").read_text())
     for f in old["files"]:
-        if f["path"] == ckpt.name:
-            f["sha256"] = sha256_file(ckpt)
+        if f["path"] in (ckpt.name, stale.name):
+            f["sha256"] = sha256_file(tmp_path / f["path"])
     (tmp_path / "manifest.json").write_text(json.dumps(old))
     calls = _count_stage_calls(monkeypatch)
     again = run_experiment(cfg, tmp_path)
-    assert calls == ["train_compensator"]
+    assert calls == ["train_compensator", "metric_samples", "render_field"]
     assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
     assert again.to_json() == manifest.to_json()
 

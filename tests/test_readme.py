@@ -1,13 +1,17 @@
 """The README's Library example runs as written, and every library name
-it promises exists."""
+it promises or mentions exists."""
 
 import importlib
+import inspect
 import json
+import pkgutil
 import re
 import struct
 from pathlib import Path
 
 import pytest
+
+import sfsynth
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,6 +49,26 @@ def test_readme_promised_name_resolves(dotted):
     module, name = dotted.split(".")
     assert re.search(rf"`(\w+\.)?{name}\b", README.read_text())
     assert callable(getattr(importlib.import_module(f"sfsynth.{module}"), name))
+
+
+def test_readme_dotted_names_resolve():
+    # every backticked `module.name` of an sfsynth module and `Class.attr`
+    # of a class the package exports names something that exists
+    modules = {info.name for info in pkgutil.iter_modules(sfsynth.__path__)}
+    checked, missing = [], []
+    for first, second in sorted(set(re.findall(r"`(\w+)\.(\w+)",
+                                               README.read_text()))):
+        if first in modules:
+            owner = importlib.import_module(f"sfsynth.{first}")
+        elif inspect.isclass(getattr(sfsynth, first, None)):
+            owner = getattr(sfsynth, first)
+        else:
+            continue
+        checked.append(f"{first}.{second}")
+        if not hasattr(owner, second):
+            missing.append(checked[-1])
+    assert checked
+    assert missing == []
 
 
 def test_readme_names_every_checkpoint_header_key(tmp_path):
