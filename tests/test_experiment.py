@@ -345,11 +345,11 @@ def test_version_2_checkpoint_retrains(micro_run, tmp_path, monkeypatch):
                      + raw[12 + hlen:])
     # a CNN value swept with the float64 parameters of version 2
     stale = tmp_path / "metrics_nre_frequency.csv"
-    header, first, *rest = stale.read_text().splitlines(keepends=True)
-    assert header.split(",")[3] == "cnn"
+    columns, first, *rest = stale.read_text().splitlines(keepends=True)
+    assert columns.split(",")[3] == "cnn"
     row = first.split(",")
     row[3] = repr(float(row[3]) + 4e-5)
-    stale.write_text("".join([header, ",".join(row), *rest]))
+    stale.write_text("".join([columns, ",".join(row), *rest]))
     old = json.loads((tmp_path / "manifest.json").read_text())
     for f in old["files"]:
         if f["path"] in (ckpt.name, stale.name):
