@@ -28,7 +28,6 @@ from .compensator import (
 from .config import ExperimentConfig, desk_config, full_config, load_config
 from .datasets import (
     Dataset,
-    DatasetRecord,
     SourceSplit,
     build_dataset,
     gen_sources_circular,

@@ -32,6 +32,10 @@ SCHEMA_VERSION = 1
 # the driving-signal methods a run can compare, in metric-column order
 METHODS = ("mr", "pm", "cnn")
 
+# the largest dataset a config may ask for; the full presets ask for
+# ~1.6 GB (circular) and ~3.5 GB (linear)
+MAX_DATASET_BYTES = 4 << 30
+
 # the linear listening rectangle sits at this offset range behind the
 # array plane and spans 2 m in both directions
 LINEAR_RECT_NEAR = 0.2
@@ -246,12 +250,6 @@ class ExperimentConfig:
                 f"'speed_of_sound' ask for modal order M = {order:.3g} at the top "
                 f"grid frequency {top:.6g} Hz, past the "
                 f"largest verified Bessel order {MAX_VERIFIED_ORDER}")
-        try:
-            self.freq_grid()
-        except ValueError as exc:
-            raise ValueError("config keys 'freq_start', 'freq_step' and "
-                             f"'freq_count' give no frequency grid: {exc}"
-                             ) from None
         l_active = self.n_loudspeakers - self.n_remove
         if "cnn" in self.methods:
             # the network's input is (2 * active loudspeakers) x freq_count
@@ -281,15 +279,33 @@ class ExperimentConfig:
             pool = self.n_radii * self.n_angles
             counts = (("val_count", pool - 1, "n_radii * n_angles - 1"),
                       ("n_test", pool, "n_radii * n_angles"))
+            keys = ("n_radii", "n_angles", "n_test")
+            records = pool + (pool if self.n_test is None else self.n_test)
         else:
             counts = (("n_test_linear",
                        self.n_train_linear + self.n_val_linear,
                        "n_train_linear + n_val_linear"),)
+            keys = ("n_train_linear", "n_val_linear", "n_test_linear")
+            records = sum(getattr(self, key) for key in keys)
         for key, most, formed in counts:
             value = getattr(self, key)
             if value is not None and value > most:
                 raise ValueError(f"config key {key!r} must be at most "
                                  f"{formed} = {most}, got {value!r}")
+        # the dataset's bytes before its sources or grid exist: 20 per record
+        # and, per frequency, 16 per active loudspeaker and control point
+        if records * (20 + 16 * self.freq_count * (
+                l_active + self.control_target)) > MAX_DATASET_BYTES:
+            raise ValueError(
+                f"config keys {', '.join(map(repr, keys))}, 'freq_count', "
+                "'n_loudspeakers', 'n_remove' and 'control_target' ask for a "
+                f"dataset of more than {MAX_DATASET_BYTES} bytes")
+        try:
+            self.freq_grid()
+        except ValueError as exc:
+            raise ValueError("config keys 'freq_start', 'freq_step' and "
+                             f"'freq_count' give no frequency grid: {exc}"
+                             ) from None
         if self.family == "circular":
             for bound in ("listening_radius", "array_radius"):
                 if not self.source_radius_min > getattr(self, bound):

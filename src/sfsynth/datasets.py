@@ -38,41 +38,55 @@ class SourceSplit:
         return list(self.train) + list(self.val) + list(self.test)
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    """One training example: packed driving tensor and true pressures."""
-
-    source_id: int
-    source: Source
-    tensor: np.ndarray               # (2 L_active, K) float64
-    pressures: np.ndarray            # (I, K) complex
-
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=np.float64)
-        p = np.asarray(self.pressures, dtype=np.complex128)
-        object.__setattr__(self, "tensor", t)
-        object.__setattr__(self, "pressures", p)
-        if t.ndim != 2 or t.shape[0] % 2 != 0:
-            raise ValueError("tensor must be (2L, K)")
-        if p.ndim != 2 or p.shape[1] != t.shape[1]:
-            raise ValueError("pressures must be (I, K) with matching K")
+def record_dtype(l_active: int, k: int, i_cp: int) -> np.dtype:
+    """One dataset record, in memory and in the SFSX file, with no
+    padding: source id and position, the packed (2L, K) driving tensor and
+    the (I, K) control pressures, whose little-endian complex128 is the
+    interleaved (re, im) float64 layout.  ValueError past 2 GiB."""
+    return np.dtype([("source_id", "<u4"),
+                     ("source", [("position", "<f8", (2,))]),
+                     ("tensor", "<f8", (2 * l_active, k)),
+                     ("pressures", "<c16", (i_cp, k))])
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Records for every split plus the provenance needed to rebuild."""
+    """One record array in split order (train, val, test), whose splits
+    are writable views, plus the provenance needed to rebuild."""
 
-    train: list
-    val: list
-    test: list
+    all_records: np.recarray         # of record_dtype(L, K, I)
+    n_train: int
+    n_val: int
     freq_grid: FrequencyGrid
-    l_active: int
-    n_control: int
     source_seed: int
 
+    def __post_init__(self):
+        dtype = self.all_records.dtype
+        try:
+            ok = dtype == record_dtype(dtype["tensor"].shape[0] // 2,
+                                       self.freq_grid.k,
+                                       dtype["pressures"].shape[0])
+        except (KeyError, IndexError):      # no such field, or a scalar one
+            ok = False
+        if not ok:
+            raise ValueError(f"records of dtype {dtype} are not "
+                             f"record_dtype(L, K, I) with K = {self.freq_grid.k}")
+
     @property
-    def all_records(self) -> list:
-        return list(self.train) + list(self.val) + list(self.test)
+    def train(self) -> np.recarray:
+        return self.all_records[:self.n_train]
+
+    @property
+    def val(self) -> np.recarray:
+        return self.all_records[self.n_train:self.n_train + self.n_val]
+
+    @property
+    def test(self) -> np.recarray:
+        return self.all_records[self.n_train + self.n_val:]
+
+    @property
+    def n_control(self) -> int:
+        return self.all_records.dtype["pressures"].shape[0]
 
 
 def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
@@ -176,32 +190,41 @@ def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
                   listening_radius: float) -> Dataset:
     """Per-source packed MR tensors and control pressures for every split.
 
-    Evaluated frequency-major for all sources at once.  Record order
-    follows the split lists, so rebuilding from the same inputs is
-    byte-reproducible.
+    Evaluated frequency-major for all sources at once, into one record
+    array.  Record order follows the split lists, so rebuilding from the
+    same inputs is byte-reproducible.
     """
-    def build(sources):
-        return (mr_driving_matrix(array, sources, freq_grid, cp, operators,
-                                  listening_radius),
-                control_pressures(sources, cp, freq_grid))
-
     sources = split.all_sources
+    records = np.recarray(len(sources), record_dtype(
+        array.active_count, freq_grid.k, len(cp)))
+    records.source_id = np.arange(len(sources))
+    records.source.position = np.array([s.position for s in sources]
+                                       ).reshape(-1, 2)
+
+    def fill(sources, records):
+        # the pressures one frequency at a time: no second (S, I, K) array
+        for ki in range(freq_grid.k):
+            one = FrequencyGrid(freq_grid.frequencies[ki:ki + 1], freq_grid.c)
+            records.pressures[..., ki] = control_pressures(sources, cp,
+                                                           one)[..., 0]
+        d = mr_driving_matrix(array, sources, freq_grid, cp, operators,
+                              listening_radius)
+        # packed with the sources on the batch axis, (2L, K, S)
+        records.tensor = np.moveaxis(pack_driving(np.moveaxis(d, 0, -1)),
+                                     -1, 0)
+
     try:
-        d, p = build(sources)
+        fill(sources, records)
     except ValueError as exc:
         # a geometry error names no source: report the first that fails alone
         for i, src in enumerate(sources):
             try:
-                build([src])
+                fill([src], records[i:i + 1])
             except ValueError as exc_i:
                 raise RuntimeError(
                     f"dataset build failed for source {i} at "
                     f"{src.position.tolist()}") from exc_i
         raise RuntimeError("dataset build failed") from exc
-    recs = [DatasetRecord(source_id=i, source=src, tensor=pack_driving(d[i]),
-                          pressures=p[i]) for i, src in enumerate(sources)]
-    n_train, n_val = len(split.train), len(split.val)
-    return Dataset(train=recs[:n_train], val=recs[n_train:n_train + n_val],
-                   test=recs[n_train + n_val:], freq_grid=freq_grid,
-                   l_active=array.active_count, n_control=len(cp),
+    return Dataset(all_records=records, n_train=len(split.train),
+                   n_val=len(split.val), freq_grid=freq_grid,
                    source_seed=split.seed)

@@ -243,25 +243,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     # the later stages are made from what it wrote, so none is loaded
     changed = False
 
-    def reuse(compute, load):
-        try:
-            return load()
-        except fileio.ArtifactFormatError:
-            # unchanged since it was written, in a format version this
-            # code no longer reads
-            return compute()
-
     def stage(name, role, paths, compute, load=lambda: None):
         """Load a stage when `prev` still holds its `paths` and no earlier
         stage changed a file, else compute it; record `paths` once it has
-        finished."""
+        finished, with the hashes `fresh` has just checked when loaded."""
         nonlocal changed
         try:
-            result = (reuse(compute, load)
-                      if not changed and prev.fresh(out_dir, role, paths)
-                      else compute())
+            loaded = not changed and prev.fresh(out_dir, role, paths)
+            if loaded:
+                try:
+                    result = load()
+                except fileio.ArtifactFormatError:
+                    # unchanged since it was written, in a format version
+                    # this code no longer reads
+                    loaded = False
+            if not loaded:
+                result = compute()
             files = [{"path": rel, "role": role,
-                      "sha256": fileio.sha256_file(out_dir / rel)}
+                      "sha256": recorded[rel] if loaded
+                      else fileio.sha256_file(out_dir / rel)}
                      for rel in paths]
         except Exception as exc:
             raise StageError(name, exc) from exc
@@ -288,11 +288,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         recs = dataset.test
         driving = _driving(cfg.methods,
                            np.stack([unpack_driving(r.tensor) for r in recs]),
-                           np.stack([r.pressures for r in recs]), operators,
+                           np.ascontiguousarray(recs.pressures), operators,
                            params)
         ctx = SweepContext(array=array, points=cfg.listening_grid(),
                            freq_grid=freq,
-                           sources=[r.source for r in recs],
+                           sources=[Source(position=p)
+                                    for p in recs.source.position],
                            driving=driving)
         methods = list(driving)
         samples = metric_samples(ctx, methods)

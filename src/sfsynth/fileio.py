@@ -2,9 +2,9 @@
 graymap exporters.
 
 Both binaries are little-endian: magic, version, a length-prefixed JSON
-header, then the payload.  Dataset floats are IEEE 754 float64; complex
-matrices go row-major with interleaved (re, im).  Checkpoint parameters
-keep their own dtype, float32 or float64, which the header names.
+header, then the payload: dataset records of datasets.record_dtype, or
+checkpoint parameters of their own dtype, float32 or float64, which the
+header names.
 Both loaders read through one bounded reader, so every malformed file
 raises ArtifactFormatError with the path and the byte offset.  Every
 writer goes through atomic_open, so a process that dies mid-write never
@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import FrequencyGrid, Source
+from .acoustics import FrequencyGrid
 from .config import METHODS
-from .datasets import Dataset, DatasetRecord
+from .datasets import Dataset, record_dtype
 from .network import SKIP_DST, SKIP_SRC, ModelParams, compensator_layers
 
 MAGIC_MODEL = b"SFSM"
@@ -235,23 +235,14 @@ def load_checkpoint(path) -> ModelParams:
 
 # -- datasets ----------------------------------------------------------------
 
-def _record_dtype(l_active: int, k: int, i_cp: int) -> np.dtype:
-    """One packed dataset record: source id, source position, the
-    packed (2L, K) driving tensor and the (I, K) control pressures.
-    Little-endian complex128 is the interleaved (re, im) float64 layout.
-    ValueError when a record would not fit in 2 GiB."""
-    return np.dtype([("source_id", "<u4"), ("position", "<f8", (2,)),
-                     ("tensor", "<f8", (2 * l_active, k)),
-                     ("pressures", "<c16", (i_cp, k))])
-
-
 def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
-    """Length-prefixed JSON header followed by fixed-size records of
-    _record_dtype in split order (train, val, test; source id
-    ascending)."""
+    """Length-prefixed JSON header followed by the records of
+    record_dtype in split order (train, val, test; source id ascending),
+    written from the record array's own buffer."""
+    rows, k = ds.all_records.dtype["tensor"].shape
     header = {
         "format": "sfs-dataset", "version": DATASET_VERSION,
-        "l_active": ds.l_active, "k": ds.freq_grid.k, "i_cp": ds.n_control,
+        "l_active": rows // 2, "k": k, "i_cp": ds.n_control,
         "n_train": len(ds.train), "n_val": len(ds.val), "n_test": len(ds.test),
         "frequencies": [repr(float(f)) for f in ds.freq_grid.frequencies],
         "c": repr(float(ds.freq_grid.c)),
@@ -259,22 +250,14 @@ def save_dataset(path, ds: Dataset, header_extra: dict | None = None) -> None:
     }
     if header_extra:
         header.update(header_extra)
-    rec_dtype = _record_dtype(ds.l_active, ds.freq_grid.k, ds.n_control)
-    shapes = (rec_dtype["tensor"].shape, rec_dtype["pressures"].shape)
     with atomic_open(path) as fh:
         _write_header(fh, MAGIC_DATASET, DATASET_VERSION, header)
-        # one record in memory at a time
-        for rec in ds.all_records:
-            # numpy would broadcast a one-row array into the record
-            if (rec.tensor.shape, rec.pressures.shape) != shapes:
-                raise ValueError(f"record {rec.source_id} does not have the "
-                                 f"dataset's (2L, K) and (I, K) shapes")
-            fh.write(np.array((rec.source_id, rec.source.position, rec.tensor,
-                               rec.pressures), rec_dtype).tobytes())
+        fh.write(np.ascontiguousarray(ds.all_records).data)
 
 
 def load_dataset(path) -> tuple:
-    """Returns (Dataset, header dict)."""
+    """Returns (Dataset, header dict); the Dataset's records are the one
+    buffer np.fromfile reads."""
     with open(path, "rb") as fh:
         r = _Reader(fh, path, MAGIC_DATASET, DATASET_VERSION, "dataset")
         header = r.header()
@@ -289,22 +272,13 @@ def load_dataset(path) -> tuple:
         if freq.k != k:
             r.bad_header(f"{freq.k} frequencies for k {k}")
         try:
-            rec_dtype = _record_dtype(l, k, i_cp)
+            rec_dtype = record_dtype(l, k, i_cp)
         except ValueError:
             r.bad_header("record size")
         r.expect_size(r.offset + sum(counts) * rec_dtype.itemsize)
-        data = np.fromfile(fh, rec_dtype, sum(counts))
-    # the records' arrays are views into that one buffer
-    recs = [DatasetRecord(source_id=int(row["source_id"]),
-                          source=Source(position=row["position"]),
-                          tensor=row["tensor"], pressures=row["pressures"])
-            for row in data]
-    n_train, n_val = counts[0], counts[1]
-    ds = Dataset(train=recs[:n_train], val=recs[n_train:n_train + n_val],
-                 test=recs[n_train + n_val:],
-                 freq_grid=freq, l_active=l, n_control=i_cp,
-                 source_seed=seed)
-    return ds, header
+        records = np.fromfile(fh, rec_dtype, sum(counts))
+    return Dataset(all_records=records.view(np.recarray), n_train=counts[0],
+                   n_val=counts[1], freq_grid=freq, source_seed=seed), header
 
 
 # -- text / image exports ----------------------------------------------------

@@ -226,6 +226,10 @@ def _one_error_line(out) -> str:
     # a listening raster past the grid budget, refused before any file
     ('{"listening_spacing": 1e-6, "methods": ["mr", "pm"]}',
      "'listening_spacing'"),
+    # a dataset past config.MAX_DATASET_BYTES, refused before its sources
+    ('{"n_angles": 10000000000000}', "'n_angles'"),
+    (('{"n_train_linear": 10000000000000}', "--family", "linear"),
+     "'n_train_linear'"),
     # a linear fig_source short of the array plane, outside the listening
     # rectangle
     ('{"family": "linear", "fig_source": [0.9, 0.0]}', "'fig_source'"),
@@ -263,7 +267,8 @@ def _one_error_line(out) -> str:
         "linear-train-negative", "linear-test-zero",
         "linear-test-above-train-val", "control-cells-below-spacing",
         "control-cells-in-tiny-disk", "control-cells-name-disk-radius",
-        "listening-raster-over-budget", "linear-fig-source-before-array-plane",
+        "listening-raster-over-budget", "dataset-over-budget",
+        "linear-dataset-over-budget", "linear-fig-source-before-array-plane",
         "freq-step-past-verified-order", "speed-of-sound-past-verified-order",
         "freq-start-past-verified-order", "freq-step-overflows-hz",
         "freq-step-overflows-rad-per-s", "freq-step-huge-order",
@@ -299,18 +304,21 @@ def test_seed_override_changes_dataset(micro_cfg_file, tmp_path):
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     import numpy as np
-    from sfsynth.acoustics import FrequencyGrid, Source
-    from sfsynth.datasets import Dataset, DatasetRecord
+    from sfsynth.acoustics import FrequencyGrid
+    from sfsynth.datasets import Dataset, record_dtype
     from sfsynth.fileio import save_checkpoint, save_dataset
     from sfsynth.network import init_params
     d = tmp_path_factory.mktemp("artifacts")
     save_checkpoint(d / "checkpoint.sfsm", init_params(16, 15, seed=4))
-    rec = DatasetRecord(source_id=0, source=Source(position=np.array([2.0, 0.5])),
-                        tensor=np.ones((4, 3)), pressures=np.ones((5, 3)) * 1j)
+    # one record three times: a train, a val and a test record
+    records = np.recarray(3, record_dtype(2, 3, 5))
+    records.source_id = 0
+    records.source.position = [2.0, 0.5]
+    records.tensor = np.ones((4, 3))
+    records.pressures = np.ones((5, 3)) * 1j
     save_dataset(d / "dataset.sfsx", Dataset(
-        train=[rec], val=[rec], test=[rec],
-        freq_grid=FrequencyGrid.uniform(46.0, 23.0, 3, 343.0), l_active=2,
-        n_control=5, source_seed=0))
+        all_records=records, n_train=1, n_val=1,
+        freq_grid=FrequencyGrid.uniform(46.0, 23.0, 3, 343.0), source_seed=0))
     return d
 
 

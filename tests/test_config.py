@@ -12,6 +12,7 @@ import pytest
 
 import sfsynth
 from sfsynth.config import (
+    MAX_DATASET_BYTES,
     ExperimentConfig,
     desk_config,
     full_config,
@@ -265,6 +266,21 @@ def test_modal_order_check_is_arithmetic():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"modal order M = 4\.58e\+05"):
+            cfg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dataset_budget_is_arithmetic():
+    # the budget counts the dataset's bytes from the keys: refusing 10**7
+    # frequencies, whose grid alone is 80 MB, allocates almost nothing
+    cfg = replace(desk_config(), freq_step=1e-6, freq_count=10 ** 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="'freq_count'.* more than "
+                                             f"{MAX_DATASET_BYTES} bytes"):
             cfg.validate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

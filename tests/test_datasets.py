@@ -1,5 +1,6 @@
 """Source-set protocols and dataset construction."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,24 @@ def test_build_matches_per_source_loop_linear():
     _assert_matches_reference(cfg.array(), cfg.source_split(),
                               cfg.control_points(), cfg.freq_grid(), cfg.lam,
                               cfg.mr_listening_radius())
+
+
+def test_build_holds_no_second_pressure_array():
+    # the control pressures go into the records one frequency at a time.
+    # Here the records are ~90 % pressures, and the build peaks at 1.33
+    # times their bytes; a copy of all K pressures beside them peaks at 2.17
+    cfg = replace(desk_config(), n_angles=64)
+    array, cp, freq = cfg.array(), cfg.control_points(), cfg.freq_grid()
+    split, ops = cfg.source_split(), pm_operators(array, cp, freq, cfg.lam)
+    tracemalloc.start()
+    try:
+        ds = build_dataset(array, split, cp, freq, ops,
+                           cfg.mr_listening_radius())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.all_records.nbytes > 20e6
+    assert peak < 1.75 * ds.all_records.nbytes
 
 
 def test_source_inside_array_names_the_source(small_dataset):

@@ -78,6 +78,22 @@ def test_rerun_skips_and_reproduces(micro_run):
     assert before == after
 
 
+def test_rerun_hashes_each_file_once(tmp_path, monkeypatch):
+    # a loaded stage records the hashes its freshness check just read
+    cfg = linear_micro_config()
+    first = run_experiment(cfg, tmp_path)
+    hashed = []
+    sha256 = fileio.sha256_file
+
+    def counted(path):
+        hashed.append(Path(path).relative_to(tmp_path).as_posix())
+        return sha256(path)
+
+    monkeypatch.setattr(fileio, "sha256_file", counted)
+    assert run_experiment(cfg, tmp_path).to_json() == first.to_json()
+    assert sorted(hashed) == sorted(f["path"] for f in first.files)
+
+
 def test_no_checkpoint_without_cnn(tmp_path):
     cfg = micro_config(methods=("mr", "pm"))
     manifest = run_experiment(cfg, tmp_path)

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfsynth.acoustics import FrequencyGrid, Source
+from sfsynth.acoustics import FrequencyGrid
 from sfsynth.config import desk_config
-from sfsynth.datasets import Dataset, DatasetRecord, build_dataset
+from sfsynth.datasets import Dataset, build_dataset, record_dtype
 from sfsynth.fileio import (
     ArtifactFormatError,
     load_checkpoint,
@@ -177,13 +177,14 @@ def test_checkpoint_forward_identical(tmp_path):
 def _toy_dataset():
     rng = np.random.default_rng(2)
     fg = FrequencyGrid.uniform(46.0, 23.0, 4, 343.0)
-    def rec(i):
-        return DatasetRecord(
-            source_id=i, source=Source(position=rng.uniform(1.5, 3, 2)),
-            tensor=rng.normal(size=(6, 4)),
-            pressures=rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)))
-    return Dataset(train=[rec(0), rec(1)], val=[rec(2)], test=[rec(3)],
-                   freq_grid=fg, l_active=3, n_control=5, source_seed=9)
+    records = np.recarray(4, record_dtype(3, 4, 5))
+    for i, rec in enumerate(records):
+        rec.source_id = i
+        rec.source.position = rng.uniform(1.5, 3, 2)
+        rec.tensor = rng.normal(size=(6, 4))
+        rec.pressures = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    return Dataset(all_records=records, n_train=2, n_val=1, freq_grid=fg,
+                   source_seed=9)
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -213,15 +214,35 @@ def test_dataset_write_deterministic(tmp_path):
     assert sha256_file(p1) == sha256_file(p2)
 
 
-def test_dataset_record_shape_checked(tmp_path):
-    # a one-row pressure array would otherwise broadcast into I rows
+_TOY_FIELDS = [("source_id", "<u4"), ("source", [("position", "<f8", (2,))]),
+               ("tensor", "<f8", (6, 4)), ("pressures", "<c16", (5, 4))]
+
+
+def _fields(i, *field):
+    # the toy record's fields with field i replaced by `field`, or dropped
+    return _TOY_FIELDS[:i] + ([field] if field else []) + _TOY_FIELDS[i + 1:]
+
+
+@pytest.mark.parametrize("dtype", [
+    record_dtype(3, 5, 5),
+    _fields(2, "tensor", "<f4", (6, 4)),
+    _fields(2, "tensor", "<f8", (7, 4)),
+    _fields(3, "pressures", "<c16", (5, 3)),
+    _fields(1, "position", "<f8", (2,)),
+    _fields(2, "tensor", "<f8"),
+    _fields(3),
+    "<f8",
+], ids=["k-of-another-grid", "float32-tensor", "odd-tensor-rows",
+        "pressures-k", "flat-position", "scalar-tensor", "no-pressures",
+        "no-fields"])
+def test_dataset_of_another_record_dtype_refused(tmp_path, dtype):
+    # the record array is record_dtype(L, K, I) of its own field shapes at
+    # the grid's K, or no Dataset is made and nothing is written
     ds = _toy_dataset()
-    rec = ds.train[0]
-    ds.train[0] = DatasetRecord(source_id=rec.source_id, source=rec.source,
-                                tensor=rec.tensor, pressures=rec.pressures[:1])
-    with pytest.raises(ValueError, match="record 0"):
-        save_dataset(tmp_path / "d.sfsx", ds)
-    assert not (tmp_path / "d.sfsx").exists()
+    with pytest.raises(ValueError, match=r"record_dtype\(L, K, I\) with K = 4"):
+        save_dataset(tmp_path / "d.sfsx", replace(
+            ds, all_records=np.zeros(4, dtype).view(np.recarray)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def _corrupt(src, dst, offset, data):

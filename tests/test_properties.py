@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfsynth.acoustics import FrequencyGrid, Source
+from sfsynth.acoustics import FrequencyGrid
 from sfsynth.bessel import (
     bessel_j_orders,
     bessel_y_orders,
@@ -22,7 +22,7 @@ from sfsynth.bessel import (
 )
 from sfsynth.compensator import pack_driving, predict_control_pressure, unpack_driving
 from sfsynth.config import METHODS, ExperimentConfig, desk_config
-from sfsynth.datasets import Dataset, DatasetRecord
+from sfsynth.datasets import Dataset, record_dtype
 from sfsynth.fileio import (
     ArtifactFormatError,
     load_checkpoint,
@@ -136,17 +136,14 @@ def small_datasets(draw):
     k = draw(st.integers(1, 4))
     i_cp = draw(st.integers(1, 4))
     counts = [draw(st.integers(1, 2)) for _ in range(3)]
-    recs = []
-    for sid in range(sum(counts)):
-        pos = draw(arrays(np.float64, 2, elements=FINITE))
-        recs.append(DatasetRecord(
-            source_id=sid, source=Source(position=pos),
-            tensor=draw(arrays(np.float64, (2 * l, k), elements=FINITE)),
-            pressures=draw(complex_arrays((i_cp, k)))))
-    a, b = counts[0], counts[0] + counts[1]
-    return Dataset(train=recs[:a], val=recs[a:b], test=recs[b:],
+    records = np.recarray(sum(counts), record_dtype(l, k, i_cp))
+    for sid, rec in enumerate(records):
+        rec.source_id = sid
+        rec.source.position = draw(arrays(np.float64, 2, elements=FINITE))
+        rec.tensor = draw(arrays(np.float64, (2 * l, k), elements=FINITE))
+        rec.pressures = draw(complex_arrays((i_cp, k)))
+    return Dataset(all_records=records, n_train=counts[0], n_val=counts[1],
                    freq_grid=FrequencyGrid.uniform(46.0, 23.0, k, 343.0),
-                   l_active=l, n_control=i_cp,
                    source_seed=draw(st.integers(0, 100)))
 
 

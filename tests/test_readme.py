@@ -83,3 +83,20 @@ def test_readme_names_every_checkpoint_header_key(tmp_path):
     header = json.loads(raw[12:12 + hlen])
     keys = set(header) | {key for layer in header["layers"] for key in layer}
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
+
+
+def test_readme_names_every_dataset_record_field():
+    from sfsynth.datasets import record_dtype
+    section = README.read_text().split("\n`SFSX` (dataset", 1)[1]
+    section = section.split("\n## ", 1)[0]
+
+    def names(dtype, prefix=""):
+        for name in dtype.names:
+            if dtype[name].names:
+                yield from names(dtype[name], f"{prefix}{name}.")
+            else:
+                yield prefix + name
+
+    fields = list(names(record_dtype(2, 3, 4)))
+    assert "source.position" in fields
+    assert [name for name in fields if f"| `{name}` |" not in section] == []
