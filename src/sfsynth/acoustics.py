@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import hankel2_sym_range, hankel2_zero
+from .bessel import hankel2_sym_rows, hankel2_zero
 
 # points closer than this to a source are treated as coincident
 _SINGULARITY_EPS = 1e-12
@@ -119,35 +119,48 @@ def truncation_order(omega: float, rho: float, c: float) -> int:
     return int(math.ceil(math.e * (omega / c) * rho / 2))
 
 
-def herglotz_coefficients(omega: float, sources: Sequence[Source], M: int,
-                          c: float) -> np.ndarray:
-    """Circular-harmonic coefficients c_m, m = -M..M, of the plane-wave
-    density of each unit point source, (S, 2M+1):
+def herglotz_rows(omegas, sources: Sequence[Source], orders, c: float,
+                  thetas=None):
+    """Yield, for each angular frequency omegas[i] truncated at order
+    M = orders[i], the circular-harmonic coefficients c_m, m = -M..M, of
+    the plane-wave density of each unit point source, (S, 2M+1):
 
         phi(theta) = sum_m c_m exp(j m (theta - theta_z)),
-        c_m = j^(-m) * (j/4) * H_m^(2)(k rho_z).
+        c_m = j^(-m) * (j/4) * H_m^(2)(k rho_z);
+
+    or, given thetas (one angle array per frequency), phi itself at the
+    N angles thetas[i], (S, N).  The Hankel rows of every frequency come
+    from one pass (bessel.hankel2_sym_rows).
     """
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    k = omega / c
+    k = np.asarray(omegas, dtype=np.float64) / c
     rho = np.array([s.rho for s in sources])
-    if np.any(k * rho <= 0):
+    theta_z = np.array([s.theta for s in sources])
+    x = np.outer(k, rho)
+    if np.any(x <= 0):
         raise ValueError("source must lie away from the origin")
-    ms = np.arange(-M, M + 1)
-    H = hankel2_sym_range(M, k * rho)
-    return (1j) ** (-ms) * 0.25j * H
+    for i, (M, h) in enumerate(zip(orders, hankel2_sym_rows(orders, x))):
+        ms = np.arange(-M, M + 1)
+        cm = (1j) ** (-ms) * 0.25j * h
+        if thetas is None:
+            yield cm
+            continue
+        cm *= np.exp(-1j * np.outer(theta_z, ms))
+        # the source angles ride on the coefficients, so every source shares
+        # one (N, 2M+1) phase matrix; one matrix-vector product per source
+        # keeps each row's bits independent of the batch
+        yield (np.exp(1j * np.outer(thetas[i], ms)) @ cm[..., None])[..., 0]
+
+
+def herglotz_coefficients(omega: float, sources: Sequence[Source], M: int,
+                          c: float) -> np.ndarray:
+    """The coefficients c_m of herglotz_rows at one angular frequency,
+    (S, 2M+1)."""
+    return next(herglotz_rows([omega], sources, [M], c))
 
 
 def herglotz_point_source(theta, omega: float, sources: Sequence[Source],
                           M: int, c: float) -> np.ndarray:
     """Plane-wave angular density of each point source at the N angles
-    theta, truncated at order M, (S, N).  The value depends on theta only
-    through theta - theta_z."""
-    ms = np.arange(-M, M + 1)
-    theta_z = np.array([s.theta for s in sources])
-    cm = herglotz_coefficients(omega, sources, M, c)
-    cm *= np.exp(-1j * np.outer(theta_z, ms))
-    # the source angles ride on the coefficients, so every source shares
-    # one (N, 2M+1) phase matrix; one matrix-vector product per source
-    # keeps each row's bits independent of the batch
-    return (np.exp(1j * np.outer(theta, ms)) @ cm[..., None])[..., 0]
+    theta, truncated at order M, (S, N): herglotz_rows at one angular
+    frequency.  The value depends on theta only through theta - theta_z."""
+    return next(herglotz_rows([omega], sources, [M], c, [theta]))

@@ -24,8 +24,12 @@ No external special-function library is used.  The evaluation scheme:
   J_0 + 2*sum J_2k = 1 (stable for every m, x in range).
 * Y_m for m >= 2: upward recurrence from Y_0, Y_1 (Y is the dominant
   solution, so upward is stable).
-* hankel2_orders and hankel2_sym_range compute one J row and one Y row
-  per distinct argument and gather them back to the batch.
+* The order functions take m_max as an int or as one order per
+  argument; a row's columns past its own order are zero.
+  hankel2_orders computes one J row and one Y row per distinct
+  (argument, order) pair, _BLOCK pairs per call, and gathers them back
+  to the batch; hankel2_sym_rows runs it once per run of rows holding
+  at most _BLOCK arguments.
 
 Accuracy target is 1e-10 relative on the complex Hankel value for
 m <= MAX_VERIFIED_ORDER (60), 1e-3 <= x <= 100; the test fixtures pin
@@ -41,8 +45,10 @@ import numpy as np
 MAX_VERIFIED_ORDER = 60
 # switch point between the Chebyshev tables and the asymptotic expansion
 SERIES_CUTOFF = 16.0
-# arguments per block of orders 0 and 1; a block costs ~180 numpy calls, so
-# the desk-linear sweep ran 14 % slower at 2048, 2 % at 8192, none at 16384
+# arguments per block of orders 0 and 1, and distinct (argument, order)
+# pairs per J and Y call of hankel2_orders; a block of orders 0 and 1 costs
+# ~180 numpy calls, so the desk-linear sweep ran 14 % slower at 2048, 2 % at
+# 8192, none at 16384
 _BLOCK = 16384
 # the tables: interval width, degree of each interval's expansion, and
 # the Chebyshev points per interval at which the series is sampled
@@ -232,11 +238,8 @@ def hankel2_zero(x) -> np.ndarray:
     return h
 
 
-def _arguments(x, m_max: int = 0) -> np.ndarray:
-    """x as a 1-D float64 array of positive finite arguments; the order
-    functions pass their highest order m_max, which must be >= 0."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+def _arguments(x) -> np.ndarray:
+    """x as a 1-D float64 array of positive finite arguments."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.ndim != 1:
         raise ValueError("Bessel arguments must be a scalar or a 1-D array")
@@ -245,20 +248,39 @@ def _arguments(x, m_max: int = 0) -> np.ndarray:
     return x
 
 
-def bessel_j_orders(m_max: int, x) -> np.ndarray:
+def _orders(m_max, n: int) -> tuple:
+    """The highest order of each of n arguments, from an int for all of
+    them or one int per argument, each >= 0; and the result's highest
+    column, m_max itself for an int."""
+    orders = np.asarray(m_max)
+    if orders.dtype.kind not in "iu":
+        raise ValueError("m_max must be an int or one int per argument")
+    if np.any(orders < 0):
+        raise ValueError("m_max must be >= 0")
+    if orders.ndim == 0:
+        return np.full(n, orders, dtype=np.int64), int(orders)
+    if orders.shape != (n,):
+        raise ValueError(f"m_max holds {orders.size} orders for {n} arguments")
+    return orders.astype(np.int64), int(orders.max(initial=0))
+
+
+def bessel_j_orders(m_max, x) -> np.ndarray:
     """J_0(x) .. J_m_max(x) via Miller's downward recurrence with
     on-the-fly renormalisation.
 
     x is a scalar (result (m_max + 1,)) or a 1-D array (one row per
-    argument).  Each argument keeps its own start order and its own
-    renormalisations, so every row equals the scalar call bit for bit.
+    argument).  m_max is an int or one order per argument; a row's
+    columns past its own order are zero.  Each argument keeps its own
+    start order, from its own order, and its own renormalisations, so
+    every row equals the scalar call at its order bit for bit.
     """
     scalar = np.ndim(x) == 0
-    x = _arguments(x, m_max)
-    base = np.maximum(m_max, np.ceil(x).astype(np.int64))
+    x = _arguments(x)
+    orders, top = _orders(m_max, len(x))
+    base = np.maximum(orders, np.ceil(x).astype(np.int64))
     start = base + 1 + np.ceil(np.sqrt(MILLER_ACC * (base + 1))).astype(np.int64)
     start += start % 2
-    out = np.zeros((len(x), m_max + 1))
+    out = np.zeros((len(x), top + 1))
     # an argument's recurrence holds (0, 0) until m reaches its start,
     # where it is seeded with (0, 1e-305)
     jp = np.zeros(len(x))
@@ -270,7 +292,7 @@ def bessel_j_orders(m_max: int, x) -> np.ndarray:
         jm = m * tox * jc - jp
         jp = jc
         jc = jm
-        if m - 1 <= m_max:
+        if m - 1 <= top:
             out[:, m - 1] = jc
         if (m - 1) % 2 == 0 and m - 1 > 0:
             ssum += 2.0 * jc
@@ -281,53 +303,96 @@ def bessel_j_orders(m_max: int, x) -> np.ndarray:
             ssum[big] *= 1e-250
             out[big] *= 1e-250
     out /= (ssum + jc)[:, None]
+    out[orders[:, None] < np.arange(top + 1)] = 0.0
     return out[0] if scalar else out
 
 
-def bessel_y_orders(m_max: int, x) -> np.ndarray:
+def bessel_y_orders(m_max, x) -> np.ndarray:
     """Y_0(x) .. Y_m_max(x) by upward recurrence; x is a scalar or a
-    1-D array (one row per argument).  A row equals the scalar call bit
-    for bit.
+    1-D array (one row per argument), and m_max an int or one order per
+    argument, a row's columns past its own order being zero.  A row
+    equals the scalar call at its order bit for bit.
 
     Raises OverflowError when the order so far exceeds the argument that
     Y leaves the double range (the value is astronomically large, not
-    infinite, so it is reported as an error instead).  The message names
-    the first argument, in batch order, whose Y overflows at the lowest
-    order where any does; hankel2_orders passes its distinct arguments
-    in ascending order, so through it that is the smallest of them.
+    infinite, so it is reported as an error instead); only a row's own
+    orders are checked.  The message names the first argument, in batch
+    order, whose Y overflows at the lowest order where any does;
+    hankel2_orders passes its distinct arguments in ascending order, so
+    through it that is the smallest of them.
     """
     scalar = np.ndim(x) == 0
-    x = _arguments(x, m_max)
+    x = _arguments(x)
+    orders, top = _orders(m_max, len(x))
     _, y0, _, y1 = jy01(x)
-    out = np.empty((len(x), m_max + 1))
+    out = np.empty((len(x), top + 1))
     out[:, 0] = y0
-    if m_max >= 1:
+    if top >= 1:
         out[:, 1] = y1
     tox = 2.0 / x
-    for m in range(1, m_max):
-        nxt = m * tox * out[:, m] - out[:, m - 1]
-        over = np.abs(nxt) > OVERFLOW_LIMIT
-        if over.any():
-            raise OverflowError(
-                f"Y_{m + 1}({x[over][0]:g}) exceeds the floating-point range "
-                f"(order too large for the argument)")
-        out[:, m + 1] = nxt
+    # past its own order a row may overflow; those values are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, top):
+            nxt = m * tox * out[:, m] - out[:, m - 1]
+            over = (np.abs(nxt) > OVERFLOW_LIMIT) & (orders > m)
+            if over.any():
+                raise OverflowError(
+                    f"Y_{m + 1}({x[over][0]:g}) exceeds the floating-point "
+                    f"range (order too large for the argument)")
+            out[:, m + 1] = nxt
+    out[orders[:, None] < np.arange(top + 1)] = 0.0
     return out[0] if scalar else out
 
 
-def hankel2_orders(m_max: int, x) -> np.ndarray:
+def hankel2_orders(m_max, x) -> np.ndarray:
     """H_0^(2)(x) .. H_m_max^(2)(x); x is a scalar or a 1-D array (one
-    row per argument, each distinct argument evaluated once)."""
+    row per argument), and m_max an int or one order per argument, a
+    row's columns past its own order being zero.  Each distinct
+    (argument, order) pair is evaluated once, in ascending argument
+    order, _BLOCK pairs per J and Y call."""
     scalar = np.ndim(x) == 0
-    # one J row and one Y row per distinct argument, gathered back
-    distinct, where = np.unique(_arguments(x, m_max), return_inverse=True)
-    h = bessel_j_orders(m_max, distinct) - 1j * bessel_y_orders(m_max, distinct)
+    x = _arguments(x)
+    orders, top = _orders(m_max, len(x))
+    pairs, where = np.unique(np.column_stack([x, orders]), axis=0,
+                             return_inverse=True)
+    h = np.zeros((len(pairs), top + 1), dtype=np.complex128)
+    for lo in range(0, len(pairs), _BLOCK):
+        xb = pairs[lo:lo + _BLOCK, 0]
+        mb = pairs[lo:lo + _BLOCK, 1].astype(np.int64)
+        # J - 1j * Y, written into h rather than formed as a block copy
+        hb = h[lo:lo + _BLOCK, :mb.max() + 1]
+        hb.real = bessel_j_orders(mb, xb)
+        hb -= 1j * bessel_y_orders(mb, xb)
     return h[where[0]] if scalar else h[where]
+
+
+def hankel2_sym_rows(orders, x):
+    """Yield, for each row i of the 2-D argument array x, H_m^(2)(x[i])
+    for m = -orders[i] .. orders[i] along the last axis, (x.shape[1],
+    2 orders[i] + 1): the rows of hankel2_sym_range(orders[i], x[i]) bit
+    for bit.  Consecutive rows holding at most _BLOCK arguments (at least
+    one row) share one hankel2_orders call, so one pass serves every row
+    and memory stays bounded by the block."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("hankel2_sym_rows takes a 2-D argument array")
+    orders, _ = _orders(orders, len(x))
+    n = x.shape[1]
+    per = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, len(x), per):
+        run = orders[lo:lo + per]
+        h = hankel2_orders(np.repeat(run, n), x[lo:lo + per].ravel())
+        for i, m in enumerate(run):
+            # reshaped, since an empty row (n = 0) has no columns to slice
+            pos = h[i * n:(i + 1) * n, :m + 1].reshape(n, m + 1)
+            # H_(-m) = (-1)^m H_m
+            signs = (-1.0) ** np.arange(m, 0, -1)
+            yield np.concatenate([signs * pos[:, m:0:-1], pos], axis=-1)
 
 
 def hankel2_sym_range(m_max: int, x) -> np.ndarray:
     """H_m^(2)(x) for m = -m_max .. m_max along the last axis (index
     m + m_max); x is a scalar or a 1-D array (one row per argument)."""
-    pos = hankel2_orders(m_max, x)
-    signs = (-1.0) ** np.arange(m_max, 0, -1)
-    return np.concatenate([signs * pos[..., m_max:0:-1], pos], axis=-1)
+    scalar = np.ndim(x) == 0
+    rows = next(hankel2_sym_rows([m_max], _arguments(x)[None]))
+    return rows[0] if scalar else rows

@@ -74,7 +74,8 @@ def _cmd_inspect(args) -> int:
             ppath = out / f"record{args.record}_pressures.csv"
             rows = [",".join(repr(float(v)) for v in row) for row in rec.tensor]
             fileio.write_text(tpath, "\n".join(rows) + "\n")
-            lines = [",".join(f"{v.real!r}{v.imag:+}j" for v in row)
+            lines = [",".join(f"{float(v.real)!r}{float(v.imag):+}j"
+                              for v in row)
                      for row in rec.pressures]
             fileio.write_text(ppath, "\n".join(lines) + "\n")
             print(f"source {rec.source_id} at {rec.source.position.tolist()}")

@@ -237,7 +237,10 @@ class ExperimentConfig:
         # as FrequencyGrid.uniform forms it, so that a long grid is refused
         # before it is built; the Bessel functions are verified up to
         # MAX_VERIFIED_ORDER
-        top = self.freq_start + self.freq_step * (self.freq_count - 1)
+        try:
+            top = self.freq_start + self.freq_step * (self.freq_count - 1)
+        except OverflowError:        # a count past the float range
+            top = math.inf
         try:
             order = truncation_order(2 * math.pi * top,
                                      self.mr_listening_radius(),

@@ -156,21 +156,16 @@ def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
                       cp: PointSet, operators,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of every source at every grid
-    frequency, (S, L_active, K); one MR call per frequency for all
-    sources.  A linear array's filters come from `operators[ki]`, the
+    frequency, (S, L_active, K), from one MR call for all sources and
+    frequencies.  A linear array's filters come from `operators[ki]`, the
     pressure-matching operator of grid frequency ki (`pm_operators`)."""
-    out = np.empty((len(sources), array.active_count, freq_grid.k),
-                   dtype=np.complex128)
-    for ki, omega in enumerate(freq_grid.angular):
-        if array.family == "circular":
-            d = mr_circular_driving(array, sources, omega, freq_grid.c,
-                                    listening_radius=listening_radius)
-        else:
-            d = mr_linear_driving(array, sources, cp, operators[ki], omega,
-                                  freq_grid.c,
-                                  listening_radius=listening_radius)
-        out[:, :, ki] = d.T
-    return out
+    if array.family == "circular":
+        return mr_circular_driving(array, sources, freq_grid.angular,
+                                   freq_grid.c,
+                                   listening_radius=listening_radius)
+    return mr_linear_driving(array, sources, cp, operators,
+                             freq_grid.angular, freq_grid.c,
+                             listening_radius=listening_radius)
 
 
 def control_pressures(sources, cp: PointSet,

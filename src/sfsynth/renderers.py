@@ -13,11 +13,11 @@ from .acoustics import (
     FrequencyGrid,
     Source,
     green_matrix,
-    herglotz_point_source,
+    herglotz_rows,
     plane_wave_field,
     truncation_order,
 )
-from .bessel import hankel2_sym_range
+from .bessel import hankel2_sym_rows
 from .geometry import ArrayGeometry, PointSet
 
 
@@ -31,10 +31,11 @@ class PMOperator:
 
 
 def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
-                        omega: float, c: float, *,
+                        omega: float | np.ndarray, c: float, *,
                         listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a circular array at
-    one frequency, (L, S).
+    one angular frequency omega, (L, S), or at each of a 1-D array of K,
+    (S, L, K) as mr_driving_matrix lays them out.
 
     Chooses M from the listening radius and matches the circular-harmonic
     coefficients of each source's field, orders -M..M, at the array
@@ -49,25 +50,34 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     their orders m and m' meet in (1/N) sum_n exp(j (m' - m) theta_n),
     which is 1 if m = m' and 0 otherwise because |m - m'| <= 2M < N.
     L is the active loudspeaker count, which keeps the amplitude scale
-    stable across decimation levels.
+    stable across decimation levels.  The Hankel rows of every frequency,
+    k R among them, come from one pass (bessel.hankel2_sym_rows).
     """
     if array.family != "circular":
         raise ValueError("mr_circular_driving needs a circular array")
     if any(s.rho <= array.radius for s in sources):
         raise ValueError("source must lie outside the array radius")
-    M = truncation_order(omega, listening_radius, c)
-    k = omega / c
-    ms = np.arange(-M, M + 1)
+    omegas = np.atleast_1d(omega)
+    orders = [truncation_order(w, listening_radius, c) for w in omegas]
+    k = omegas / c
     theta_z = np.array([s.theta for s in sources])
     rho_z = np.array([s.rho for s in sources])
-    coef = hankel2_sym_range(M, k * rho_z)
-    coef /= hankel2_sym_range(M, k * array.radius)
-    coef *= np.exp(-1j * np.outer(theta_z, ms))
-    # one matrix-vector product per source keeps each column's bits
-    # independent of the batch
-    e_l = np.exp(1j * np.outer(array.active_angles, ms))
-    d = (e_l @ coef[..., None])[..., 0]
-    return d.T / array.active_count
+    out = np.empty((len(sources), array.active_count, len(omegas)),
+                   dtype=np.complex128)
+    # each frequency's row: k rho_z of every source, then k R
+    rows = hankel2_sym_rows(orders, np.column_stack(
+        [np.outer(k, rho_z), k * array.radius]))
+    for ki, (M, h) in enumerate(zip(orders, rows, strict=True)):
+        ms = np.arange(-M, M + 1)
+        coef = h[:-1]
+        coef /= h[-1]
+        coef *= np.exp(-1j * np.outer(theta_z, ms))
+        # one matrix-vector product per source keeps each column's bits
+        # independent of the batch
+        e_l = np.exp(1j * np.outer(array.active_angles, ms))
+        out[:, :, ki] = (e_l @ coef[..., None])[..., 0]
+    out /= array.active_count
+    return out[:, :, 0].T if np.ndim(omega) == 0 else out
 
 
 def mr_linear_filter_bank(op: PMOperator, cp: PointSet, directions: np.ndarray,
@@ -101,27 +111,39 @@ def linear_window(array: ArrayGeometry) -> tuple:
 
 
 def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
-                      cp: PointSet, op: PMOperator, omega: float, c: float, *,
+                      cp: PointSet, op: PMOperator | Sequence[PMOperator],
+                      omega: float | np.ndarray, c: float, *,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a linear array at one
-    frequency, (L, S); the sources share one filter bank, built from the
-    array's pressure-matching operator `op` at the control points `cp`.
+    angular frequency omega, (L, S), or at each of a 1-D array of K with
+    one operator per frequency in `op`, (S, L, K) as mr_driving_matrix
+    lays them out.  At each frequency the sources share one filter bank,
+    built from the array's pressure-matching operator `op` at the control
+    points `cp`.
 
     Samples N = 2M+1 directions at the midpoints of N equal parts of the
     admissible window [t_min, t_max], so a single direction would land on
     the window centre, fits one filter h(theta_n) per direction and
     superposes them against each source's plane-wave density phi:
-    d = (t_max - t_min)/(2 pi N) sum_n phi(theta_n) h(theta_n).
+    d = (t_max - t_min)/(2 pi N) sum_n phi(theta_n) h(theta_n).  The
+    densities of every frequency come from one Hankel pass (herglotz_rows).
     """
     t_min, t_max = linear_window(array)
-    M = truncation_order(omega, listening_radius, c)
-    n = 2 * M + 1
+    omegas = np.atleast_1d(omega)
+    ops = [op] if np.ndim(omega) == 0 else op
+    orders = [truncation_order(w, listening_radius, c) for w in omegas]
     width = t_max - t_min
-    directions = t_min + (np.arange(n) + 0.5) * width / n
-    bank = mr_linear_filter_bank(op, cp, directions, omega, c)
-    phi = herglotz_point_source(directions, omega, sources, M, c)
-    d = (bank @ phi[..., None])[..., 0]
-    return width / (2 * np.pi * n) * d.T
+    directions = [t_min + (np.arange(2 * M + 1) + 0.5) * width / (2 * M + 1)
+                  for M in orders]
+    out = np.empty((len(sources), array.active_count, len(omegas)),
+                   dtype=np.complex128)
+    densities = herglotz_rows(omegas, sources, orders, c, directions)
+    for ki, (w, op_k, theta, phi) in enumerate(zip(
+            omegas, ops, directions, densities, strict=True)):
+        bank = mr_linear_filter_bank(op_k, cp, theta, w, c)
+        d = (bank @ phi[..., None])[..., 0]
+        out[:, :, ki] = width / (2 * np.pi * len(theta)) * d
+    return out[:, :, 0].T if np.ndim(omega) == 0 else out
 
 
 def pm_operator(array: ArrayGeometry, cp: PointSet, omega: float, lam: float,

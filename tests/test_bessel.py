@@ -202,14 +202,27 @@ def test_each_distinct_argument_evaluated_once(monkeypatch):
     # repeated arguments reach the Miller recurrence once, and every row
     # gets the bits of the one-argument call
     from sfsynth import bessel
-    j_rows = []
+    j_rows, j_args = [], []
     j_orders = bessel.bessel_j_orders
     monkeypatch.setattr(bessel, "bessel_j_orders", lambda m_max, x: (
-        j_rows.append(np.size(x)) or j_orders(m_max, x)))
+        j_rows.append(np.size(x)) or j_args.append(np.array(x))
+        or j_orders(m_max, x)))
     rows = hankel2_sym_range(5, np.full(64, 3.0))
     assert j_rows == [1]
     assert rows.shape == (64, 11)
     assert (rows == hankel2_sym_range(5, 3.0)).all()
+    # with an order per argument, each distinct (argument, order) pair
+    # reaches it once, in ascending argument order
+    j_rows.clear()
+    orders = np.array([5, 7, 5, 2, 7, 5, 2])
+    x = np.array([3.0, 3.0, 3.0, 9.0, 3.0, 1.5, 9.0])
+    h = hankel2_orders(orders, x)
+    assert j_rows == [4]
+    assert j_args[-1].tolist() == [1.5, 3.0, 3.0, 9.0]
+    assert h.shape == (7, 8)
+    for row, m, xi in zip(h, orders, x):
+        assert row[:m + 1].tobytes() == hankel2_orders(int(m), xi).tobytes()
+        assert not row[m + 1:].any()
 
 
 def test_domain_errors():

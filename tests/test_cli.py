@@ -242,6 +242,8 @@ def _one_error_line(out) -> str:
     ('{"freq_step": 1e307}', "'freq_step'"),
     # a finite order of 300 digits, printed to three significant digits
     ('{"freq_step": 1e300}', "'freq_step'"),
+    # a count past the float range, which the top frequency cannot form
+    ('{"freq_count": 1' + '0' * 400 + '}', "'freq_count'"),
     # a file family other than the one --family asks for
     (('{"family": "circular"}', "--family", "linear"), "'family'"),
 ], ids=["list", "string", "int-as-string", "bool-as-int", "float-as-string",
@@ -272,6 +274,7 @@ def _one_error_line(out) -> str:
         "freq-step-past-verified-order", "speed-of-sound-past-verified-order",
         "freq-start-past-verified-order", "freq-step-overflows-hz",
         "freq-step-overflows-rad-per-s", "freq-step-huge-order",
+        "freq-count-past-float-range",
         "family-disagrees-with-flag"])
 def test_malformed_config_one_error_line(tmp_path, text, named):
     # a tuple holds the config text and the extra command-line arguments
@@ -389,6 +392,20 @@ def test_inspect_names_the_parameter_dtype(artifacts, tmp_path):
         assert out.stdout.splitlines()[0] == (
             f"model checkpoint: input 16x15, 7 layers, 3150849 {dtype} "
             f"parameters")
+
+
+def test_inspect_record_cells_parse_as_numbers(artifacts, tmp_path):
+    # every cell is a plain number: the pressures as Python complex
+    # literals, the tensor as floats
+    out = run_cli("inspect", str(artifacts / "dataset.sfsx"), "--record", "0",
+                  "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    for name, parse in (("pressures", complex), ("tensor", float)):
+        rows = (tmp_path / f"record0_{name}.csv").read_text().splitlines()
+        cells = [cell for row in rows for cell in row.split(",")]
+        assert len(rows) > 1 and len(cells) > len(rows)
+        for cell in cells:
+            parse(cell)
 
 
 def test_inspect_record_leaves_no_partial_csv(artifacts, tmp_path,

@@ -14,6 +14,7 @@ from sfsynth.datasets import (
     build_dataset,
     gen_sources_circular,
     gen_sources_linear,
+    mr_driving_matrix,
 )
 from sfsynth.geometry import (
     ListeningArea,
@@ -198,6 +199,45 @@ def test_build_matches_per_source_loop_linear():
     _assert_matches_reference(cfg.array(), cfg.source_split(),
                               cfg.control_points(), cfg.freq_grid(), cfg.lam,
                               cfg.mr_listening_radius())
+
+
+def _bessel_calls(monkeypatch):
+    """Argument count of every bessel_j_orders and bessel_y_orders call."""
+    from sfsynth import bessel
+    sizes = {"j": [], "y": []}
+    for key, name in (("j", "bessel_j_orders"), ("y", "bessel_y_orders")):
+        def counted(m_max, x, _f=getattr(bessel, name), _key=key):
+            sizes[_key].append(np.size(x))
+            return _f(m_max, x)
+        monkeypatch.setattr(bessel, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("family", ["circular", "linear"])
+def test_mr_hankel_rows_of_every_frequency_in_one_pass(monkeypatch, family):
+    # the MR driving of every source and frequency takes its Hankel rows
+    # from one Bessel call, not one or two per frequency; with a small
+    # block, no call sees more than a block and the bits stay the same
+    from sfsynth import bessel
+    cfg = desk_config(family)
+    arr, cp, fg = cfg.array(), cfg.control_points(), cfg.freq_grid()
+    ops = pm_operators(arr, cp, fg, cfg.lam)
+    sources = cfg.source_split().all_sources
+
+    def drive():
+        return mr_driving_matrix(arr, sources, fg, cp, ops,
+                                 cfg.mr_listening_radius())
+
+    sizes = _bessel_calls(monkeypatch)
+    whole = drive()
+    assert len(sizes["j"]) == len(sizes["y"]) <= 2
+    monkeypatch.setattr(bessel, "_BLOCK", 64)
+    sizes["j"].clear()
+    sizes["y"].clear()
+    blocked = drive()
+    assert len(sizes["j"]) > 2
+    assert max(sizes["j"] + sizes["y"]) <= 64
+    assert blocked.tobytes() == whole.tobytes()
 
 
 def test_build_holds_no_second_pressure_array():

@@ -16,6 +16,7 @@ from sfsynth.acoustics import FrequencyGrid
 from sfsynth.bessel import (
     bessel_j_orders,
     bessel_y_orders,
+    hankel2_orders,
     hankel2_sym_range,
     hankel2_zero,
     jy01,
@@ -74,8 +75,8 @@ bessel_arguments = st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=8)
 
 
 @FAST
-@given(st.integers(0, 60), bessel_arguments)
-def test_batched_bessel_rows_equal_scalar_calls(m_max, xs):
+@given(st.integers(0, 60), bessel_arguments, st.data())
+def test_batched_bessel_rows_equal_scalar_calls(m_max, xs, data):
     x = np.array(xs)
     rows = {f: f(m_max, x) for f in (bessel_j_orders, bessel_y_orders,
                                      hankel2_sym_range)}
@@ -85,6 +86,29 @@ def test_batched_bessel_rows_equal_scalar_calls(m_max, xs):
             assert np.array_equal(got[i], f(m_max, xi)), (f.__name__, xi)
         for got, want in zip(columns, jy01(np.array([xi]))):
             assert np.array_equal(got[i:i + 1], want), xi
+    # an order per argument: each row holds the one-argument call at its
+    # own order bit for bit, then zeros up to the highest order
+    orders = np.array(data.draw(st.lists(st.integers(0, 60), min_size=len(xs),
+                                         max_size=len(xs))))
+    for f in (bessel_j_orders, bessel_y_orders, hankel2_orders):
+        got = f(orders, x)
+        assert got.shape == (len(xs), orders.max() + 1)
+        for i, (xi, mi) in enumerate(zip(xs, orders)):
+            want = f(int(mi), xi)
+            assert got[i, :mi + 1].tobytes() == want.tobytes(), (f.__name__,
+                                                                 xi, mi)
+            assert not got[i, mi + 1:].any()
+
+
+def test_overflow_checked_at_each_rows_own_order():
+    # Y_70(1e-3) leaves the double range; Y_5(1e-3) beside a row at order
+    # 60 does not, and nothing past its own order is checked
+    y = bessel_y_orders(np.array([5, 60]), np.array([1e-3, 50.0]))
+    assert np.isfinite(y).all() and not y[0, 6:].any()
+    with pytest.raises(OverflowError, match=r"Y_\d+\(0.001\)"):
+        bessel_y_orders(np.array([70, 60]), np.array([1e-3, 50.0]))
+    with pytest.raises(OverflowError):
+        hankel2_orders(np.array([60, 70]), np.array([50.0, 1e-3]))
 
 
 @FAST
