@@ -5,7 +5,6 @@ rule that ties them together."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,23 +56,16 @@ class FrequencyGrid:
         return int(np.argmin(np.abs(self.frequencies - frequency)))
 
 
-@dataclass(frozen=True)
-class Source:
-    """Unit-amplitude point source outside the listening region."""
-
-    position: np.ndarray            # (2,)
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=np.float64).reshape(2)
-        object.__setattr__(self, "position", p)
-
-    @property
-    def rho(self) -> float:
-        return float(np.hypot(self.position[0], self.position[1]))
-
-    @property
-    def theta(self) -> float:
-        return float(np.arctan2(self.position[1], self.position[0]))
+def source_positions(sources) -> np.ndarray:
+    """The positions of S sources as an (S, 2) float64 array, one (2,)
+    position being one source; ValueError for any other shape."""
+    pos = np.atleast_2d(np.asarray(sources, dtype=np.float64))
+    if pos.size == 0:
+        pos = pos.reshape(0, 2)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError("source positions must be an (S, 2) array, got "
+                         f"shape {pos.shape}")
+    return pos
 
 
 def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
@@ -84,7 +76,7 @@ def green_matrix(points: np.ndarray, sources: np.ndarray, omega: float,
     complex result (hankel2_zero bounds its own temporaries).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    srcs = np.atleast_2d(np.asarray(sources, dtype=np.float64))
+    srcs = source_positions(sources)
     # distances built in place: two (n_points, n_sources) buffers at most
     d = pts[:, None, 0] - srcs[None, :, 0]
     dy = pts[:, None, 1] - srcs[None, :, 1]
@@ -119,11 +111,12 @@ def truncation_order(omega: float, rho: float, c: float) -> int:
     return int(math.ceil(math.e * (omega / c) * rho / 2))
 
 
-def herglotz_rows(omegas, sources: Sequence[Source], orders, c: float,
+def herglotz_rows(omegas, sources: np.ndarray, orders, c: float,
                   thetas=None):
     """Yield, for each angular frequency omegas[i] truncated at order
     M = orders[i], the circular-harmonic coefficients c_m, m = -M..M, of
-    the plane-wave density of each unit point source, (S, 2M+1):
+    the plane-wave density of each unit point source at the (S, 2)
+    positions `sources`, (S, 2M+1):
 
         phi(theta) = sum_m c_m exp(j m (theta - theta_z)),
         c_m = j^(-m) * (j/4) * H_m^(2)(k rho_z);
@@ -133,8 +126,9 @@ def herglotz_rows(omegas, sources: Sequence[Source], orders, c: float,
     from one pass (bessel.hankel2_sym_rows).
     """
     k = np.asarray(omegas, dtype=np.float64) / c
-    rho = np.array([s.rho for s in sources])
-    theta_z = np.array([s.theta for s in sources])
+    pos = source_positions(sources)
+    rho = np.hypot(pos[:, 0], pos[:, 1])
+    theta_z = np.arctan2(pos[:, 1], pos[:, 0])
     x = np.outer(k, rho)
     if np.any(x <= 0):
         raise ValueError("source must lie away from the origin")
@@ -151,14 +145,14 @@ def herglotz_rows(omegas, sources: Sequence[Source], orders, c: float,
         yield (np.exp(1j * np.outer(thetas[i], ms)) @ cm[..., None])[..., 0]
 
 
-def herglotz_coefficients(omega: float, sources: Sequence[Source], M: int,
+def herglotz_coefficients(omega: float, sources: np.ndarray, M: int,
                           c: float) -> np.ndarray:
     """The coefficients c_m of herglotz_rows at one angular frequency,
     (S, 2M+1)."""
     return next(herglotz_rows([omega], sources, [M], c))
 
 
-def herglotz_point_source(theta, omega: float, sources: Sequence[Source],
+def herglotz_point_source(theta, omega: float, sources: np.ndarray,
                           M: int, c: float) -> np.ndarray:
     """Plane-wave angular density of each point source at the N angles
     theta, truncated at order M, (S, N): herglotz_rows at one angular

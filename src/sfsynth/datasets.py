@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import FrequencyGrid, Source, green_matrix
+from .acoustics import FrequencyGrid, green_matrix, source_positions
 from .compensator import pack_driving
 from .geometry import ArrayGeometry, PointSet
 from .renderers import mr_circular_driving, mr_linear_driving
@@ -15,27 +15,33 @@ from .renderers import mr_circular_driving, mr_linear_driving
 
 @dataclass(frozen=True)
 class SourceSplit:
-    """Disjoint train/validation/test source sets."""
+    """Disjoint train/validation/test source positions, (n, 2) each."""
 
-    train: list
-    val: list
-    test: list
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
     seed: int
 
     def __post_init__(self):
-        seen = {}
-        for name, group in (("train", self.train), ("val", self.val),
-                            ("test", self.test)):
-            for s in group:
-                key = (float(s.position[0]), float(s.position[1]))
-                if key in seen and seen[key] != name:
-                    raise ValueError(
-                        f"source {key} appears in both {seen[key]} and {name}")
-                seen[key] = name
+        names = ("train", "val", "test")
+        groups = [source_positions(getattr(self, name)) for name in names]
+        for name, group in zip(names, groups):
+            object.__setattr__(self, name, group)
+        pos = self.all_sources
+        label = np.repeat([0, 1, 2], [len(g) for g in groups])
+        # each position as x + jy: a 1-D unique, cheaper than one over rows
+        _, first, inverse = np.unique(pos.view(np.complex128)[:, 0],
+                                      return_index=True, return_inverse=True)
+        owner = label[first][inverse]       # the group seen first
+        clash = np.flatnonzero(owner != label)
+        if len(clash):
+            i = clash[0]
+            raise ValueError(f"source {tuple(pos[i].tolist())} appears in "
+                             f"both {names[owner[i]]} and {names[label[i]]}")
 
     @property
-    def all_sources(self) -> list:
-        return list(self.train) + list(self.val) + list(self.test)
+    def all_sources(self) -> np.ndarray:
+        return np.concatenate([self.train, self.val, self.test])
 
 
 def record_dtype(l_active: int, k: int, i_cp: int) -> np.dtype:
@@ -113,8 +119,8 @@ def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
     val_idx = np.sort(rng.choice(total, size=val_count, replace=False))
     val_mask = np.zeros(total, dtype=bool)
     val_mask[val_idx] = True
-    train = [Source(position=p) for p in positions[~val_mask]]
-    val = [Source(position=p) for p in positions[val_mask]]
+    train = positions[~val_mask]
+    val = positions[val_mask]
 
     rho = np.hypot(positions[:, 0], positions[:, 1])
     shifted = positions * ((rho + test_shift) / rho)[:, None]
@@ -123,8 +129,7 @@ def gen_sources_circular(n_radii: int, n_angles: int, radius_range: tuple,
             raise ValueError("n_test must be in (0, train+val count]")
         pick = np.sort(rng.choice(total, size=n_test, replace=False))
         shifted = shifted[pick]
-    test = [Source(position=p) for p in shifted]
-    return SourceSplit(train=train, val=val, test=test, seed=seed)
+    return SourceSplit(train=train, val=val, test=shifted, seed=seed)
 
 
 def gen_sources_linear(n_train: int, n_val: int, n_test: int,
@@ -145,15 +150,13 @@ def gen_sources_linear(n_train: int, n_val: int, n_test: int,
     rng = np.random.default_rng(seed)
     pos = np.stack([rng.uniform(xmin, xmax, n_train + n_val),
                     rng.uniform(ymin, ymax, n_train + n_val)], axis=1)
-    train = [Source(position=p) for p in pos[:n_train]]
-    val = [Source(position=p) for p in pos[n_train:]]
-    test = [Source(position=p)
-            for p in pos[:n_test] + np.array([test_shift, 0.0])]
-    return SourceSplit(train=train, val=val, test=test, seed=seed)
+    return SourceSplit(train=pos[:n_train], val=pos[n_train:],
+                       test=pos[:n_test] + np.array([test_shift, 0.0]),
+                       seed=seed)
 
 
-def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
-                      cp: PointSet, operators,
+def mr_driving_matrix(array: ArrayGeometry, sources: np.ndarray,
+                      freq_grid: FrequencyGrid, cp: PointSet, operators,
                       listening_radius: float) -> np.ndarray:
     """Model-based driving signals of every source at every grid
     frequency, (S, L_active, K), from one MR call for all sources and
@@ -168,15 +171,14 @@ def mr_driving_matrix(array: ArrayGeometry, sources, freq_grid: FrequencyGrid,
                              listening_radius=listening_radius)
 
 
-def control_pressures(sources, cp: PointSet,
+def control_pressures(sources: np.ndarray, cp: PointSet,
                       freq_grid: FrequencyGrid) -> np.ndarray:
     """Ground-truth pressures g(r_i | r_s, w_k) of every source, (S, I, K);
     one Green's matrix per frequency for all sources."""
-    positions = np.array([s.position for s in sources]).reshape(-1, 2)
-    out = np.empty((len(sources), len(cp), freq_grid.k), dtype=np.complex128)
+    pos = source_positions(sources)
+    out = np.empty((len(pos), len(cp), freq_grid.k), dtype=np.complex128)
     for ki, omega in enumerate(freq_grid.angular):
-        out[:, :, ki] = green_matrix(cp.points, positions, omega,
-                                     freq_grid.c).T
+        out[:, :, ki] = green_matrix(cp.points, pos, omega, freq_grid.c).T
     return out
 
 
@@ -186,15 +188,14 @@ def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
     """Per-source packed MR tensors and control pressures for every split.
 
     Evaluated frequency-major for all sources at once, into one record
-    array.  Record order follows the split lists, so rebuilding from the
+    array.  Record order follows the split, so rebuilding from the
     same inputs is byte-reproducible.
     """
     sources = split.all_sources
     records = np.recarray(len(sources), record_dtype(
         array.active_count, freq_grid.k, len(cp)))
     records.source_id = np.arange(len(sources))
-    records.source.position = np.array([s.position for s in sources]
-                                       ).reshape(-1, 2)
+    records.source.position = sources
 
     def fill(sources, records):
         # the pressures one frequency at a time: no second (S, I, K) array
@@ -212,13 +213,13 @@ def build_dataset(array: ArrayGeometry, split: SourceSplit, cp: PointSet,
         fill(sources, records)
     except ValueError as exc:
         # a geometry error names no source: report the first that fails alone
-        for i, src in enumerate(sources):
+        for i in range(len(sources)):
             try:
-                fill([src], records[i:i + 1])
+                fill(sources[i:i + 1], records[i:i + 1])
             except ValueError as exc_i:
                 raise RuntimeError(
                     f"dataset build failed for source {i} at "
-                    f"{src.position.tolist()}") from exc_i
+                    f"{sources[i].tolist()}") from exc_i
         raise RuntimeError("dataset build failed") from exc
     return Dataset(all_records=records, n_train=len(split.train),
                    n_val=len(split.val), freq_grid=freq_grid,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import FrequencyGrid, green_matrix
+from .acoustics import FrequencyGrid, green_matrix, source_positions
 from .geometry import ArrayGeometry, PointSet
 
 NRE_FLOOR_DB = -300.0
@@ -83,10 +83,11 @@ class SweepContext:
     array: ArrayGeometry
     points: PointSet
     freq_grid: FrequencyGrid
-    sources: list                    # list[Source]
+    sources: np.ndarray              # (S, 2) positions
     driving: dict                    # method -> np.ndarray (S, L, K)
 
     def __post_init__(self):
+        object.__setattr__(self, "sources", source_positions(self.sources))
         s = len(self.sources)
         for name, d in self.driving.items():
             if d.shape[0] != s or d.shape[1] != self.array.active_count \
@@ -105,11 +106,10 @@ def metric_samples(ctx: SweepContext, methods) -> dict:
     out = {m: {"nre": np.empty((s_count, k_count)),
                "ssim": np.empty((s_count, k_count))} for m in methods}
     pts = ctx.points.points
-    positions = np.array([s.position for s in ctx.sources]).reshape(-1, 2)
     for ki, omega in enumerate(ctx.freq_grid.angular):
         g_grid = green_matrix(pts, ctx.array.active_positions, omega,
                               ctx.freq_grid.c)
-        g_src = green_matrix(pts, positions, omega, ctx.freq_grid.c)
+        g_src = green_matrix(pts, ctx.sources, omega, ctx.freq_grid.c)
         for si in range(s_count):
             p_true = g_src[:, si]
             true_mag = normalize_magnitude(p_true)
@@ -142,7 +142,7 @@ def sweep(ctx: SweepContext, methods, axis: str, metric: str,
                             values=values, counts=counts)
     if axis != "radius_m":
         raise ValueError(f"unknown axis {axis!r}")
-    radii = np.array([s.rho for s in ctx.sources])
+    radii = np.hypot(ctx.sources[:, 0], ctx.sources[:, 1])
     lo, hi = radii.min(), radii.max()
     if hi == lo:
         hi = lo + 1e-9

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .acoustics import FrequencyGrid, Source, green_matrix
+from .acoustics import FrequencyGrid, green_matrix
 from .compensator import compensate, train_compensator, unpack_driving
 from .config import ExperimentConfig
 from .datasets import build_dataset, control_pressures, mr_driving_matrix
@@ -180,7 +180,7 @@ def render_field(cfg: ExperimentConfig, out_dir, methods,
     freqs, ops, col = (freq, operators, ki) if "cnn" in methods else (
         FrequencyGrid(freq.frequencies[ki:ki + 1], freq.c),
         operators[ki:ki + 1], 0)
-    src = [Source(position=pos)]
+    src = pos[None, :]
     mr = mr_driving_matrix(array, src, freqs, cp, ops, cfg.mr_listening_radius())
     driving = _driving(methods, mr, control_pressures(src, cp, freqs), ops,
                        params)
@@ -292,8 +292,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                            params)
         ctx = SweepContext(array=array, points=cfg.listening_grid(),
                            freq_grid=freq,
-                           sources=[Source(position=p)
-                                    for p in recs.source.position],
+                           sources=recs.source.position,
                            driving=driving)
         methods = list(driving)
         samples = metric_samples(ctx, methods)

@@ -11,10 +11,10 @@ import scipy.linalg as sla
 
 from .acoustics import (
     FrequencyGrid,
-    Source,
     green_matrix,
     herglotz_rows,
     plane_wave_field,
+    source_positions,
     truncation_order,
 )
 from .bessel import hankel2_sym_rows
@@ -30,7 +30,7 @@ class PMOperator:
     c_cp: np.ndarray                 # (L_active, I)
 
 
-def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
+def mr_circular_driving(array: ArrayGeometry, sources: np.ndarray,
                         omega: float | np.ndarray, c: float, *,
                         listening_radius: float) -> np.ndarray:
     """Model-based driving signals of S sources for a circular array at
@@ -55,14 +55,15 @@ def mr_circular_driving(array: ArrayGeometry, sources: Sequence[Source],
     """
     if array.family != "circular":
         raise ValueError("mr_circular_driving needs a circular array")
-    if any(s.rho <= array.radius for s in sources):
+    pos = source_positions(sources)
+    rho_z = np.hypot(pos[:, 0], pos[:, 1])
+    theta_z = np.arctan2(pos[:, 1], pos[:, 0])
+    if np.any(rho_z <= array.radius):
         raise ValueError("source must lie outside the array radius")
     omegas = np.atleast_1d(omega)
     orders = [truncation_order(w, listening_radius, c) for w in omegas]
     k = omegas / c
-    theta_z = np.array([s.theta for s in sources])
-    rho_z = np.array([s.rho for s in sources])
-    out = np.empty((len(sources), array.active_count, len(omegas)),
+    out = np.empty((len(pos), array.active_count, len(omegas)),
                    dtype=np.complex128)
     # each frequency's row: k rho_z of every source, then k R
     rows = hankel2_sym_rows(orders, np.column_stack(
@@ -110,7 +111,7 @@ def linear_window(array: ArrayGeometry) -> tuple:
     return t_min, t_max
 
 
-def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
+def mr_linear_driving(array: ArrayGeometry, sources: np.ndarray,
                       cp: PointSet, op: PMOperator | Sequence[PMOperator],
                       omega: float | np.ndarray, c: float, *,
                       listening_radius: float) -> np.ndarray:
@@ -128,6 +129,7 @@ def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
     d = (t_max - t_min)/(2 pi N) sum_n phi(theta_n) h(theta_n).  The
     densities of every frequency come from one Hankel pass (herglotz_rows).
     """
+    pos = source_positions(sources)
     t_min, t_max = linear_window(array)
     omegas = np.atleast_1d(omega)
     ops = [op] if np.ndim(omega) == 0 else op
@@ -135,9 +137,9 @@ def mr_linear_driving(array: ArrayGeometry, sources: Sequence[Source],
     width = t_max - t_min
     directions = [t_min + (np.arange(2 * M + 1) + 0.5) * width / (2 * M + 1)
                   for M in orders]
-    out = np.empty((len(sources), array.active_count, len(omegas)),
+    out = np.empty((len(pos), array.active_count, len(omegas)),
                    dtype=np.complex128)
-    densities = herglotz_rows(omegas, sources, orders, c, directions)
+    densities = herglotz_rows(omegas, pos, orders, c, directions)
     for ki, (w, op_k, theta, phi) in enumerate(zip(
             omegas, ops, directions, densities, strict=True)):
         bank = mr_linear_filter_bank(op_k, cp, theta, w, c)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfsynth.acoustics import Source, green_matrix, truncation_order
+from sfsynth.acoustics import green_matrix, truncation_order
 from sfsynth.bessel import hankel2_orders
 from sfsynth.compensator import (
     loss,
@@ -94,7 +94,7 @@ def test_criterion_02_plane_wave_expansion():
         k = omega / C
         rho_z = rng.uniform(1.5, 3.5)
         th_z = rng.uniform(0, 2 * np.pi)
-        src = Source(position=rho_z * np.array([np.cos(th_z), np.sin(th_z)]))
+        src = rho_z * np.array([np.cos(th_z), np.sin(th_z)])
         r_pt = rng.uniform(0.05, min(0.95, 0.45 * rho_z))
         th_pt = rng.uniform(0, 2 * np.pi)
         pt = r_pt * np.array([np.cos(th_pt), np.sin(th_pt)])
@@ -108,10 +108,10 @@ def test_criterion_02_plane_wave_expansion():
         n_quad = max(2048, 8 * M)
         from sfsynth.acoustics import herglotz_point_source
         th = 2 * np.pi * np.arange(n_quad) / n_quad
-        phi = herglotz_point_source(th, omega, [src], M, C)[0]
+        phi = herglotz_point_source(th, omega, src[None], M, C)[0]
         pw = np.exp(1j * k * (np.cos(th) * pt[0] + np.sin(th) * pt[1]))
         p_rec = np.mean(pw * phi)
-        p_ref = green_matrix(pt[None, :], src.position[None, :], omega,
+        p_ref = green_matrix(pt[None, :], src[None, :], omega,
                              C)[0, 0]
         worst = max(worst, abs(p_rec - p_ref) / abs(p_ref))
     assert worst <= 1e-6
@@ -133,11 +133,11 @@ def test_criterion_03_mr_circular_reproduction():
     for _ in range(10):
         rho = rng.uniform(1.5, 3.5)
         th = rng.uniform(0, 2 * np.pi)
-        src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
-        d = mr_circular_driving(arr, [src], omega, C,
+        src = rho * np.array([np.cos(th), np.sin(th)])
+        d = mr_circular_driving(arr, src[None], omega, C,
                                 listening_radius=1.0)[:, 0]
         p_hat = green_matrix(grid.points, arr.active_positions, omega, C) @ d
-        p = green_matrix(grid.points, src.position[None, :], omega, C)[:, 0]
+        p = green_matrix(grid.points, src[None, :], omega, C)[:, 0]
         worst = max(worst, nre(p_hat, p))
     assert worst <= -15.0
     elapsed = time.time() - t0
@@ -161,12 +161,12 @@ def test_criterion_04_degradation_ordering():
         for _ in range(10):
             rho = rng.uniform(1.5, 3.5)
             th = rng.uniform(0, 2 * np.pi)
-            src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
-            d = mr_circular_driving(arr, [src], omega, C,
+            src = rho * np.array([np.cos(th), np.sin(th)])
+            d = mr_circular_driving(arr, src[None], omega, C,
                                 listening_radius=1.0)[:, 0]
             p_hat = green_matrix(grid.points, arr.active_positions, omega,
                                  C) @ d
-            p = green_matrix(grid.points, src.position[None, :], omega,
+            p = green_matrix(grid.points, src[None, :], omega,
                              C)[:, 0]
             vals.append(nre(p_hat, p))
         means.append(np.mean(vals))
@@ -264,17 +264,17 @@ def _desk_record():
     arr = cfg.array()
     cp = cfg.control_points()
     freq = cfg.freq_grid()
-    src = Source(position=2.0 * np.array([np.cos(0.7), np.sin(0.7)]))
+    src = 2.0 * np.array([np.cos(0.7), np.sin(0.7)])
     from types import SimpleNamespace
 
     from sfsynth.compensator import pack_driving
     from sfsynth.datasets import control_pressures, mr_driving_matrix
     from sfsynth.renderers import pm_operators
     ops = pm_operators(arr, cp, freq, cfg.lam)
-    d = mr_driving_matrix(arr, [src], freq, cp, ops,
+    d = mr_driving_matrix(arr, src[None], freq, cp, ops,
                           cfg.mr_listening_radius())[0]
     rec = SimpleNamespace(tensor=pack_driving(d),
-                          pressures=control_pressures([src], cp, freq)[0])
+                          pressures=control_pressures(src[None], cp, freq)[0])
     return rec, np.stack([op.g_cp for op in ops])
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from sfsynth.acoustics import (
     FrequencyGrid,
-    Source,
     green_matrix,
+    herglotz_coefficients,
     herglotz_point_source,
     plane_wave_field,
     truncation_order,
@@ -91,12 +91,12 @@ def test_truncation_order_invalid():
 
 
 def test_herglotz_order_zero_constant():
-    src = Source(position=np.array([2.0, 1.0]))
+    src = np.array([2.0, 1.0])
     omega = 2 * np.pi * 300
     k = omega / C
-    vals = herglotz_point_source(np.linspace(0, 2 * np.pi, 9), omega, [src],
-                                 M=0, c=C)[0]
-    expected = 0.25j * hankel2_orders(0, k * src.rho)[0]
+    vals = herglotz_point_source(np.linspace(0, 2 * np.pi, 9), omega,
+                                 src[None], M=0, c=C)[0]
+    expected = 0.25j * hankel2_orders(0, k * np.hypot(*src))[0]
     assert np.allclose(vals, expected)
 
 
@@ -104,17 +104,17 @@ def test_herglotz_shift_invariance():
     # phi depends on theta only through theta - theta_z
     omega = 2 * np.pi * 500
     rho = 2.0
-    s1 = Source(position=rho * np.array([np.cos(0.3), np.sin(0.3)]))
-    s2 = Source(position=rho * np.array([np.cos(1.1), np.sin(1.1)]))
+    s1 = rho * np.array([np.cos(0.3), np.sin(0.3)])
+    s2 = rho * np.array([np.cos(1.1), np.sin(1.1)])
     th = np.linspace(0, 2, 7)
-    v1 = herglotz_point_source(th + 0.3, omega, [s1], M=12, c=C)[0]
-    v2 = herglotz_point_source(th + 1.1, omega, [s2], M=12, c=C)[0]
+    v1 = herglotz_point_source(th + 0.3, omega, s1[None], M=12, c=C)[0]
+    v2 = herglotz_point_source(th + 1.1, omega, s2[None], M=12, c=C)[0]
     assert np.allclose(v1, v2, rtol=1e-12)
 
 
 def _reconstruct(point, omega, src, M, n_quad):
     th = 2 * np.pi * np.arange(n_quad) / n_quad
-    phi = herglotz_point_source(th, omega, [src], M, C)[0]
+    phi = herglotz_point_source(th, omega, src[None], M, C)[0]
     pw = np.exp(1j * (omega / C) * (np.cos(th) * point[0] + np.sin(th) * point[1]))
     return np.mean(pw * phi)
 
@@ -136,7 +136,7 @@ def test_plane_wave_expansion_reconstructs_green():
         k = omega / C
         rho_z = rng.uniform(1.5, 3.5)
         th_z = rng.uniform(0, 2 * np.pi)
-        src = Source(position=rho_z * np.array([np.cos(th_z), np.sin(th_z)]))
+        src = rho_z * np.array([np.cos(th_z), np.sin(th_z)])
         r_pt = rng.uniform(0.05, min(0.95, 0.45 * rho_z))
         th_pt = rng.uniform(0, 2 * np.pi)
         pt = r_pt * np.array([np.cos(th_pt), np.sin(th_pt)])
@@ -148,7 +148,7 @@ def test_plane_wave_expansion_reconstructs_green():
             M += 1
         n_quad = max(2048, 8 * M)
         p_rec = _reconstruct(pt, omega, src, M, n_quad)
-        p_ref = _green(pt, src.position, omega, C)
+        p_ref = _green(pt, src, omega, C)
         rel = abs(p_rec - p_ref) / abs(p_ref)
         worst = max(worst, rel)
     assert worst <= 1e-6, f"worst reconstruction error {worst:.3e}"
@@ -218,6 +218,12 @@ def test_green_matrix_memory_is_distances_plus_result(frequency):
 
 
 def test_source_polar():
-    s = Source(position=np.array([0.0, 2.0]))
-    assert s.rho == pytest.approx(2.0)
-    assert s.theta == pytest.approx(np.pi / 2)
+    # a position is read in its polar form: a source at (0, 2) has the
+    # order-0 coefficient of rho = 2, and its density at theta = pi/2,
+    # where theta - theta_z = 0, is the sum of its coefficients
+    s = np.array([[0.0, 2.0]])
+    omega = 2 * np.pi * 300
+    cm = herglotz_coefficients(omega, s, 3, C)[0]
+    assert cm[3] == pytest.approx(0.25j * hankel2_orders(0, 2.0 * omega / C)[0])
+    assert herglotz_point_source([np.pi / 2], omega, s, 3, C)[0, 0] \
+        == pytest.approx(cm.sum())

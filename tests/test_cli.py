@@ -132,6 +132,24 @@ def test_render_non_finite_value_fails(micro_cfg_file, tmp_path, flag, value):
     assert not (tmp_path / "fields").exists()
 
 
+def test_render_bessel_overflow_one_error_line(tmp_path):
+    # a tiny array radius sends Y_m(k R) past the float range while the
+    # render forms its MR signals; the render calls no stage, so the error
+    # reaches main itself
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text('{"array_radius": 1e-100}')
+    out = run_cli("render", "--scale", "desk", "--config", str(cfg),
+                  "--out", str(tmp_path / "r"), "--method", "mr",
+                  "--source", "2.0,0.5", "--frequency", "350")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "exceeds the floating-point range" in errors[0]
+    assert not (tmp_path / "r" / "fields").exists()
+
+
 def test_invalid_config_diagnosed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_remove": 99}))

@@ -6,16 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfsynth.acoustics import FrequencyGrid, Source, green_matrix
+from sfsynth.acoustics import (
+    FrequencyGrid,
+    green_matrix,
+    herglotz_coefficients,
+    herglotz_point_source,
+    herglotz_rows,
+)
 from sfsynth.compensator import pack_driving
 from sfsynth.config import desk_config
 from sfsynth.datasets import (
     SourceSplit,
     build_dataset,
+    control_pressures,
     gen_sources_circular,
     gen_sources_linear,
     mr_driving_matrix,
 )
+from sfsynth.evaluation import SweepContext
 from sfsynth.geometry import (
     ListeningArea,
     decimate_array,
@@ -40,19 +48,19 @@ def test_circular_full_scale_counts():
 
 def test_circular_degenerate_range():
     split = gen_sources_circular(1, 4, (2.0, 2.0), 0.1, seed=1, val_count=1, n_test=None)
-    pool = split.train + split.val
+    pool = np.concatenate([split.train, split.val])
     assert len(pool) == 4
     for s in pool:
-        assert s.rho == pytest.approx(2.0)
+        assert np.hypot(*s) == pytest.approx(2.0)
     for s in split.test:
-        assert s.rho == pytest.approx(2.1)
+        assert np.hypot(*s) == pytest.approx(2.1)
 
 
 def test_circular_deterministic():
     a = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4, n_test=None)
     b = gen_sources_circular(3, 8, (1.5, 3.5), 0.05, seed=7, val_count=4, n_test=None)
     for sa, sb in zip(a.all_sources, b.all_sources):
-        assert np.array_equal(sa.position, sb.position)
+        assert np.array_equal(sa, sb)
 
 
 def test_circular_test_subsample():
@@ -63,9 +71,10 @@ def test_circular_test_subsample():
 
 def test_circular_shift_is_radial():
     split = gen_sources_circular(2, 4, (2.0, 3.0), 0.05, seed=3, val_count=2, n_test=None)
-    pool = {round(s.theta, 12) for s in split.train + split.val}
+    pool = {round(np.arctan2(s[1], s[0]), 12)
+            for s in np.concatenate([split.train, split.val])}
     for t in split.test:
-        assert round(t.theta, 12) in pool
+        assert round(np.arctan2(t[1], t[0]), 12) in pool
 
 
 def test_split_disjointness():
@@ -73,38 +82,77 @@ def test_split_disjointness():
                                  val_count=16, n_test=None)
     seen = set()
     for s in split.all_sources:
-        key = (float(s.position[0]), float(s.position[1]))
+        key = (float(s[0]), float(s[1]))
         assert key not in seen
         seen.add(key)
 
 
 def test_split_rejects_shared_source():
     # catches a test shift that lands on a train or validation source
-    src = Source(position=np.array([2.0, 0.5]))
+    src = np.array([2.0, 0.5])
     with pytest.raises(ValueError, match="both train and test"):
-        SourceSplit(train=[src], val=[], test=[src], seed=0)
+        SourceSplit(train=src[None], val=[], test=src[None], seed=0)
 
 
 def test_linear_counts_and_region():
     region = (1.2, 3.2, -2.0, 2.0)
     split = gen_sources_linear(20, 5, 25, region, 0.08, seed=5, x0=1.0)
     assert (len(split.train), len(split.val), len(split.test)) == (20, 5, 25)
-    for s in split.train + split.val:
-        assert region[0] <= s.position[0] <= region[1]
-        assert region[2] <= s.position[1] <= region[3]
+    pool = np.concatenate([split.train, split.val])
+    for s in pool:
+        assert region[0] <= s[0] <= region[1]
+        assert region[2] <= s[1] <= region[3]
     # test sources are +x shifts
-    pool_y = sorted(round(float(s.position[1]), 12)
-                    for s in split.train + split.val)
+    pool_y = sorted(round(float(s[1]), 12) for s in pool)
     for t in split.test:
-        assert round(float(t.position[1]), 12) in pool_y
+        assert round(float(t[1]), 12) in pool_y
 
 
 def test_linear_tiny_counts():
     split = gen_sources_linear(1, 1, 2, (1.2, 3.2, -2, 2), 0.08, seed=6,
                                x0=1.0)
     assert len(split.all_sources) == 4
-    keys = {tuple(s.position) for s in split.all_sources}
+    keys = {tuple(s) for s in split.all_sources}
     assert len(keys) == 4
+
+
+@pytest.mark.parametrize("bad", [np.full((3, 3), 2.0),
+                                 np.full((2, 2, 2), 2.0)],
+                         ids=["S-by-3", "three-axes"])
+def test_every_source_taker_refuses_other_shapes(bad):
+    # one position form: anything but (S, 2) (or one (2,) position) is a
+    # ValueError, wherever sources go in
+    circ = make_circular_array(16, 1.0)
+    cfg = desk_config("linear")
+    lin, cp = cfg.array(), cfg.control_points()
+    fg = FrequencyGrid.uniform(100.0, 100.0, 2, 343.0)
+    ops = pm_operators(lin, cp, fg, 1e-2)
+    omega, good = fg.angular[0], np.array([[2.0, 0.5]])
+    takers = {
+        "herglotz_rows": lambda: next(herglotz_rows([omega], bad, [3],
+                                                    fg.c)),
+        "herglotz_coefficients": lambda: herglotz_coefficients(
+            omega, bad, 3, fg.c),
+        "herglotz_point_source": lambda: herglotz_point_source(
+            np.linspace(0, 1, 5), omega, bad, 3, fg.c),
+        "mr_circular_driving": lambda: mr_circular_driving(
+            circ, bad, omega, fg.c, listening_radius=0.8),
+        "mr_linear_driving": lambda: mr_linear_driving(
+            lin, bad, cp, ops[0], omega, fg.c, listening_radius=0.8),
+        "mr_driving_matrix circular": lambda: mr_driving_matrix(
+            circ, bad, fg, cp, ops, 0.8),
+        "mr_driving_matrix linear": lambda: mr_driving_matrix(
+            lin, bad, fg, cp, ops, 0.8),
+        "control_pressures": lambda: control_pressures(bad, cp, fg),
+        "SourceSplit": lambda: SourceSplit(train=bad, val=good,
+                                           test=good + 1.0, seed=0),
+        "SweepContext": lambda: SweepContext(array=circ, points=cp,
+                                             freq_grid=fg, sources=bad,
+                                             driving={}),
+    }
+    for take in takers.values():
+        with pytest.raises(ValueError, match=r"\(S, 2\)"):
+            take()
 
 
 def test_linear_region_validation():
@@ -165,14 +213,14 @@ def _reference_records(array, sources, cp, fg, lam, radius):
         p = np.empty((len(cp), fg.k), dtype=np.complex128)
         for ki, omega in enumerate(fg.angular):
             if array.family == "circular":
-                d[:, ki] = mr_circular_driving(array, [src], omega, fg.c,
+                d[:, ki] = mr_circular_driving(array, src[None], omega, fg.c,
                                                listening_radius=radius)[:, 0]
             else:
                 op = pm_operator(array, cp, omega, lam, fg.c)
-                d[:, ki] = mr_linear_driving(array, [src], cp, op, omega,
+                d[:, ki] = mr_linear_driving(array, src[None], cp, op, omega,
                                              fg.c,
                                              listening_radius=radius)[:, 0]
-            p[:, ki] = green_matrix(cp.points, src.position[None, :],
+            p[:, ki] = green_matrix(cp.points, src[None, :],
                                     omega, fg.c)[:, 0]
         out.append((pack_driving(d), p))
     return out
@@ -260,8 +308,9 @@ def test_build_holds_no_second_pressure_array():
 
 def test_source_inside_array_names_the_source(small_dataset):
     arr, cp, fg, split, _ = small_dataset
-    inside = Source(position=np.array([0.0, 0.9]))
-    split = SourceSplit(train=split.train, val=[inside] + split.val[1:],
+    inside = np.array([0.0, 0.9])
+    split = SourceSplit(train=split.train,
+                        val=np.concatenate([inside[None], split.val[1:]]),
                         test=split.test, seed=split.seed)
     sid = len(split.train)
     with pytest.raises(RuntimeError,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfsynth.acoustics import FrequencyGrid, Source, green_matrix
+from sfsynth.acoustics import FrequencyGrid, green_matrix
 from sfsynth.evaluation import (
     MetricSeries,
     SweepContext,
@@ -94,12 +94,12 @@ def _small_ctx(methods=("mr",), n_sources=2):
     for i in range(n_sources):
         rho = 1.5 + 0.5 * i
         th = rng.uniform(0, 2 * np.pi)
-        sources.append(Source(position=rho * np.array([np.cos(th), np.sin(th)])))
+        sources.append(rho * np.array([np.cos(th), np.sin(th)]))
     driving = {m: (rng.normal(size=(n_sources, 8, 3))
                    + 1j * rng.normal(size=(n_sources, 8, 3)))
                for m in methods}
     return SweepContext(array=arr, points=grid, freq_grid=fg,
-                        sources=sources, driving=driving)
+                        sources=np.array(sources), driving=driving)
 
 
 def _sweep(ctx, methods, axis, metric, n_radius_bins=10):
@@ -116,7 +116,7 @@ def test_sweep_single_source_single_method_matches_direct_nre():
     omega = ctx.freq_grid.angular[ki]
     p_hat = green_matrix(ctx.points.points, ctx.array.active_positions,
                          omega, ctx.freq_grid.c) @ ctx.driving["mr"][0, :, ki]
-    p = green_matrix(ctx.points.points, ctx.sources[0].position[None, :],
+    p = green_matrix(ctx.points.points, ctx.sources[0][None, :],
                      omega, ctx.freq_grid.c)[:, 0]
     assert series.values["mr"][ki] == pytest.approx(nre(p_hat, p))
     assert np.all(series.counts == 1)
@@ -135,7 +135,7 @@ def test_sweep_order_invariant():
     perm = [2, 0, 3, 1]
     ctx2 = SweepContext(array=ctx.array, points=ctx.points,
                         freq_grid=ctx.freq_grid,
-                        sources=[ctx.sources[i] for i in perm],
+                        sources=ctx.sources[perm],
                         driving={"mr": ctx.driving["mr"][perm]})
     s2 = _sweep(ctx2, ["mr"], "frequency_hz", "nre")
     assert np.allclose(s1.values["mr"], s2.values["mr"], atol=1e-12)

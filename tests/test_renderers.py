@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg as sla
 
 from sfsynth.acoustics import (
-    Source,
     green_matrix,
     herglotz_coefficients,
     herglotz_point_source,
@@ -46,14 +45,15 @@ def disk_grid():
 
 
 def _gt_field(points, src, omega):
-    return green_matrix(points, src.position[None, :], omega, C)[:, 0]
+    return green_matrix(points, src[None, :], omega, C)[:, 0]
 
 
 def _density_by_order_sum(theta_n, omega, src, M):
     """phi(theta_n) = sum_m c_m e^(j m (theta_n - theta_z)), one order at
     a time, from the coefficients alone."""
-    cm = herglotz_coefficients(omega, [src], M, C)[0]
-    return sum(cm[m + M] * np.exp(1j * m * (theta_n - src.theta))
+    cm = herglotz_coefficients(omega, src[None], M, C)[0]
+    theta_z = np.arctan2(src[1], src[0])
+    return sum(cm[m + M] * np.exp(1j * m * (theta_n - theta_z))
                for m in range(-M, M + 1))
 
 
@@ -67,8 +67,8 @@ def test_mr_circular_full_array_reproduction(disk_grid):
     for _ in range(10):
         rho = rng.uniform(1.5, 3.5)
         th = rng.uniform(0, 2 * np.pi)
-        src = Source(position=rho * np.array([np.cos(th), np.sin(th)]))
-        d = mr_circular_driving(arr, [src], OMEGA_500, C,
+        src = rho * np.array([np.cos(th), np.sin(th)])
+        d = mr_circular_driving(arr, src[None], OMEGA_500, C,
                                 listening_radius=1.0)[:, 0]
         g = green_matrix(disk_grid.points, arr.active_positions, OMEGA_500, C)
         assert nre(g @ d, _gt_field(disk_grid.points, src, OMEGA_500)) <= -15.0
@@ -77,10 +77,10 @@ def test_mr_circular_full_array_reproduction(disk_grid):
 def test_mr_circular_decimation_degrades(disk_grid):
     arr = make_circular_array(64, 1.0)
     dec = decimate_array(arr, 32, seed=7)
-    src = Source(position=np.array([2.0, 0.0]))
+    src = np.array([2.0, 0.0])
     p = _gt_field(disk_grid.points, src, OMEGA_500)
-    d_full = mr_circular_driving(arr, [src], OMEGA_500, C, listening_radius=1.0)[:, 0]
-    d_dec = mr_circular_driving(dec, [src], OMEGA_500, C, listening_radius=1.0)[:, 0]
+    d_full = mr_circular_driving(arr, src[None], OMEGA_500, C, listening_radius=1.0)[:, 0]
+    d_dec = mr_circular_driving(dec, src[None], OMEGA_500, C, listening_radius=1.0)[:, 0]
     g_full = green_matrix(disk_grid.points, arr.active_positions, OMEGA_500, C)
     g_dec = green_matrix(disk_grid.points, dec.active_positions, OMEGA_500, C)
     nre_full = nre(g_full @ d_full, p)
@@ -93,7 +93,7 @@ def test_mr_circular_matches_bruteforce_double_loop():
     # 16-element array, whole and decimated by 8:
     # d_l = (1/N) sum_n phi(theta_n) * 4/(j L_active) sum_m j^m
     #   e^(j m (theta_l - theta_n)) / H_m^(2)(k rho)
-    src = Source(position=np.array([1.7, 0.9]))
+    src = np.array([1.7, 0.9])
     omega = 2 * np.pi * 300
     k = omega / C
     M = truncation_order(omega, 1.0, C)
@@ -104,7 +104,7 @@ def test_mr_circular_matches_bruteforce_double_loop():
     full = make_circular_array(16, 1.0)
     for arr in (make_circular_array(1, 1.0), full,
                 decimate_array(full, 8, seed=3)):
-        d = mr_circular_driving(arr, [src], omega, C,
+        d = mr_circular_driving(arr, src[None], omega, C,
                                 listening_radius=1.0)[:, 0]
         scale = 4.0 / (1j * arr.active_count)
         assert len(d) == arr.active_count
@@ -122,7 +122,7 @@ def test_mr_circular_matches_bruteforce_double_loop():
 def test_mr_circular_source_inside_rejected():
     arr = make_circular_array(16, 1.0)
     with pytest.raises(ValueError):
-        mr_circular_driving(arr, [Source(position=np.array([0.5, 0.0]))],
+        mr_circular_driving(arr, np.array([[0.5, 0.0]]),
                             OMEGA_500, C, listening_radius=1.0)
 
 
@@ -205,9 +205,9 @@ def test_mr_linear_fit_residual():
 def test_mr_linear_reproduction(linear_setup):
     # reference run: -14.8 dB for this source; contract level -10 dB
     arr, rect, cp, grid = linear_setup
-    src = Source(position=np.array([2.0, 0.5]))
+    src = np.array([2.0, 0.5])
     op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
-    d = mr_linear_driving(arr, [src], cp, op, OMEGA_500, C,
+    d = mr_linear_driving(arr, src[None], cp, op, OMEGA_500, C,
                           listening_radius=rect.bounding_radius)[:, 0]
     p_hat = green_matrix(grid.points, arr.active_positions, OMEGA_500, C) @ d
     assert nre(p_hat, _gt_field(grid.points, src, OMEGA_500)) <= -10.0
@@ -221,7 +221,7 @@ def test_mr_linear_matches_bruteforce_sum():
     full = make_linear_array(16, 0.25, 1.0)
     rect = ListeningArea.rectangle(-1.2, 0.8, -1.0, 1.0, 0.02)
     cp = sample_control_points(rect, 200, clearance_from=full)
-    src = Source(position=np.array([2.2, 0.4]))
+    src = np.array([2.2, 0.4])
     t_min, t_max = linear_window(full)
     width = t_max - t_min
     for f in (46.0, 300.0):
@@ -233,7 +233,7 @@ def test_mr_linear_matches_bruteforce_sum():
                for theta_n in thetas]
         for arr in (full, decimate_array(full, 8, seed=3)):
             op = pm_operator(arr, cp, omega, 1e-2, C)
-            d = mr_linear_driving(arr, [src], cp, op, omega, C,
+            d = mr_linear_driving(arr, src[None], cp, op, omega, C,
                                   listening_radius=rect.bounding_radius)[:, 0]
             assert len(d) == arr.active_count
             acc = np.zeros(arr.active_count, dtype=complex)
@@ -296,7 +296,7 @@ def test_pm_acoustic_control_residual():
     arr = make_circular_array(16, 1.0)
     area = ListeningArea.disk(0.8, 0.04)
     cp = sample_control_points(area, 100, clearance_from=arr)
-    src = Source(position=np.array([2.0, 0.0]))
+    src = np.array([2.0, 0.0])
     op = pm_operator(arr, cp, OMEGA_500, 1e-2, C)
     p_cp = _gt_field(cp.points, src, OMEGA_500)
     d = op.c_cp @ p_cp
@@ -322,8 +322,8 @@ def test_mr_circular_batch_equals_one_source_calls():
     # batch must be its one-source call, byte for byte
     ring = [(2.5, 0.0), (1.5, 2.0), (0.0, 2.5), (-2.0, 1.5),
             (-2.5, 0.0), (-1.5, -2.0), (0.0, -2.5), (2.0, -1.5)]
-    sources = [Source(position=np.array(p)) for p in ring + [(1.8, -0.6)]]
-    assert len({s.rho for s in sources[:8]}) == 1
+    sources = np.array(ring + [(1.8, -0.6)])
+    assert len({np.hypot(*s) for s in sources[:8]}) == 1
     circ = make_circular_array(16, 1.0)
     lin = make_linear_array(16, 0.25, 1.0)
     cp = sample_control_points(
@@ -342,7 +342,7 @@ def test_mr_circular_batch_equals_one_source_calls():
         for f in (46.0, 368.0, 1007.0):
             omega = 2 * np.pi * f
             batch = render(sources, omega)
-            alone = np.stack([render([s], omega)[:, 0] for s in sources],
+            alone = np.stack([render(s[None], omega)[:, 0] for s in sources],
                              axis=1)
             assert batch.tobytes() == alone.tobytes(), (name, f)
 
@@ -350,13 +350,13 @@ def test_mr_circular_batch_equals_one_source_calls():
 def test_full_array_beats_decimated_at_every_frequency(disk_grid):
     arr = make_circular_array(16, 1.0)
     dec = decimate_array(arr, 8, seed=3)
-    src = Source(position=np.array([1.8, -0.6]))
+    src = np.array([1.8, -0.6])
     freqs = 46 + 23 * np.arange(15)
     for f in freqs:
         omega = 2 * np.pi * f
         p = _gt_field(disk_grid.points, src, omega)
-        d_f = mr_circular_driving(arr, [src], omega, C, listening_radius=1.0)[:, 0]
-        d_d = mr_circular_driving(dec, [src], omega, C, listening_radius=1.0)[:, 0]
+        d_f = mr_circular_driving(arr, src[None], omega, C, listening_radius=1.0)[:, 0]
+        d_d = mr_circular_driving(dec, src[None], omega, C, listening_radius=1.0)[:, 0]
         g_f = green_matrix(disk_grid.points, arr.active_positions, omega, C)
         g_d = green_matrix(disk_grid.points, dec.active_positions, omega, C)
         n_f = nre(g_f @ d_f, p)
